@@ -11,8 +11,9 @@ numbers to ``BENCH_logstore.json`` at the repo root so the perf
 trajectory is tracked PR over PR.
 
 A second section gates world *construction*: lazy population builds at
-several N (``BENCH_worldbuild.json``), with a lazy-vs-eager fingerprint
-equality check — the determinism contract of lazy materialization — and
+several N (``BENCH_worldbuild.json``), with a fingerprint equality check
+between a lazy world and the same world with every mailbox materialized
+right after the build — the determinism contract of lazy history — and
 an absolute ceiling on the bench-world build so history seeding can
 never silently crawl back into the build path.
 
@@ -24,39 +25,26 @@ issue strictly fewer log-store queries, render byte-identical sections,
 and not be slower beyond noise — so dataset sharing can never silently
 rot back into per-module scans.
 
-A fourth section gates the *day loop* (``BENCH_simloop.json``): the
-event-wheel scheduler versus the legacy per-day rescan loop
-(``REPRO_SCHEDULER=0``).  Byte-identical full reports and equal world
-fingerprints on a live workload, plus a quiet-horizon stress pair at
-10k/50k users where the wheel's O(scheduled work) loop must beat the
-legacy O(world x days) loop by at least ``SIMLOOP_MIN_SPEEDUP`` and
-stay under an absolute ceiling.
-
 Run directly (it is also exercised as a smoke target by the test
 suite's tier-1 run via ``python benchmarks/perf_gate.py --quick``):
 
     PYTHONPATH=src python benchmarks/perf_gate.py
     PYTHONPATH=src python benchmarks/perf_gate.py --worldbuild-only
-    PYTHONPATH=src python benchmarks/perf_gate.py --simloop-only
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
-from contextlib import contextmanager
 
 from repro import obs
 from repro.analysis import registry
 from repro.analysis.registry import ArtifactContext, render_artifact
-from repro.analysis.report import full_report
 from repro.core.config import SimulationConfig
 from repro.core.parallel import run_world
-from repro.core.simulation import Simulation
 from repro.logs.events import Actor, LoginEvent, NotificationEvent
 from repro.logs.reference import NaiveLogStore
 from repro.logs.store import LogStore
@@ -64,7 +52,10 @@ from repro.net.phones import PhoneNumberPlan
 from repro.util.clock import DAY
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
-from repro.world.equivalence import population_fingerprint
+from repro.world.equivalence import (
+    materialize_histories,
+    population_fingerprint,
+)
 from repro.world.mailbox import Mailbox
 from repro.world.messages import EmailMessage
 from repro.world.population import PopulationConfig, build_population
@@ -74,170 +65,18 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_logstore.json"
 DEFAULT_WORLDBUILD_OUTPUT = REPO_ROOT / "BENCH_worldbuild.json"
 DEFAULT_REPORT_OUTPUT = REPO_ROOT / "BENCH_report.json"
-DEFAULT_SIMLOOP_OUTPUT = REPO_ROOT / "BENCH_simloop.json"
 
 #: Generous absolute ceiling for one indexed windowed+filtered query.
 #: The measured time is ~3 orders of magnitude below this on 2020s
 #: hardware; the gate exists to catch accidental O(n) regressions.
 QUERY_CEILING_SECONDS = 5e-3
 
-#: Ceiling for the lazy build of the 1,500-user bench world.  The PR 2
-#: baseline paid 1.57s here (eager history seeding); lazy construction
-#: measures ~0.08s, so 0.5s catches any eager-seeding regression while
-#: staying far above CI-container noise.
+#: Ceiling for the lazy build of the 1,500-user bench world.  Seeding
+#: every history at build time cost 1.57s here; lazy construction
+#: measures ~0.08s, so 0.5s catches any build-time-seeding regression
+#: while staying far above CI-container noise.
 BENCH_WORLD_BUILD_CEILING_SECONDS = 0.5
 BENCH_WORLD_USERS = 1_500
-
-#: Wheel day-loop wall ceiling per simloop stress size.  The measured
-#: wheel loop is milliseconds (it drains a handful of day-0 events and
-#: stops); the ceilings are ~2 orders of magnitude above that so CI
-#: noise never flakes, while a regression back to per-day world rescans
-#: (hundreds of ms at 50k users x 365 days) trips them cleanly.
-SIMLOOP_CEILING_SECONDS = {2_000: 0.5, 10_000: 1.0, 50_000: 2.0}
-#: The legacy loop pays O(watchlist) every day; the wheel pays it only
-#: on dirty days.  At the gated size the architecture difference is
-#: orders of magnitude, so >= 3x is a conservative floor.
-SIMLOOP_MIN_SPEEDUP = 3.0
-
-
-@contextmanager
-def _scheduler_mode(enabled: bool):
-    """Pin REPRO_SCHEDULER around Simulation construction."""
-    saved = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = saved
-
-
-def bench_simloop_equality() -> dict:
-    """Scheduler-on vs scheduler-off on a real workload: byte equality.
-
-    Same world shape as the bench-world smoke (campaigns, incidents,
-    reports, sweeps, decoys all active); both loops must produce the
-    same events, the same fingerprinted population, and byte-identical
-    full reports.
-    """
-    config = SimulationConfig(
-        seed=7, n_users=BENCH_WORLD_USERS, n_external_edu=300,
-        n_external_other=120, horizon_days=10, campaigns_per_week=12,
-        campaign_target_count=300,
-    )
-    results = {}
-    walls = {}
-    for mode, enabled in (("scheduler", True), ("legacy", False)):
-        with _scheduler_mode(enabled):
-            simulation = Simulation(config)
-        start = time.perf_counter()
-        results[mode] = simulation.run()
-        walls[mode] = time.perf_counter() - start
-    wheel, legacy = results["scheduler"], results["legacy"]
-    report_bytes_identical = full_report(wheel) == full_report(legacy)
-    fingerprints_equal = (population_fingerprint(wheel.population)
-                          == population_fingerprint(legacy.population))
-    if not report_bytes_identical or not fingerprints_equal:
-        raise AssertionError(
-            "scheduler/legacy divergence on the equality workload: "
-            f"report_identical={report_bytes_identical} "
-            f"fingerprints_equal={fingerprints_equal}")
-    return {
-        "seed": config.seed,
-        "n_users": config.n_users,
-        "horizon_days": config.horizon_days,
-        "n_events": len(wheel.store),
-        "scheduler_run_s": round(walls["scheduler"], 4),
-        "legacy_run_s": round(walls["legacy"], 4),
-        "report_bytes_identical": True,
-        "population_fingerprints_equal": True,
-    }
-
-
-def bench_simloop_stress(n_users: int, horizon_days: int) -> dict:
-    """Quiet-horizon stress: the day loop's architectural difference.
-
-    The config schedules *no* campaigns or standalone pages across a
-    long horizon, but a watchlist of accessed accounts already exists
-    (pre-seeded, as after an early burst of incidents).  The legacy loop
-    still pays O(watchlist) probes plus queue/report polls every single
-    day; the wheel probes the watchlist once on day 0 (its initial
-    dirty set) and then has nothing scheduled, so the loop simply ends.
-    This isolates exactly what the event wheel changes: day-loop cost
-    proportional to scheduled work, not to world size x horizon.
-    """
-    config = SimulationConfig(
-        seed=11, n_users=n_users,
-        n_external_edu=50, n_external_other=20,
-        horizon_days=horizon_days, campaigns_per_week=0,
-        standalone_pages_per_week=0, n_decoys=0,
-    )
-    watch_count = max(1, n_users // 12)
-
-    def run(enabled: bool):
-        with _scheduler_mode(enabled):
-            simulation = Simulation(config)
-        for account_id in sorted(simulation.population.accounts)[:watch_count]:
-            simulation._watch(account_id)
-        with obs.recording() as recorder:
-            start = time.perf_counter()
-            result = simulation.run()
-            wall = time.perf_counter() - start
-        return result, wall, dict(recorder.counters)
-
-    wheel_result, wheel_wall, wheel_counters = run(True)
-    legacy_result, legacy_wall, _ = run(False)
-    if (wheel_result.summary() != legacy_result.summary()
-            or len(wheel_result.store) != len(legacy_result.store)):
-        raise AssertionError(
-            f"scheduler/legacy divergence on the stress workload at "
-            f"n_users={n_users}")
-    return {
-        "n_users": n_users,
-        "horizon_days": horizon_days,
-        "watchlist": watch_count,
-        "legacy_day_loop_s": round(legacy_wall, 4),
-        "wheel_day_loop_s": round(wheel_wall, 4),
-        "speedup": round(legacy_wall / max(wheel_wall, 1e-9), 1),
-        "sched_counters": {
-            key: value for key, value in wheel_counters.items()
-            if key.startswith("simulation.sched.")
-        },
-    }
-
-
-def run_simloop_gate(sizes, output: pathlib.Path) -> dict:
-    equality = bench_simloop_equality()
-    stress = [bench_simloop_stress(n_users, horizon) for n_users, horizon in sizes]
-    gated = stress[-1]  # the largest size carries the speedup floor
-    ceilings_ok = all(
-        entry["wheel_day_loop_s"]
-        < SIMLOOP_CEILING_SECONDS[entry["n_users"]]
-        for entry in stress
-    )
-    speedup_ok = gated["speedup"] >= SIMLOOP_MIN_SPEEDUP
-    report = {
-        "workload": ("scheduler vs legacy day loop: byte-equality on a "
-                     "live world + quiet-horizon stress"),
-        "equality": equality,
-        "stress": stress,
-        "gate": {
-            "byte_identical": equality["report_bytes_identical"],
-            "ceilings_s": {str(n): SIMLOOP_CEILING_SECONDS[n]
-                           for n, _ in sizes},
-            "ceilings_ok": ceilings_ok,
-            "min_speedup": SIMLOOP_MIN_SPEEDUP,
-            "speedup_at_largest": gated["speedup"],
-            "speedup_ok": speedup_ok,
-            "passed": (equality["report_bytes_identical"]
-                       and ceilings_ok and speedup_ok),
-        },
-    }
-    output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return report
-
 
 def _mulberry(state: int):
     """Tiny deterministic PRNG (no random import needed for a bench)."""
@@ -487,14 +326,13 @@ def run_report_gate(output: pathlib.Path) -> dict:
     return report
 
 
-def _build_population(n_users: int, *, lazy: bool):
+def _build_population(n_users: int):
     """One deterministic population build, timed (seconds returned)."""
     rngs = RngRegistry(1234)
     config = PopulationConfig(
         n_users=n_users,
         n_external_edu=max(10, n_users // 5),
         n_external_other=max(5, n_users // 12),
-        lazy_history=lazy,
     )
     start = time.perf_counter()
     population = build_population(config, rngs, IdMinter(),
@@ -503,42 +341,33 @@ def _build_population(n_users: int, *, lazy: bool):
 
 
 def bench_world_build(sizes, equality_users: int):
-    """Lazy builds at each N, plus the lazy/eager determinism gate.
-
-    Eager comparison builds are only run at small N — the whole point of
-    lazy construction is that eager seeding stops scaling, so the bench
-    does not pay O(N) history materialization just to print the ratio.
-    """
+    """Lazy builds at each N, plus the lazy-history determinism gate."""
     builds = []
     for n_users in sizes:
         with obs.recording() as recorder:
-            population, lazy_seconds = _build_population(n_users, lazy=True)
-        entry = {
+            population, lazy_seconds = _build_population(n_users)
+        builds.append({
             "n_users": n_users,
             "lazy_build_s": round(lazy_seconds, 4),
             "pending_mailboxes": population.pending_history_count(),
             "obs": obs.metrics_snapshot(recorder),
-        }
-        if n_users <= 2_000:
-            _, eager_seconds = _build_population(n_users, lazy=False)
-            entry["eager_build_s"] = round(eager_seconds, 4)
-            entry["lazy_speedup"] = round(
-                eager_seconds / max(lazy_seconds, 1e-9), 1)
-        builds.append(entry)
+        })
 
-    lazy_pop, _ = _build_population(equality_users, lazy=True)
-    eager_pop, _ = _build_population(equality_users, lazy=False)
+    lazy_pop, _ = _build_population(equality_users)
+    materialized_pop = materialize_histories(
+        _build_population(equality_users)[0])
     sample = range(min(40, len(lazy_pop.external_victims)))
     lazy_fp = population_fingerprint(lazy_pop, external_sample=sample)
-    eager_fp = population_fingerprint(eager_pop, external_sample=sample)
-    if lazy_fp != eager_fp:
+    materialized_fp = population_fingerprint(materialized_pop,
+                                             external_sample=sample)
+    if lazy_fp != materialized_fp:
         raise AssertionError(
-            f"lazy/eager world divergence at n_users={equality_users}: "
-            f"{lazy_fp} != {eager_fp}")
+            f"lazy/materialized world divergence at n_users="
+            f"{equality_users}: {lazy_fp} != {materialized_fp}")
     return builds, {
         "n_users": equality_users,
         "fingerprint_sha256": lazy_fp,
-        "lazy_eager_identical": True,
+        "lazy_materialized_identical": True,
     }
 
 
@@ -611,22 +440,16 @@ def main(argv=None) -> int:
                         help="run only the world-construction gate")
     parser.add_argument("--report-only", action="store_true",
                         help="run only the report-pipeline gate")
-    parser.add_argument("--simloop-only", action="store_true",
-                        help="run only the day-loop scheduler gate")
     parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--worldbuild-output", type=pathlib.Path,
                         default=DEFAULT_WORLDBUILD_OUTPUT)
     parser.add_argument("--report-output", type=pathlib.Path,
                         default=DEFAULT_REPORT_OUTPUT)
-    parser.add_argument("--simloop-output", type=pathlib.Path,
-                        default=DEFAULT_SIMLOOP_OUTPUT)
     args = parser.parse_args(argv)
     build_sizes, equality_users = [BENCH_WORLD_USERS, 10_000, 50_000], 300
-    simloop_sizes = [(10_000, 365), (50_000, 365)]
     if args.quick:
         args.events, args.queries = 10_000, 50
         build_sizes = [300, BENCH_WORLD_USERS]
-        simloop_sizes = [(2_000, 120)]
 
     passed = True
     if args.report_only:
@@ -638,27 +461,13 @@ def main(argv=None) -> int:
               file=None if passed else sys.stderr)
         return 0 if passed else 1
 
-    if args.simloop_only:
-        report = run_simloop_gate(simloop_sizes, args.simloop_output)
-        _print_simloop_gate(report, args.simloop_output)
-        if not report["gate"]["passed"]:
-            print("GATE FAILED: scheduler day loop missed equality, a "
-                  "ceiling, or the speedup floor", file=sys.stderr)
-            passed = False
-        print("gate passed" if passed else "gate FAILED",
-              file=None if passed else sys.stderr)
-        return 0 if passed else 1
-
     worldbuild = run_worldbuild_gate(build_sizes, equality_users,
                                      args.worldbuild_output)
     for entry in worldbuild["builds"]:
-        eager = (f" (eager {entry['eager_build_s']:.3f}s, "
-                 f"{entry['lazy_speedup']}x)" if "eager_build_s" in entry
-                 else "")
         print(f"World build n_users={entry['n_users']:,}: "
-              f"lazy {entry['lazy_build_s']:.3f}s{eager}, "
+              f"lazy {entry['lazy_build_s']:.3f}s, "
               f"{entry['pending_mailboxes']:,} mailboxes deferred")
-    print(f"Lazy/eager equality at n_users="
+    print(f"Lazy/materialized equality at n_users="
           f"{worldbuild['equality']['n_users']}: identical "
           f"({worldbuild['equality']['fingerprint_sha256'][:16]}...)")
     print(f"wrote {args.worldbuild_output}")
@@ -698,31 +507,9 @@ def main(argv=None) -> int:
                   "reduce log-store scans", file=sys.stderr)
             passed = False
 
-        simloop = run_simloop_gate(simloop_sizes, args.simloop_output)
-        _print_simloop_gate(simloop, args.simloop_output)
-        if not simloop["gate"]["passed"]:
-            print("GATE FAILED: scheduler day loop missed equality, a "
-                  "ceiling, or the speedup floor", file=sys.stderr)
-            passed = False
-
     print("gate passed" if passed else "gate FAILED", file=None if passed
           else sys.stderr)
     return 0 if passed else 1
-
-
-def _print_simloop_gate(report: dict, output: pathlib.Path) -> None:
-    equality = report["equality"]
-    print(f"Sim loop equality (seed {equality['seed']}, "
-          f"{equality['n_users']} users, {equality['horizon_days']} days): "
-          f"scheduler {equality['scheduler_run_s']:.3f}s vs legacy "
-          f"{equality['legacy_run_s']:.3f}s, reports byte-identical")
-    for entry in report["stress"]:
-        print(f"Sim loop stress n_users={entry['n_users']:,} x "
-              f"{entry['horizon_days']} days "
-              f"(watchlist {entry['watchlist']:,}): "
-              f"legacy {entry['legacy_day_loop_s']:.3f}s -> wheel "
-              f"{entry['wheel_day_loop_s']:.4f}s ({entry['speedup']}x)")
-    print(f"wrote {output}")
 
 
 def _print_report_gate(report: dict, output: pathlib.Path) -> None:

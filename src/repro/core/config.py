@@ -33,10 +33,6 @@ class SimulationConfig:
     secondary_email_rate: float = 0.70
     recycled_secondary_rate: float = 0.07
     owner_two_factor_adoption: float = 0.0
-    #: Defer mailbox-history materialization to first access.  Lazily and
-    #: eagerly built worlds are bit-identical (per-account child seeds);
-    #: the flag exists for differential testing and memory studies.
-    lazy_history: bool = True
 
     # -- phishing ecosystem --------------------------------------------------
     #: Broad campaigns launched per simulated week (across all crews).
@@ -116,7 +112,6 @@ class SimulationConfig:
             secondary_email_rate=self.secondary_email_rate,
             recycled_secondary_rate=self.recycled_secondary_rate,
             owner_two_factor_adoption=self.owner_two_factor_adoption,
-            lazy_history=self.lazy_history,
         )
 
     def with_overrides(self, **overrides) -> "SimulationConfig":

@@ -1,42 +1,37 @@
 """The event wheel: a calendar of scheduled simulation work.
 
-The legacy day loop re-discovers its work every tick — rescanning crew
-queues, the pending-report list, and the whole abuse watchlist once per
-simulated day, which makes a quiet day cost O(world state) instead of
-O(nothing).  The wheel inverts that: every piece of future work
-(campaign launches, credential pickups, report flushes, abuse sweeps of
-dirty accounts, standalone-page days) is scheduled *once*, when it
-becomes known, and the loop pops entries in order.  A day with no
-scheduled work costs nothing at all.
+A per-day rescan loop re-discovers its work every tick — rescanning
+crew queues, the pending-report list, and the whole abuse watchlist
+once per simulated day, which makes a quiet day cost O(world state)
+instead of O(nothing).  The wheel inverts that: every piece of future
+work (campaign launches, credential pickups, report flushes, abuse
+sweeps of dirty accounts, standalone-page days) is scheduled *once*,
+when it becomes known, and the loop pops entries in order.  A day with
+no scheduled work costs nothing at all.
 
 Ordering contract (the reason entries are keyed the way they are):
 
-* The legacy loop orders work *by phase within a day*, not by minute —
-  all of a day's campaign launches run before any of its credential
-  pickups, which run before the report flush, which runs before the
-  abuse sweep, regardless of the minute each would "happen" at.  RNG
-  stream consumption follows that order, so the wheel must reproduce it
-  exactly to keep scheduler-on runs bit-identical to the legacy loop.
+* The rescan loop is the specification: it orders work *by phase
+  within a day*, not by minute — all of a day's campaign launches run
+  before any of its credential pickups, which run before the report
+  flush, which runs before the abuse sweep, regardless of the minute
+  each would "happen" at.  RNG stream consumption follows that order,
+  so the wheel must reproduce it exactly to stay bit-identical.
 * Entries are therefore ``(due_day, kind, seq, payload)``: a day-granular
-  calendar where :class:`EventKind` encodes the legacy phase order and
-  ``seq`` (a monotonically increasing insertion counter) breaks ties
-  stably, so same-day same-kind events fire in the order they were
-  scheduled — exactly the order the legacy loop would have discovered
-  them in.
+  calendar where :class:`EventKind` encodes the phase order and ``seq``
+  (a monotonically increasing insertion counter) breaks ties stably, so
+  same-day same-kind events fire in the order they were scheduled —
+  exactly the order a daily rescan would have discovered them in.
 
-``REPRO_SCHEDULER=0`` is the kill switch: it keeps the legacy rescan
-loop alive for differential testing (the same pattern as
-``REPRO_PARALLEL`` in :mod:`repro.core.parallel`).  Both loops must
-produce bit-identical :class:`~repro.core.simulation.SimulationResult`
-artifacts; ``tests/property/test_scheduler_equivalence.py`` and the
-``--simloop-only`` perf gate enforce it.
+The rescan loop survives only as a test oracle
+(``tests/property/rescan_oracle.py``); the Hypothesis differential in
+``tests/property/test_scheduler_equivalence.py`` holds the wheel to it.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import os
 from typing import Any, List, Optional, Tuple
 
 from repro import obs
@@ -46,7 +41,7 @@ class EventKind(enum.IntEnum):
     """Phase-ordered event kinds.
 
     The integer order *is* the intra-day ordering contract: it mirrors
-    the phase sequence of the legacy day loop, so heap ordering by
+    the phase sequence of the per-day rescan loop, so heap ordering by
     ``(due_day, kind, seq)`` replays exactly what the daily rescans
     would have done.
     """
@@ -56,11 +51,6 @@ class EventKind(enum.IntEnum):
     INCIDENT_DRAIN = 2
     MAIL_FLUSH = 3
     ABUSE_SWEEP = 4
-
-
-def scheduler_enabled() -> bool:
-    """Event-wheel execution honors the ``REPRO_SCHEDULER`` kill switch."""
-    return os.environ.get("REPRO_SCHEDULER", "1") != "0"
 
 
 class EventWheel:

@@ -12,7 +12,6 @@ analyses run against.
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -20,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro import obs
 from repro.core.config import SimulationConfig
 from repro.core.organic import OrganicActivityModel
-from repro.core.scheduler import EventKind, EventWheel, scheduler_enabled
+from repro.core.scheduler import EventKind, EventWheel
 from repro.defense.abuse import AbuseResponse
 from repro.defense.auth import AuthService
 from repro.defense.behavioral import BehavioralRiskAnalyzer
@@ -236,19 +235,15 @@ class Simulation:
         self._decoys_injected = 0
         self._cases_opened: Set[str] = set()
         #: Accounts a hijacker ever got into — the abuse sweep's probe
-        #: set.  Kept sorted on insert (with a companion membership set)
-        #: so the legacy sweep iterates it without re-sorting and the
-        #: scheduler can intersect dirty marks against membership.
-        self._watchlist: List[str] = []
+        #: set, intersected with the dirty marks at each sweep.
         self._watch_members: Set[str] = set()
         self._campaign_schedule = self._build_campaign_schedule()
         self._open_rng = self.rngs.stream("remediation.open")
 
-        #: Event-wheel state.  ``REPRO_SCHEDULER=0`` keeps the legacy
-        #: per-day rescan loop alive for differential testing; both
-        #: paths must produce bit-identical results.
-        self._use_scheduler = scheduler_enabled()
-        self._wheel: Optional[EventWheel] = None
+        #: Event-wheel state.  Work is scheduled the moment it becomes
+        #: known — including abuse probes of accounts watched before
+        #: :meth:`run` — and :meth:`_run_days` drains it.
+        self._wheel = EventWheel()
         self._current_day = 0
         self._current_kind: Optional[EventKind] = None
         self._dirty_abuse: Set[str] = set()
@@ -337,10 +332,7 @@ class Simulation:
             return self._run()
 
     def _run(self) -> SimulationResult:
-        if self._use_scheduler:
-            self._run_scheduled_days()
-        else:
-            self._run_legacy_days()
+        self._run_days()
 
         botnet_report = None
         if self.config.include_automated_baseline:
@@ -385,34 +377,11 @@ class Simulation:
             targeted_depth_score=targeted_depth,
         )
 
-    def _run_legacy_days(self) -> None:
-        """The original per-day rescan loop (``REPRO_SCHEDULER=0``).
-
-        Every day unconditionally runs every phase, so a quiet day still
-        pays O(world state): full watchlist sweeps, pending-report
-        flushes, crew-queue polls.  Kept alive as the differential
-        oracle for the event wheel.
-        """
-        for day in range(self.config.horizon_days):
-            day_end = (day + 1) * DAY
-            with obs.trace("simulation.day", day=day):
-                with obs.trace("simulation.phase.standalone_pages", day=day):
-                    self._create_standalone_pages(day)
-                with obs.trace("simulation.phase.campaign_launch", day=day):
-                    for crew, is_outlier in self._campaign_schedule.get(day, ()):
-                        self._launch_campaign(crew, day, is_outlier)
-                with obs.trace("simulation.phase.incident_execution", day=day):
-                    self._process_incidents_until(day_end)
-                with obs.trace("simulation.phase.mail_flush", day=day):
-                    self.mail.flush_reports(day_end)
-                with obs.trace("simulation.phase.abuse_sweep", day=day):
-                    self._abuse_sweep(day_end)
-            self.clock.advance_to(day_end)
-
-    def _run_scheduled_days(self) -> None:
+    def _run_days(self) -> None:
         """Drain the event wheel: O(scheduled work), not O(world × days).
 
-        Equivalence contract with :meth:`_run_legacy_days` (bit-identical
+        Equivalence contract with the per-day rescan loop the
+        :class:`EventKind` order is written against (bit-identical
         results, same RNG stream consumption order):
 
         * Campaign launches are enqueued up front from the same
@@ -425,29 +394,24 @@ class Simulation:
         * Credential pickups, report flushes, and abuse probes are
           scheduled at the moment they become known — by the queue
           submit, the mail-service hook, and the abuse/behavioral hooks
-          — for the day the legacy loop would have discovered them.
+          — for the day a daily rescan would have discovered them.
         * Incident drains reuse :meth:`_process_incidents_until`, so the
-          legacy batch semantics (all-due pops, ``(pickup_at, crew,
+          batch semantics (all-due pops, ``(pickup_at, crew,
           address)`` sort, next-batch placement of newly submitted
           credentials) are shared, not re-implemented.
         * Abuse sweeps probe only *dirty* watched accounts.  This is
           lossless because ``should_suspend`` is monotone between probes
           (behavioral flags are sticky, report counts only grow) and
           every input change marks the account dirty — including
-          post-recovery reactivation, which the legacy loop would catch
-          by brute-force rescan the next day.
+          post-recovery reactivation, which a rescan would catch by
+          brute force the next day.
         """
         horizon = self.config.horizon_days
-        wheel = self._wheel = EventWheel()
+        wheel = self._wheel
         self.mail.on_report_scheduled = self._note_report_due
         self.abuse.on_user_report = self._note_abuse_signal
         self.behavioral.on_flag = self._note_abuse_signal
 
-        # Watch state seeded before run() (test/bench harnesses) is
-        # exactly what the legacy loop would probe on day 0.
-        self._dirty_abuse = set(self._watch_members)
-        if self._dirty_abuse:
-            self._schedule_sweep(0)
         if self.config.standalone_pages_per_week > 0:
             for day in range(horizon):
                 wheel.schedule(day, EventKind.STANDALONE_PAGES)
@@ -507,13 +471,13 @@ class Simulation:
     def _note_pickup(self, pickup_at: Optional[int]) -> None:
         """Schedule the incident drain for the day a pickup lands on.
 
-        The legacy loop drains queues up to ``(day+1)*DAY`` each day, so
-        a pickup due exactly at a day boundary belongs to the *earlier*
+        Each day drains queues up to ``(day+1)*DAY``, so a pickup due
+        exactly at a day boundary belongs to the *earlier*
         day — hence ``(t - 1) // DAY``.  A pickup in the past (possible
         when a drain submits follow-on credentials with earlier capture
         times) drains in the current day's batch, never retroactively.
         """
-        if pickup_at is None or self._wheel is None:
+        if pickup_at is None:
             return
         day = max(self._current_day, (max(pickup_at, 1) - 1) // DAY)
         if day >= self.config.horizon_days or day in self._incident_days:
@@ -523,8 +487,6 @@ class Simulation:
 
     def _note_report_due(self, due_at: int) -> None:
         """Mail-service hook: a user report was queued for ``due_at``."""
-        if self._wheel is None:
-            return
         day = max(self._current_day, (max(due_at, 1) - 1) // DAY)
         if day >= self.config.horizon_days or day in self._flush_days:
             return
@@ -535,11 +497,9 @@ class Simulation:
         """A suspension input changed: mark dirty, schedule a probe.
 
         If the current day's sweep already ran (we are *in* or past the
-        ABUSE_SWEEP phase), the legacy loop would only re-probe
+        ABUSE_SWEEP phase), a daily rescan would only re-probe it
         tomorrow, so the make-up sweep lands on ``day + 1``.
         """
-        if self._wheel is None:
-            return
         self._dirty_abuse.add(account_id)
         day = self._current_day
         if (self._current_kind is not None
@@ -554,13 +514,11 @@ class Simulation:
         self._wheel.schedule(day, EventKind.ABUSE_SWEEP)
 
     def _watch(self, account_id: str) -> None:
-        """Add an account to the sorted abuse watchlist (idempotent)."""
+        """Add an account to the abuse watchlist (idempotent)."""
         if account_id in self._watch_members:
             return
         self._watch_members.add(account_id)
-        bisect.insort(self._watchlist, account_id)
-        if self._wheel is not None:
-            self._note_abuse_signal(account_id)
+        self._note_abuse_signal(account_id)
 
     # -- campaigns ---------------------------------------------------------
 
@@ -783,9 +741,9 @@ class Simulation:
         case = self.remediation.open_case(account, flagged_at, notified)
         if case is not None:
             self.remediation.run_case(case, account)
-            if self._wheel is not None and account.state.can_login():
-                # Recovered while possibly still flag-eligible: the
-                # legacy loop re-probes it at the next daily sweep.
+            if account.state.can_login():
+                # Recovered while possibly still flag-eligible: re-probe
+                # it at the next daily sweep.
                 self._note_abuse_signal(account.account_id)
 
     def _was_notified(self, account_id: str, start: int, end: int) -> bool:
@@ -794,28 +752,14 @@ class Simulation:
         )
         return bool(events)
 
-    def _abuse_sweep(self, now: int) -> None:
-        """Legacy full sweep: probe every watched account, every day."""
-        accounts = [
-            self.population.accounts[account_id]
-            for account_id in self._watchlist  # sorted on insert
-        ]
-        before = set(self.abuse.suspended_accounts)
-        self.abuse.sweep(accounts, now)
-        for account_id in self.abuse.suspended_accounts:
-            if account_id in before or account_id in self._cases_opened:
-                continue
-            self._open_sweep_case(account_id, now)
-
     def _sweep_dirty(self, now: int) -> None:
-        """Scheduler-mode sweep: probe only dirty watched accounts.
+        """Probe only dirty watched accounts.
 
         Newly suspended accounts are exactly the tail of
-        ``suspended_accounts`` appended by this sweep — equivalent to
-        the legacy before/after set difference, because a re-suspended
+        ``suspended_accounts`` appended by this sweep — equivalent to a
+        full sweep's before/after set difference, because a re-suspended
         account (recovered earlier, suspended again) necessarily went
-        through a case already and is filtered by ``_cases_opened``
-        on both paths.
+        through a case already and is filtered by ``_cases_opened``.
         """
         dirty, self._dirty_abuse = self._dirty_abuse, set()
         batch = sorted(
@@ -842,7 +786,7 @@ class Simulation:
         case = self.remediation.open_case(account, flagged_at, True)
         if case is not None:
             self.remediation.run_case(case, account)
-            if self._wheel is not None and account.state.can_login():
+            if account.state.can_login():
                 self._note_abuse_signal(account_id)
 
     # -- baselines ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bit-level world fingerprints for the lazy/eager determinism contract.
+"""Bit-level world fingerprints for the lazy-history determinism contract.
 
 The population builder promises that deferring mailbox history (and the
 external victim pool) changes *when* state is paid for, never *what* it
@@ -6,8 +6,9 @@ is.  These fingerprints make that promise checkable: they digest every
 observable fact of a world — message content and placement, contact
 lists, account credentials/recovery, external victims — into a single
 hex string.  The differential tests and the world-build perf gate
-compare fingerprints of lazily- and eagerly-built worlds; any drift is
-a determinism bug, not noise.
+compare a world left lazy against the same world put through
+:func:`materialize_histories` right after its build; any drift is a
+determinism bug, not noise.
 
 Fingerprinting a lazy world materializes it (digesting a mailbox reads
 it), so always fingerprint *after* the measured build.
@@ -21,6 +22,13 @@ from typing import Iterable
 from repro.world.accounts import Account
 from repro.world.mailbox import Mailbox
 from repro.world.population import Population
+
+
+def materialize_histories(population: Population) -> Population:
+    """Touch every mailbox in account-id order, seeding all history now."""
+    for account_id in sorted(population.accounts):
+        len(population.accounts[account_id].mailbox)
+    return population
 
 
 def _update(digest, *parts: object) -> None:

@@ -14,7 +14,8 @@ snapshots, the correspondent list — runs the seeder before doing its
 work, so history exists exactly when something first looks, and an
 untouched account costs nothing.  Because the seeder draws only from its
 own private RNG, materialization order cannot perturb any other stream:
-lazily-built worlds are bit-identical to eagerly-built ones.
+a world is bit-identical however many of its mailboxes get touched, and
+in whatever order.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   then owns a child seed derived from ``(master, account_id)``, and its
   history materializes from a private ``random.Random(child_seed)`` the
   first time anything touches the mailbox.  The derivation is
-  order-independent, so worlds built lazily are **bit-identical** to
-  worlds built eagerly (``PopulationConfig.lazy_history=False``) no
-  matter which mailboxes get touched, in what order, or never.
+  order-independent, so a world is **bit-identical** to the same world
+  with every mailbox touched right after the build
+  (:func:`repro.world.equivalence.materialize_histories`), no matter
+  which mailboxes get touched, in what order, or never.
 * **Streamed external victims.**  The external pool is a lazy sequence:
   victim *i* is derived from ``(external master, i)`` on first index,
   so campaigns sampling a few hundred targets never materialize the
@@ -197,10 +198,6 @@ class PopulationConfig:
     edu_filter_strength: float = 0.30
     provider_filter_strength: float = 0.85
     other_provider_filter_strength: float = 0.97
-    #: Defer per-account mailbox history to first access (the scale
-    #: default).  ``False`` seeds every mailbox at build time; either
-    #: way the artifacts are bit-identical (per-account child seeds).
-    lazy_history: bool = True
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
@@ -266,8 +263,8 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
     Deterministic for a fixed (config, master seed): user attributes,
     contact graph, and mailbox histories all come from named RNG streams.
     History and the external pool are derived via per-entity child seeds
-    (order-independent), so ``lazy_history`` changes *when* state is
-    paid for, never *what* it is.
+    (order-independent): each mailbox's history materializes on first
+    access, and *when* that happens never changes *what* it is.
     """
     user_rng = rngs.stream("population.users")
     history_rng = rngs.stream("population.history")
@@ -347,16 +344,12 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
             ),
         )
 
-        with obs.trace("population.build.history", lazy=config.lazy_history):
+        with obs.trace("population.build.history"):
             for account in accounts.values():
-                seeder = HistorySeeder(
+                account.mailbox.defer_seed(HistorySeeder(
                     population, config, account,
                     child_seed(history_master, account.account_id),
-                )
-                if config.lazy_history:
-                    account.mailbox.defer_seed(seeder)
-                else:
-                    seeder(account.mailbox)
+                ))
     return population
 
 

@@ -1,9 +1,11 @@
-"""The event wheel itself: ordering, tie-breaking, telemetry, kill switch."""
+"""The event wheel itself: ordering, tie-breaking, telemetry, quiet days."""
 
 import pytest
 
 from repro import obs
-from repro.core.scheduler import EventKind, EventWheel, scheduler_enabled
+from repro.core.config import SimulationConfig
+from repro.core.scheduler import EventKind, EventWheel
+from repro.core.simulation import Simulation
 
 
 class TestEventWheelOrdering:
@@ -98,15 +100,26 @@ class TestTelemetry:
         obs.disable()
 
 
-class TestKillSwitch:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        assert scheduler_enabled()
+class TestQuietHorizon:
+    def test_quiet_days_cost_nothing(self):
+        """A year with no campaigns drains one day-0 sweep and stops.
 
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "0")
-        assert not scheduler_enabled()
-
-    def test_one_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "1")
-        assert scheduler_enabled()
+        The accounts watched before ``run()`` are probed once on day 0;
+        nothing else is ever scheduled, so no later day is visited.
+        """
+        config = SimulationConfig(
+            seed=11, n_users=2_000, n_external_edu=50, n_external_other=20,
+            horizon_days=365, campaigns_per_week=0,
+            standalone_pages_per_week=0, n_decoys=0,
+        )
+        simulation = Simulation(config)
+        watched = sorted(simulation.population.accounts)[:config.n_users // 12]
+        for account_id in watched:
+            simulation._watch(account_id)
+        obs.disable()
+        with obs.recording() as recorder:
+            simulation.run()
+        obs.disable()
+        assert recorder.counters["simulation.sched.fired"] == 1
+        assert [span.name for span in recorder.spans].count("simulation.day") == 1
+        assert recorder.counters["simulation.sched.dirty_accounts"] == 166

@@ -15,7 +15,6 @@ import pytest
 
 from repro import Simulation, obs
 from repro.core.config import SimulationConfig
-from repro.core.scheduler import scheduler_enabled
 from repro.logs.events import LoginEvent, MailSentEvent, SearchEvent
 
 
@@ -59,35 +58,23 @@ def test_instrumentation_actually_fires_end_to_end():
     span_names = {span.name for span in recorder.spans}
     assert "simulation.run" in span_names
     assert "simulation.day" in span_names
-    if scheduler_enabled():
-        assert "simulation.sched.incident_drain" in span_names
-        assert recorder.counters["simulation.sched.enqueued"] >= 1
-        assert recorder.counters["simulation.sched.fired"] >= 1
-        assert "simulation.sched.dirty_accounts" in recorder.counters
-    else:
-        assert "simulation.phase.incident_execution" in span_names
+    assert "simulation.sched.incident_drain" in span_names
+    assert recorder.counters["simulation.sched.enqueued"] >= 1
+    assert recorder.counters["simulation.sched.fired"] >= 1
+    assert "simulation.sched.dirty_accounts" in recorder.counters
     # Every event the world logged went through the instrumented append.
     assert recorder.counters["logstore.appends"] == len(result.store)
     assert recorder.counters["simulation.campaigns_launched"] >= 1
     assert "simulation.incident_seconds" in recorder.histograms
 
 
-def test_traced_scheduler_run_identical_to_untraced(monkeypatch):
+def test_traced_scheduler_run_identical_to_untraced():
     """The sched taxonomy reads only the wall clock — never the world."""
-    monkeypatch.setenv("REPRO_SCHEDULER", "1")
     untraced = Simulation(tiny_config()).run()
     with obs.recording() as recorder:
         traced = Simulation(tiny_config()).run()
     assert _fingerprint(untraced) == _fingerprint(traced)
     assert recorder.counters["simulation.sched.fired"] >= 1
-
-
-def test_traced_legacy_run_identical_to_untraced(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "0")
-    untraced = Simulation(tiny_config()).run()
-    with obs.recording():
-        traced = Simulation(tiny_config()).run()
-    assert _fingerprint(untraced) == _fingerprint(traced)
 
 
 def test_consecutive_traced_runs_are_mutually_identical():

@@ -1,9 +1,10 @@
 """Hypothesis differential: lazy vs eager world construction.
 
 Property: for *any* (seed, population shape), deferring mailbox history
-and streaming the external pool is invisible — populations fingerprint
-identically, and full simulation runs produce bit-identical artifacts
-(same log events, same incidents, same report text).
+and streaming the external pool is invisible — a world left lazy and the
+same world with every mailbox materialized right after the build
+fingerprint identically, and full simulation runs produce bit-identical
+artifacts (same log events, same incidents, same report text).
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from repro.core.simulation import Simulation
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
-from repro.world.equivalence import population_fingerprint
+from repro.world.equivalence import (
+    materialize_histories,
+    population_fingerprint,
+)
 from repro.world.population import PopulationConfig, build_population
 
 _SLOW = settings(max_examples=8, deadline=None,
@@ -36,9 +40,9 @@ def population_shapes(draw):
 
 def _build(seed: int, shape: dict, lazy: bool):
     rngs = RngRegistry(seed)
-    config = PopulationConfig(lazy_history=lazy, **shape)
-    return build_population(config, rngs, IdMinter(),
-                            PhoneNumberPlan(rngs.stream("phones")))
+    population = build_population(PopulationConfig(**shape), rngs, IdMinter(),
+                                  PhoneNumberPlan(rngs.stream("phones")))
+    return population if lazy else materialize_histories(population)
 
 
 @_SLOW
@@ -55,14 +59,18 @@ def test_population_fingerprints_identical(seed, shape):
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(min_value=0, max_value=999))
 def test_simulation_artifacts_identical(seed):
-    """End-to-end: the lazy flag never shows up in the measurement."""
+    """End-to-end: when history materializes never shows up in the
+    measurement."""
     def run(lazy: bool):
         config = SimulationConfig(
             seed=seed, n_users=150, n_external_edu=60, n_external_other=25,
             horizon_days=4, campaigns_per_week=8, campaign_target_count=60,
-            standalone_pages_per_week=2, n_decoys=4, lazy_history=lazy,
+            standalone_pages_per_week=2, n_decoys=4,
         )
-        return Simulation(config).run()
+        simulation = Simulation(config)
+        if not lazy:
+            materialize_histories(simulation.population)
+        return simulation.run()
 
     lazy_result, eager_result = run(True), run(False)
 

@@ -1,52 +1,29 @@
-"""Hypothesis differential: event-wheel loop vs legacy rescan loop.
+"""Hypothesis differential: event-wheel loop vs the rescan oracle.
 
 Property: for *any* (seed, horizon, population shape, campaign tempo),
-running the simulation through the event-wheel scheduler produces
-bit-identical results to the legacy per-day rescan loop — same log
-events in the same order, same incident outcomes, same world
-fingerprints, same rendered report bytes.  This is the determinism
-contract that lets ``REPRO_SCHEDULER`` flip freely between the two
-architectures.
+running the simulation through the event wheel produces bit-identical
+results to :class:`RescanSimulation`, the per-day rescan loop the
+wheel's ordering contract is written against — same log events in the
+same order, same incident outcomes, same world fingerprints, same
+rendered report bytes.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+import pathlib
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-import pathlib
 
 from repro.analysis.report import full_report
 from repro.core.config import SimulationConfig
 from repro.core.scenarios import smoke_scenario
 from repro.core.simulation import Simulation
 from repro.world.equivalence import population_fingerprint
+from tests.property.rescan_oracle import RescanSimulation
 
 _SLOW = settings(max_examples=6, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
-
-
-@contextmanager
-def _scheduler(enabled: bool):
-    saved = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = saved
-
-
-def _run(config: SimulationConfig, scheduler: bool):
-    with _scheduler(scheduler):
-        simulation = Simulation(config)
-        assert simulation._use_scheduler is scheduler
-    return simulation.run()
 
 
 def _all_events(store):
@@ -57,20 +34,20 @@ def _all_events(store):
     ]
 
 
-def _assert_equivalent(wheel, legacy):
-    assert _all_events(wheel.store) == _all_events(legacy.store)
+def _assert_equivalent(wheel, oracle):
+    assert _all_events(wheel.store) == _all_events(oracle.store)
     assert ([r.outcome for r in wheel.incidents]
-            == [r.outcome for r in legacy.incidents])
+            == [r.outcome for r in oracle.incidents])
     assert ([r.account_id for r in wheel.incidents]
-            == [r.account_id for r in legacy.incidents])
-    assert wheel.summary() == legacy.summary()
-    assert len(wheel.mail.pending_reports) == len(legacy.mail.pending_reports)
+            == [r.account_id for r in oracle.incidents])
+    assert wheel.summary() == oracle.summary()
+    assert len(wheel.mail.pending_reports) == len(oracle.mail.pending_reports)
     assert ([(c.account_id, c.hijack_flagged_at, c.recovered_at)
              for c in wheel.remediation.cases]
             == [(c.account_id, c.hijack_flagged_at, c.recovered_at)
-                for c in legacy.remediation.cases])
+                for c in oracle.remediation.cases])
     assert population_fingerprint(wheel.population) \
-        == population_fingerprint(legacy.population)
+        == population_fingerprint(oracle.population)
 
 
 @st.composite
@@ -91,7 +68,9 @@ def sim_configs(draw):
 @_SLOW
 @given(config=sim_configs())
 def test_event_wheel_equivalent_to_legacy_loop(config):
-    _assert_equivalent(_run(config, True), _run(config, False))
+    """The rescan oracle is the legacy per-day loop, kept as a test."""
+    _assert_equivalent(Simulation(config).run(),
+                       RescanSimulation(config).run())
 
 
 @settings(max_examples=3, deadline=None,
@@ -104,17 +83,16 @@ def test_report_bytes_identical(seed):
         horizon_days=4, campaigns_per_week=8, campaign_target_count=60,
         standalone_pages_per_week=2, n_decoys=4,
     )
-    wheel = _run(config, True)
-    legacy = _run(config, False)
-    assert full_report(wheel) == full_report(legacy)
+    assert (full_report(Simulation(config).run())
+            == full_report(RescanSimulation(config).run()))
 
 
 def test_golden_seed_report_bytes():
-    """The committed golden bytes are reachable from *both* loops."""
+    """The committed golden bytes come out of the wheel and the oracle."""
     golden = (pathlib.Path(__file__).parent.parent / "analysis" / "golden"
               / "report_smoke_seed7.txt")
     expected = golden.read_text(encoding="utf-8")
-    for scheduler in (True, False):
-        result = _run(smoke_scenario(seed=7), scheduler)
+    for simulation_type in (Simulation, RescanSimulation):
+        result = simulation_type(smoke_scenario(seed=7)).run()
         assert full_report(result) + "\n" == expected, \
-            f"scheduler={scheduler} drifted from golden"
+            f"{simulation_type.__name__} drifted from golden"

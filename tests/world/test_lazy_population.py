@@ -3,8 +3,9 @@
 The population builder defers per-account mailbox history behind a
 child-seeded materializer.  These tests pin the contract: nothing is
 seeded until first access, every message-touching entry point triggers
-seeding, access order is irrelevant, and a lazily-built world is
-bit-identical to an eagerly-built one.
+seeding, access order is irrelevant, and a world left lazy is
+bit-identical to the same world with every mailbox touched right after
+the build.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.util.rng import RngRegistry
 from repro.world.equivalence import (
     account_fingerprint,
     mailbox_fingerprint,
+    materialize_histories,
     population_fingerprint,
 )
 from repro.world.messages import EmailMessage, Folder
@@ -35,9 +37,10 @@ def build(seed: int = 11, lazy: bool = True, n_users: int = 60,
     rngs = RngRegistry(seed)
     config = PopulationConfig(
         n_users=n_users, n_external_edu=25, n_external_other=10,
-        mean_contacts=6, lazy_history=lazy, **overrides)
-    return build_population(config, rngs, IdMinter(),
-                            PhoneNumberPlan(rngs.stream("phones")))
+        mean_contacts=6, **overrides)
+    population = build_population(config, rngs, IdMinter(),
+                                  PhoneNumberPlan(rngs.stream("phones")))
+    return population if lazy else materialize_histories(population)
 
 
 class TestLazyTriggers:
