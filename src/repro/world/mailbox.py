@@ -9,13 +9,18 @@ is a first-class operation here.
 Scale notes: a mailbox can defer its pre-simulation history.  The
 population builder hands it a *seeder* callback (closed over a
 per-account child seed) via :meth:`Mailbox.defer_seed`; the first
-operation that touches messages — delivery, search, folder views,
-snapshots, the correspondent list — runs the seeder before doing its
-work, so history exists exactly when something first looks, and an
-untouched account costs nothing.  Because the seeder draws only from its
-own private RNG, materialization order cannot perturb any other stream:
-a world is bit-identical however many of its mailboxes get touched, and
-in whatever order.
+operation that reads messages — search, folder views, snapshots, the
+correspondent list — or installs a filter runs the seeder before doing
+its work, so history exists exactly when something first looks, and an
+untouched account costs nothing.  Delivery is not a read: mail arriving
+while history is pending is queued in O(1), and materialization replays
+the queue through :meth:`Mailbox.deliver` after the history, so arrival
+order, folders and correspondents come out as if history had been there
+all along.  :meth:`Mailbox.get` serves a queued message without
+materializing.  Because the seeder draws only from its own private RNG,
+materialization order cannot perturb any other stream: a world is
+bit-identical however many of its mailboxes get touched, and in
+whatever order.
 """
 
 from __future__ import annotations
@@ -73,15 +78,19 @@ class Mailbox:
         self._messages: Dict[str, EmailMessage] = {}
         self._order: List[str] = []          # insertion order = arrival order
         self._positions: Dict[str, int] = {}  # message id -> arrival index
-        #: Inverted index: haystack token -> message ids.  Message content
-        #: is immutable after delivery, so postings never go stale; only
-        #: placement (folder/starred/deleted) changes and search re-checks
-        #: it per candidate.
-        self._postings: Dict[str, Set[str]] = {}
+        #: Inverted index: haystack token -> message ids, built from
+        #: arrival order on the first search (most mailboxes are never
+        #: searched) and maintained on delivery after that.  Message
+        #: content is immutable after delivery, so postings never go
+        #: stale; only placement (folder/starred/deleted) changes and
+        #: search re-checks it per candidate.
+        self._postings: Optional[Dict[str, Set[str]]] = None
         self.filters: List[MailFilter] = []
         #: Callback invoked when a filter forwards a message elsewhere.
         self.on_forward: Optional[Callable[[EmailMessage, EmailAddress], None]] = None
-        #: Deferred history seeder; run (once) by the first message access.
+        #: Deferred history seeder; run (once) by the first message read.
+        #: While it is pending, ``_messages``/``_order`` hold only queued
+        #: arrivals.
         self._seeder: Optional[Callable[["Mailbox"], None]] = None
         #: Distinct correspondents, maintained incrementally on delivery
         #: (content is append-only, so this never goes stale).
@@ -91,7 +100,7 @@ class Mailbox:
     # -- lazy history ------------------------------------------------------
 
     def defer_seed(self, seeder: Callable[["Mailbox"], None]) -> None:
-        """Register a history seeder to run on first message access."""
+        """Register a history seeder to run on first message read."""
         if self._seeder is not None:
             raise ValueError(f"mailbox {self.owner} already has a pending seeder")
         self._seeder = seeder
@@ -102,19 +111,33 @@ class Mailbox:
         return self._seeder is not None
 
     def _materialize(self) -> None:
+        """Seed the history, then replay queued arrivals after it."""
         seeder, self._seeder = self._seeder, None
         obs.count("population.build.history_materialized")
+        queued = [self._messages[message_id] for message_id in self._order]
+        self._messages.clear()
+        self._order.clear()
         seeder(self)
+        for message in queued:
+            self.deliver(message, message.folder)
 
     # -- message lifecycle -------------------------------------------------
 
     def deliver(self, message: EmailMessage, folder: Folder = Folder.INBOX) -> None:
-        """File an arriving message, applying filters in creation order."""
-        if self._seeder is not None:
-            self._materialize()
+        """File an arriving message, applying filters in creation order.
+
+        While history is pending (and so no filter exists — installing
+        one materializes), the message is only queued; it is filed for
+        real when :meth:`_materialize` replays it after the history.
+        """
         if message.message_id in self._messages:
             raise ValueError(f"duplicate delivery of {message.message_id}")
         message.folder = folder
+        if self._seeder is not None:
+            obs.count("mailbox.deliver.queued")
+            self._messages[message.message_id] = message
+            self._order.append(message.message_id)
+            return
         for mail_filter in self.filters:
             if not mail_filter.applies_to(message):
                 continue
@@ -125,8 +148,9 @@ class Mailbox:
         self._messages[message.message_id] = message
         self._positions[message.message_id] = len(self._order)
         self._order.append(message.message_id)
-        for token in message.search_tokens():
-            self._postings.setdefault(token, set()).add(message.message_id)
+        if self._postings is not None:
+            for token in message.search_tokens():
+                self._postings.setdefault(token, set()).add(message.message_id)
         correspondents = self._correspondents
         owner = self.owner
         for address in (message.sender,) + message.recipients:
@@ -141,7 +165,8 @@ class Mailbox:
         self.deliver(message, folder=Folder.SENT)
 
     def get(self, message_id: str) -> EmailMessage:
-        if self._seeder is not None:
+        """One message by id; a queued arrival needs no history."""
+        if self._seeder is not None and message_id not in self._messages:
             self._materialize()
         return self._messages[message_id]
 
@@ -232,10 +257,21 @@ class Mailbox:
             return set(self._positions)
         probe = max(parts, key=len)
         candidates: Set[str] = set()
-        for token, posting in self._postings.items():
+        for token, posting in self._token_postings().items():
             if probe in token:
                 candidates |= posting
         return candidates
+
+    def _token_postings(self) -> Dict[str, Set[str]]:
+        """The inverted index, built from arrival order on first use."""
+        if self._postings is None:
+            obs.count("mailbox.postings.built")
+            postings: Dict[str, Set[str]] = {}
+            for message_id in self._order:
+                for token in self._messages[message_id].search_tokens():
+                    postings.setdefault(token, set()).add(message_id)
+            self._postings = postings
+        return self._postings
 
     def _verify_candidates(self, candidate_ids: Set[str],
                            query: str) -> List[EmailMessage]:
@@ -281,6 +317,10 @@ class Mailbox:
     # -- filters ---------------------------------------------------------------
 
     def add_filter(self, mail_filter: MailFilter) -> None:
+        """Install a filter; history materializes first, so filtering and
+        forwarding never meet queued arrivals."""
+        if self._seeder is not None:
+            self._materialize()
         self.filters.append(mail_filter)
 
     def remove_hijacker_filters(self) -> int:

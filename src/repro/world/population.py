@@ -18,7 +18,9 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   stream is consumed exactly once (a 64-bit master draw); each account
   then owns a child seed derived from ``(master, account_id)``, and its
   history materializes from a private ``random.Random(child_seed)`` the
-  first time anything touches the mailbox.  The derivation is
+  first time anything reads the mailbox; mail delivered before that is
+  queued and filed after the history (see :mod:`repro.world.mailbox`),
+  so receiving mail costs no history.  The derivation is
   order-independent, so a world is **bit-identical** to the same world
   with every mailbox touched right after the build
   (:func:`repro.world.equivalence.materialize_histories`), no matter
@@ -264,7 +266,7 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
     contact graph, and mailbox histories all come from named RNG streams.
     History and the external pool are derived via per-entity child seeds
     (order-independent): each mailbox's history materializes on first
-    access, and *when* that happens never changes *what* it is.
+    read, and *when* that happens never changes *what* it is.
     """
     user_rng = rngs.stream("population.users")
     history_rng = rngs.stream("population.history")

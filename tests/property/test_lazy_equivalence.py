@@ -3,8 +3,11 @@
 Property: for *any* (seed, population shape), deferring mailbox history
 and streaming the external pool is invisible — a world left lazy and the
 same world with every mailbox materialized right after the build
-fingerprint identically, and full simulation runs produce bit-identical
-artifacts (same log events, same incidents, same report text).
+fingerprint identically, any interleaving of mailbox operations leaves
+both worlds identical (delivery into a pending mailbox only queues, so
+this pins queue-and-replay), and full simulation runs produce
+bit-identical artifacts (same log events, same incidents, same report
+text).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
+from repro.net.email_addr import EmailAddress
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
@@ -21,6 +25,8 @@ from repro.world.equivalence import (
     materialize_histories,
     population_fingerprint,
 )
+from repro.world.mailbox import MailFilter
+from repro.world.messages import EmailMessage, Folder
 from repro.world.population import PopulationConfig, build_population
 
 _SLOW = settings(max_examples=8, deadline=None,
@@ -53,6 +59,63 @@ def test_population_fingerprints_identical(seed, shape):
     sample = range(min(10, shape["n_external_edu"] + shape["n_external_other"]))
     assert population_fingerprint(lazy, external_sample=sample) \
         == population_fingerprint(eager, external_sample=sample)
+
+
+_SENDER_DOMAINS = ("cs.stateu.edu", "bank-alerts.com", "primarymail.com")
+
+mailbox_ops = st.lists(st.tuples(
+    st.sampled_from(["deliver", "get", "search", "add_filter", "snapshot"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(_SENDER_DOMAINS),
+), min_size=1, max_size=25)
+
+
+def _apply(population, ops):
+    """Run ``ops`` against ``population``; return what each op observed."""
+    account_ids = sorted(population.accounts)
+    delivered = {}
+    observed = []
+    for step, (op, pick, domain) in enumerate(ops):
+        account = population.accounts[account_ids[pick % len(account_ids)]]
+        mailbox = account.mailbox
+        if op == "deliver":
+            message = EmailMessage(
+                message_id=f"op-{step}",
+                sender=EmailAddress(f"sender{pick % 7}", domain),
+                recipients=(account.address,),
+                subject=f"wire transfer {pick % 5}", sent_at=step,
+                keywords=("bank",) if pick % 2 else ())
+            mailbox.deliver(message, Folder.SPAM if pick % 3 == 0 else Folder.INBOX)
+            delivered.setdefault(account.account_id, []).append(message.message_id)
+            observed.append(message.folder)
+        elif op == "get":
+            ids = delivered.get(account.account_id)
+            if ids:
+                message = mailbox.get(ids[pick % len(ids)])
+                observed.append((message.message_id, message.folder))
+        elif op == "search":
+            query = ("bank", "wire transfer", "transfer 3", "is:starred")[pick % 4]
+            observed.append([m.message_id for m in mailbox.search(query)])
+        elif op == "add_filter":
+            mailbox.add_filter(MailFilter(
+                filter_id=f"filter-{step}", created_at=step,
+                created_by_hijacker=True, match_sender_domain=domain,
+                move_to=Folder.TRASH))
+        else:
+            observed.append(sorted(mailbox.snapshot(now=step).message_states.items()))
+    return observed
+
+
+@_SLOW
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       n_users=st.integers(min_value=2, max_value=30), ops=mailbox_ops)
+def test_mailbox_operation_interleavings_identical(seed, n_users, ops):
+    shape = dict(n_users=n_users, n_external_edu=5, n_external_other=5,
+                 mean_contacts=4, mean_history_messages=12.0)
+    lazy = _build(seed, shape, lazy=True)
+    eager = _build(seed, shape, lazy=False)
+    assert _apply(lazy, ops) == _apply(eager, ops)
+    assert population_fingerprint(lazy) == population_fingerprint(eager)
 
 
 @settings(max_examples=3, deadline=None,

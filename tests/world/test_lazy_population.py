@@ -2,10 +2,10 @@
 
 The population builder defers per-account mailbox history behind a
 child-seeded materializer.  These tests pin the contract: nothing is
-seeded until first access, every message-touching entry point triggers
-seeding, access order is irrelevant, and a world left lazy is
-bit-identical to the same world with every mailbox touched right after
-the build.
+seeded until first access, every message-reading entry point (and
+installing a filter) triggers seeding, delivery only queues, access
+order is irrelevant, and a world left lazy is bit-identical to the same
+world with every mailbox touched right after the build.
 """
 
 from __future__ import annotations
@@ -15,7 +15,15 @@ import random
 
 import pytest
 
+from repro.logs.store import LogStore
+from repro.mail.reports import UserReportModel
+from repro.net.geoip import build_default_internet
+from repro.net.ip import IpAllocator
 from repro.net.phones import PhoneNumberPlan
+from repro.phishing.campaign import CampaignRunner, LureTarget, PhishingCampaign
+from repro.phishing.forms import FormsHttpLog
+from repro.phishing.lure import LureModel
+from repro.phishing.templates import AccountType, make_template
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
 from repro.world.equivalence import (
@@ -24,7 +32,8 @@ from repro.world.equivalence import (
     materialize_histories,
     population_fingerprint,
 )
-from repro.world.messages import EmailMessage, Folder
+from repro.world.mailbox import MailFilter
+from repro.world.messages import EmailMessage, Folder, MessageKind
 from repro.world.population import (
     ExternalVictimPool,
     PopulationConfig,
@@ -61,11 +70,11 @@ class TestLazyTriggers:
         lambda mailbox: mailbox.starred(),
         lambda mailbox: mailbox.snapshot(now=0),
         lambda mailbox: mailbox.delete_all(),
-        lambda mailbox: mailbox.deliver(EmailMessage(
-            message_id="probe-0", sender=mailbox.owner.with_username("x"),
-            recipients=(mailbox.owner,), subject="hi", sent_at=1)),
+        lambda mailbox: mailbox.add_filter(MailFilter(
+            filter_id="filter-0", created_at=0, created_by_hijacker=True,
+            move_to=Folder.TRASH)),
     ], ids=["len", "messages", "search", "contacts", "contact_count",
-            "starred", "snapshot", "delete_all", "deliver"])
+            "starred", "snapshot", "delete_all", "add_filter"])
     def test_every_message_entry_point_materializes(self, touch):
         population = build(lazy=True)
         account = next(iter(population.accounts.values()))
@@ -95,6 +104,128 @@ class TestLazyTriggers:
         order = lazy_account.mailbox.messages(include_deleted=True)
         assert order[-1].message_id == "probe-1"
         assert all(m.message_id.startswith("msgh-") for m in order[:-1])
+
+
+def probe(account, index: int, **overrides) -> EmailMessage:
+    fields = dict(
+        message_id=f"probe-{index}",
+        sender=account.address.with_username(f"sender{index}"),
+        recipients=(account.address,), subject=f"invoice {index}",
+        sent_at=10 + index, keywords=("wire transfer",))
+    fields.update(overrides)
+    return EmailMessage(**fields)
+
+
+class TestDeferredDelivery:
+    """Delivery into a pending mailbox queues; reads replay the queue."""
+
+    def test_deliver_keeps_history_pending(self):
+        account = next(iter(build(lazy=True).accounts.values()))
+        account.mailbox.deliver(probe(account, 0))
+        account.mailbox.file_sent(probe(account, 1))
+        assert account.mailbox.history_pending
+
+    def test_get_of_queued_id_does_not_materialize(self):
+        account = next(iter(build(lazy=True).accounts.values()))
+        message = probe(account, 0)
+        account.mailbox.deliver(message, folder=Folder.SPAM)
+        assert account.mailbox.get("probe-0") is message
+        assert message.folder is Folder.SPAM
+        assert account.mailbox.history_pending
+
+    def test_get_of_unknown_id_materializes_then_raises(self):
+        account = next(iter(build(lazy=True).accounts.values()))
+        with pytest.raises(KeyError):
+            account.mailbox.get("probe-missing")
+        assert not account.mailbox.history_pending
+
+    def test_duplicate_delivery_into_pending_mailbox_raises(self):
+        account = next(iter(build(lazy=True).accounts.values()))
+        account.mailbox.deliver(probe(account, 0))
+        with pytest.raises(ValueError):
+            account.mailbox.deliver(probe(account, 0))
+        assert account.mailbox.history_pending
+
+    def test_queued_mail_matches_eager_delivery(self):
+        """Queue-and-replay files mail exactly as delivering it into an
+        already materialized mailbox would: order, folders, contacts."""
+        lazy = build(seed=19, lazy=True)
+        eager = build(seed=19, lazy=False)
+        for world in (lazy, eager):
+            for index, account_id in enumerate(sorted(world.accounts)[:12]):
+                account = world.accounts[account_id]
+                account.mailbox.deliver(probe(account, index),
+                                        folder=Folder.SPAM if index % 3 else Folder.INBOX)
+                account.mailbox.file_sent(probe(account, 100 + index))
+        assert lazy.pending_history_count() == len(lazy)
+        assert population_fingerprint(lazy) == population_fingerprint(eager)
+
+    def test_mailbox_with_queued_mail_survives_pickle(self):
+        population = build(seed=53, lazy=True)
+        reference = build(seed=53, lazy=False)
+        for world in (population, reference):
+            account = world.accounts[sorted(world.accounts)[0]]
+            account.mailbox.deliver(probe(account, 0))
+        clone = pickle.loads(pickle.dumps(population))
+        account = clone.accounts[sorted(clone.accounts)[0]]
+        assert account.mailbox.history_pending
+        assert account.mailbox.get("probe-0").subject == "invoice 0"
+        assert population_fingerprint(clone) == population_fingerprint(reference)
+
+    def test_search_after_materialization_equals_full_scan(self):
+        population = build(seed=29, lazy=True)
+        account = max(build(seed=29, lazy=False).accounts.values(),
+                      key=lambda a: len(a.mailbox))
+        mailbox = population.accounts[account.account_id].mailbox
+        for index in range(3):
+            mailbox.deliver(probe(account, index))
+        for query in ("wire transfer", "invoice", "bank", "is:starred", "an"):
+            assert mailbox.search(query) \
+                == [m for m in mailbox.messages() if m.matches(query)], query
+        mailbox.deliver(probe(account, 9, subject="late invoice"))
+        assert [m.message_id for m in mailbox.search("late invoice")] == ["probe-9"]
+        assert [m.message_id for m in mailbox.search("invoice")][-4:] \
+            == ["probe-0", "probe-1", "probe-2", "probe-9"]
+
+
+class TestLureDeliveryStaysLazy:
+    def test_lure_campaign_builds_no_history(self):
+        """A lure-only campaign files every lure without seeding a single
+        mailbox history; each lure is still reachable by id (as Dataset
+        1 curation reads reported lures)."""
+        population = build(seed=41, n_users=40)
+        rngs = RngRegistry(41)
+        allocator = IpAllocator(rngs.stream("alloc"))
+        build_default_internet(allocator)
+        store = LogStore()
+        runner = CampaignRunner(
+            lure_model=LureModel(rngs.stream("lure")),
+            forms_log=FormsHttpLog(store, allocator, rngs.stream("forms")),
+            store=store,
+            report_model=UserReportModel(rngs.stream("reports")),
+            minter=IdMinter(),
+            rng=rngs.stream("campaign"),
+        )
+        accounts = [population.accounts[a] for a in sorted(population.accounts)]
+        campaign = PhishingCampaign(
+            campaign_id="camp-000000",
+            template=make_template(AccountType.MAIL, has_url=False),
+            page=None, launch_at=0,
+            targets=[LureTarget(address=account.address,
+                                filter_block_probability=0.0,
+                                gullibility=0.0, account=account)
+                     for account in accounts],
+        )
+        pending_before = population.pending_history_count()
+        result = runner.run(campaign)
+        assert result.delivered == len(accounts) > 0
+        assert population.pending_history_count() == pending_before
+        lure_ids = IdMinter()
+        for account in accounts:
+            lure = account.mailbox.get(lure_ids.mint("msg"))
+            assert lure.kind is MessageKind.PHISHING
+            assert lure.recipients == (account.address,)
+        assert population.pending_history_count() == pending_before
 
 
 class TestLazyEagerEquivalence:
