@@ -7,6 +7,7 @@ base rate over the following 60 days.
 """
 
 from repro.analysis import contacts
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: volume +25%, distinct recipients +630%, reports +39%; "
@@ -14,10 +15,12 @@ PAPER = ("paper: volume +25%, distinct recipients +630%, reports +39%; "
 
 
 def test_section53_hijack_day_deltas(benchmark, exploitation_result):
-    deltas = benchmark(contacts.hijack_day_deltas, exploitation_result)
+    deltas = benchmark(lambda: contacts.hijack_day_deltas(
+        ArtifactContext(exploitation_result)))
     assert deltas.volume_ratio < deltas.distinct_recipient_ratio
-    split = contacts.scam_phishing_split(exploitation_result)
-    lift = contacts.contact_lift(exploitation_result)
+    ctx = ArtifactContext(exploitation_result)
+    split = contacts.scam_phishing_split(ctx)
+    lift = contacts.contact_lift(ctx)
     save_artifact("section53",
                   contacts.render(deltas, split, lift) + "\n" + PAPER)
 

@@ -12,6 +12,7 @@ Ablations (DESIGN.md):
 
 from repro import Simulation
 from repro.analysis import defense
+from repro.analysis.registry import ArtifactContext
 from repro.core.scenarios import exploitation_study
 from benchmarks.conftest import save_artifact
 
@@ -21,7 +22,8 @@ PAPER = ("paper: login-time analysis stops hijackers pre-access; "
 
 
 def test_section8_defense_point(benchmark, exploitation_result):
-    point = benchmark(defense.evaluate, exploitation_result)
+    point = benchmark(lambda: defense.evaluate(
+        ArtifactContext(exploitation_result)))
     assert point.owner_challenge_rate < 0.05
     assert point.hijacker_stop_rate > 0.10
     save_artifact("section8", defense.render([point]) + "\n" + PAPER)

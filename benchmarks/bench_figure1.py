@@ -7,6 +7,7 @@ baseline, and asserts each lands in its region.
 """
 
 from repro.analysis import figure1
+from repro.analysis.registry import ArtifactContext
 from repro.hijacker.taxonomy import AttackClass
 from benchmarks.conftest import save_artifact
 
@@ -15,7 +16,8 @@ PAPER = ("paper: automated = large volume/shallow; manual = modest "
 
 
 def test_figure1_taxonomy(benchmark, taxonomy_result):
-    points = benchmark(figure1.compute, taxonomy_result)
+    points = benchmark(lambda: figure1.compute(
+        ArtifactContext(taxonomy_result)))
     by_class = {point.attack_class: point for point in points}
     assert set(by_class) == set(AttackClass)  # all three classes measured
     manual = by_class[AttackClass.MANUAL]

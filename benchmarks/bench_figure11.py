@@ -5,6 +5,7 @@ South Africa (~10%), and Venezuela are visible.
 """
 
 from repro.analysis import figure11
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: CN & MY dominate; CI, NG, ZA (~10%), VE visible "
@@ -12,7 +13,8 @@ PAPER = ("paper: CN & MY dominate; CI, NG, ZA (~10%), VE visible "
 
 
 def test_figure11_ip_attribution(benchmark, attribution_result):
-    figure = benchmark(figure11.compute, attribution_result)
+    figure = benchmark(lambda: figure11.compute(
+        ArtifactContext(attribution_result)))
     assert figure.share("CN") + figure.share("MY") > 0.4
     assert figure.share("ZA") > 0.03
     save_artifact("figure11", figure11.render(figure) + "\n" + PAPER)

@@ -6,6 +6,7 @@ two-factor lockout tactic so CN/MY are absent.
 """
 
 from repro.analysis import figure12
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: NG 35.7%, CI 33.8%, ZA ~10%; CN/MY absent "
@@ -13,7 +14,8 @@ PAPER = ("paper: NG 35.7%, CI 33.8%, ZA ~10%; CN/MY absent "
 
 
 def test_figure12_phone_attribution(benchmark, attribution_result):
-    figure = benchmark(figure12.compute, attribution_result)
+    figure = benchmark(lambda: figure12.compute(
+        ArtifactContext(attribution_result)))
     assert figure.share("NG") + figure.share("CI") + figure.share("ZA") > 0.7
     assert figure.share("CN") == 0.0
     save_artifact("figure12", figure12.render(figure) + "\n" + PAPER)
@@ -23,9 +25,8 @@ def test_group_inference(benchmark, attribution_result):
     """Section 7's organized-group inference: distinct (country,
     language) clusters, with the five main countries all represented."""
     from repro.attribution.groups import infer_groups
-    from repro.core.datasets import DatasetCatalog
 
-    cases = DatasetCatalog(attribution_result).d13_hijack_cases()
+    cases = ArtifactContext(attribution_result).dataset("hijack_cases")
     clusters = benchmark(
         infer_groups, attribution_result.store, attribution_result.geoip,
         cases)

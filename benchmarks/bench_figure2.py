@@ -7,6 +7,7 @@ median dwell times: pickup in hours, assessment ~3 minutes, exploitation
 """
 
 from repro.analysis import figure2
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: assessment ~3 min; exploitation +15-20 min; 50% of "
@@ -14,7 +15,8 @@ PAPER = ("paper: assessment ~3 min; exploitation +15-20 min; 50% of "
 
 
 def test_figure2_lifecycle(benchmark, exploitation_result):
-    timings = benchmark(figure2.compute, exploitation_result)
+    timings = benchmark(lambda: figure2.compute(
+        ArtifactContext(exploitation_result)))
     assert timings.assessment is not None and timings.assessment <= 6
     assert timings.exploitation >= 15
     save_artifact("figure2", figure2.render(timings) + "\n" + PAPER)

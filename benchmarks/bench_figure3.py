@@ -6,6 +6,7 @@ frontend visible.
 """
 
 from repro.analysis import figure3
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: >99% blank; non-blank tail led by Webmail Generic and "
@@ -13,6 +14,7 @@ PAPER = ("paper: >99% blank; non-blank tail led by Webmail Generic and "
 
 
 def test_figure3_referrers(benchmark, traffic_result):
-    figure = benchmark(figure3.compute, traffic_result)
+    figure = benchmark(lambda: figure3.compute(
+        ArtifactContext(traffic_result)))
     assert figure.blank_fraction > 0.97
     save_artifact("figure3", figure3.render(figure) + "\n" + PAPER)

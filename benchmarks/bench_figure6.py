@@ -6,6 +6,7 @@ testing) followed by a multi-day diurnal wave until takedown.
 """
 
 from repro.analysis import figure6
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: standard pages decay from the first hour; outlier page "
@@ -13,7 +14,8 @@ PAPER = ("paper: standard pages decay from the first hour; outlier page "
 
 
 def test_figure6_submission_dynamics(benchmark, traffic_result):
-    figure = benchmark(figure6.compute, traffic_result)
+    figure = benchmark(lambda: figure6.compute(
+        ArtifactContext(traffic_result)))
     assert figure.decays()
     assert figure.outlier is not None
     save_artifact("figure6", figure6.render(figure) + "\n" + PAPER)

@@ -6,6 +6,7 @@ success including trivial-variant retries.
 """
 
 from repro.analysis import figure8
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: mean ~9.6 accounts/IP, consistently <10/day; password "
@@ -13,7 +14,8 @@ PAPER = ("paper: mean ~9.6 accounts/IP, consistently <10/day; password "
 
 
 def test_figure8_blend_in(benchmark, exploitation_result):
-    figure = benchmark(figure8.compute, exploitation_result)
+    figure = benchmark(lambda: figure8.compute(
+        ArtifactContext(exploitation_result)))
     assert 8.0 <= figure.mean_accounts_per_ip <= 10.0
     assert figure.max_accounts_per_ip_day <= 10
     assert 0.68 <= figure.password_success_rate <= 0.84

@@ -6,6 +6,7 @@ fell 60% → 21%; Nov 2012 rates: 15% forwarding filters, 26% Reply-To.
 """
 
 from repro.analysis import retention
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: mass delete | pw-change 46% -> 1.6%; recovery-option "
@@ -14,7 +15,8 @@ PAPER = ("paper: mass delete | pw-change 46% -> 1.6%; recovery-option "
 
 def test_section54_era_evolution(benchmark, era_pair):
     early, late = era_pair
-    evolution = benchmark(retention.evolution, early, late)
+    evolution = benchmark(lambda: retention.evolution(
+        ArtifactContext(late, earlier_era_result=early)))
     assert (evolution.earlier.mass_delete_given_password_change
             > evolution.later.mass_delete_given_password_change)
     assert (evolution.earlier.recovery_change_rate

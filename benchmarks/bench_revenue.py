@@ -7,11 +7,13 @@ recovery timeline and shows diverted pleas out-collect undiverted ones.
 """
 
 from repro.analysis import revenue
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 
 def test_scam_economics(benchmark, exploitation_result):
-    report = benchmark(revenue.compute, exploitation_result)
+    report = benchmark(lambda: revenue.compute(
+        ArtifactContext(exploitation_result)))
     assert report.payments
     if any(p.diverted for p in report.payments) and \
             any(not p.diverted for p in report.payments):

@@ -7,10 +7,12 @@ log store).
 """
 
 from repro.analysis import table1
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 
 def test_table1_dataset_inventory(benchmark, exploitation_result):
-    specs = benchmark(table1.compute, exploitation_result)
+    specs = benchmark(lambda: table1.compute(
+        ArtifactContext(exploitation_result)))
     assert len(specs) == 14
     save_artifact("table1", table1.render(specs))

@@ -6,6 +6,7 @@ thin account-credential and personal-content tails.
 """
 
 from repro.analysis import table3
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: wire transfer 14.4%, bank transfer 11.9%, transfer 6.2%, "
@@ -14,7 +15,8 @@ PAPER = ("paper: wire transfer 14.4%, bank transfer 11.9%, transfer 6.2%, "
 
 
 def test_table3_search_terms(benchmark, exploitation_result):
-    table = benchmark(table3.compute, exploitation_result)
+    table = benchmark(lambda: table3.compute(
+        ArtifactContext(exploitation_result)))
     finance_total = sum(share for _, share in table.shares["Finance"])
     assert finance_total > 0.6
     save_artifact("table3", table3.render(table) + "\n" + PAPER)

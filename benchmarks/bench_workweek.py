@@ -7,6 +7,7 @@ shifted) windows.
 """
 
 from repro.analysis import workweek
+from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
 PAPER = ("paper: same start time daily, synchronized one-hour lunch, "
@@ -14,6 +15,7 @@ PAPER = ("paper: same start time daily, synchronized one-hour lunch, "
 
 
 def test_section55_office_job(benchmark, exploitation_result):
-    fingerprints = benchmark(workweek.compute, exploitation_result)
+    fingerprints = benchmark(lambda: workweek.compute(
+        ArtifactContext(exploitation_result)))
     assert workweek.overall_weekend_share(fingerprints) < 0.05
     save_artifact("section55", workweek.render(fingerprints) + "\n" + PAPER)

@@ -13,8 +13,8 @@ import time
 
 from repro import Simulation
 from repro.analysis import figure11, figure12, workweek
+from repro.analysis.registry import ArtifactContext
 from repro.attribution.groups import infer_groups
-from repro.core.datasets import DatasetCatalog
 from repro.core.scenarios import attribution_study
 
 
@@ -23,15 +23,16 @@ def main() -> None:
     started = time.time()
     result = Simulation(attribution_study(seed=11)).run()
     print(f"done in {time.time() - started:.1f}s\n")
+    ctx = ArtifactContext(result)
 
-    print(figure11.render(figure11.compute(result)))
+    print(figure11.render(figure11.compute(ctx)))
     print("paper: CN & MY dominate; CI, NG, ZA (~10%), VE visible\n")
 
-    print(figure12.render(figure12.compute(result)))
+    print(figure12.render(figure12.compute(ctx)))
     print("paper: NG 35.7% and CI 33.8% dominate; CN/MY absent "
           "(they never used the phone-lockout tactic)\n")
 
-    cases = DatasetCatalog(result).d13_hijack_cases()
+    cases = ctx.dataset("hijack_cases")
     clusters = infer_groups(result.store, result.geoip, cases)
     print(f"inferred {len(clusters)} distinct groups from "
           f"{len(cases)} cases:")
@@ -41,7 +42,7 @@ def main() -> None:
     print("paper: the NG and CI actors are distinct groups — different "
           "languages, 2000 km apart\n")
 
-    print(workweek.render(workweek.compute(result)))
+    print(workweek.render(workweek.compute(ctx)))
 
 
 if __name__ == "__main__":

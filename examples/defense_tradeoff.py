@@ -12,6 +12,7 @@ import time
 
 from repro import Simulation
 from repro.analysis import defense, figure1
+from repro.analysis.registry import ArtifactContext
 from repro.core.scenarios import exploitation_study, taxonomy_study
 
 
@@ -36,13 +37,14 @@ def main() -> None:
 
     print("contrasting manual crews with an automated botnet ...")
     result = Simulation(taxonomy_study(seed=5)).run()
-    print(figure1.render(figure1.compute(result)))
+    ctx = ArtifactContext(result)
+    print(figure1.render(figure1.compute(ctx)))
     botnet = result.botnet_report
     print(f"\nbotnet wave: {botnet.attempts} attempts from "
           f"{botnet.distinct_ips} IPs — "
           f"{botnet.blocked} stopped at login "
           f"({botnet.blocked / botnet.attempts:.0%}).")
-    manual_point = defense.evaluate(result)
+    manual_point = defense.evaluate(ctx)
     print(f"manual crews stopped at login: "
           f"{manual_point.hijacker_stop_rate:.0%} — the blend-in "
           f"guideline works (paper: manual hijacking is the hard case).")

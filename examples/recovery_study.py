@@ -11,6 +11,7 @@ import time
 
 from repro import Simulation
 from repro.analysis import figure9, figure10
+from repro.analysis.registry import ArtifactContext
 from repro.core.scenarios import recovery_study, retention_study
 from repro.hijacker.groups import Era
 from repro.logs.events import RemissionEvent
@@ -21,11 +22,12 @@ def main() -> None:
     started = time.time()
     result = Simulation(recovery_study(seed=7)).run()
     print(f"done in {time.time() - started:.1f}s\n")
+    ctx = ArtifactContext(result)
 
-    print(figure9.render(figure9.compute(result)))
+    print(figure9.render(figure9.compute(ctx)))
     print("paper: 22% within 1 h, 50% within 13 h\n")
 
-    print(figure10.render(figure10.compute(result)))
+    print(figure10.render(figure10.compute(ctx)))
     print("paper: SMS 80.91%, Email 74.57%, Fallback 14.20%\n")
 
     recycled = sum(

@@ -35,7 +35,6 @@ from repro import Simulation, obs
 from repro.analysis import registry
 from repro.analysis.registry import ArtifactContext, render_artifact
 from repro.core import scenarios
-from repro.core.simulation import SimulationResult
 
 SCENARIOS: Dict[str, Callable[[int], object]] = {
     "default": scenarios.default_scenario,
@@ -49,17 +48,6 @@ SCENARIOS: Dict[str, Callable[[int], object]] = {
     "taxonomy": scenarios.taxonomy_study,
     "rate": scenarios.rate_calibration_study,
 }
-
-#: Key → ``render(result)`` callables, one per registered artifact.  Kept
-#: as a module-level map for API compatibility; the registry is the
-#: source of truth.
-ARTIFACTS: Dict[str, Callable[[SimulationResult], str]] = (
-    registry.legacy_artifact_map())
-
-#: One-line description per artifact key (``--list-artifacts``), straight
-#: from each artifact's registration — descriptions can no longer drift
-#: from the modules they describe.
-ARTIFACT_DESCRIPTIONS: Dict[str, str] = registry.descriptions()
 
 
 def _parse_artifact_list(value: str) -> list:
@@ -91,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(lazy world construction scales this to "
                              "hundreds of thousands of accounts)")
     parser.add_argument("--artifact", default="report",
-                        choices=sorted(ARTIFACTS),
+                        choices=registry.artifact_keys(),
                         help="what to print after the run (default: report)")
     parser.add_argument("--artifacts", metavar="KEY[,KEY...]", default=None,
                         type=_parse_artifact_list,
@@ -136,17 +124,12 @@ def main(argv=None) -> int:
         result = Simulation(config).run()
         print(f"done in {time.perf_counter() - started:.1f}s\n",
               file=sys.stderr)
-        if args.artifacts is not None:
-            ctx = ArtifactContext(result)
-            rendered = []
-            for key in args.artifacts:
-                with obs.trace(f"artifact.{key}"):
-                    rendered.append(render_artifact(key, ctx))
-            print("\n".join(rendered))
-        else:
-            with obs.trace(f"artifact.{args.artifact}"):
-                rendered = ARTIFACTS[args.artifact](result)
-            print(rendered)
+        ctx = ArtifactContext(result)
+        rendered = []
+        for key in args.artifacts or [args.artifact]:
+            with obs.trace(f"artifact.{key}"):
+                rendered.append(render_artifact(key, ctx))
+        print("\n".join(rendered))
     finally:
         if recorder is not None:
             obs.disable()

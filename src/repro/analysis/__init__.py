@@ -1,8 +1,11 @@
 """Measurement tooling: one module per table/figure of the paper, plus
 the section-level analyses (exploitation, contacts, retention, defense).
 
-Every analysis is a function of the log store and the curated datasets —
-the same shape as the authors' map-reduce pipelines — and returns plain
+Every analysis is a function of one
+:class:`~repro.analysis.registry.ArtifactContext`: it reads the curated
+datasets (the 14 of Table 1 and the hijacker event streams, registered
+in :mod:`repro.analysis.datasets`) through ``ctx.dataset(...)`` — the
+same shape as the authors' map-reduce pipelines — and returns plain
 data plus an ASCII rendering, so benches can print the rows the paper
 reports and tests can assert on the numbers.
 

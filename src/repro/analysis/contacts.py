@@ -13,15 +13,21 @@ Three measurements:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional
 
-from repro.analysis.curation import hijack_windows, hijacker_logins, review_message
+from repro.analysis.curation import review_message
+from repro.analysis.datasets import REQUESTED, contact_seed_window_days
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
-from repro.logs.events import MailReportedEvent, MailSentEvent
+from repro.logs.events import MailSentEvent
 from repro.util.clock import DAY
+from repro.util.rng import child_seed
+
+#: Contacts (and matched random users) count as hijacked when it
+#: happens within this many days of exposure — the paper's "next 60 days".
+FOLLOW_UP_DAYS = 60
 
 
 @dataclass(frozen=True)
@@ -60,26 +66,17 @@ class ContactLift:
         return self.contact_rate / self.random_rate
 
 
-def hijack_day_deltas(result: SimulationResult, sample: int = 575, *,
-                      accounts: Optional[Sequence] = None,
-                      windows: Optional[Dict[str, Tuple[int, int]]] = None,
-                      reports: Optional[Sequence] = None) -> HijackDayDeltas:
+def hijack_day_deltas(ctx: ArtifactContext) -> HijackDayDeltas:
     """Volume / recipient / report ratios, averaged over hijacked accounts."""
-    if accounts is None:
-        accounts = DatasetCatalog(result).d7_hijacked_accounts(sample=sample)
-    if windows is None:
-        windows = hijack_windows(result.store,
-                                 [a.account_id for a in accounts])
-
-    if reports is None:
-        reports = result.store.query(MailReportedEvent)
-    reported_message_ids = {r.message_id for r in reports}
+    store = ctx.result.store
+    windows = ctx.dataset("incident_timeline")
+    reported_message_ids = {r.message_id for r in ctx.dataset("mail_reports")}
 
     volume_day = volume_prev = 0
     recipients_day_total = recipients_prev_total = 0
     reports_day = reports_prev = 0
     counted = 0
-    for account in accounts:
+    for account in ctx.dataset("hijacked_accounts"):
         window = windows.get(account.account_id)
         if window is None:
             continue
@@ -91,7 +88,7 @@ def hijack_day_deltas(result: SimulationResult, sample: int = 575, *,
         recipients_prev: set = set()
         # Indexed per-account lookup: same events, same order as grouping
         # a full MailSentEvent scan, without paying the scan per call.
-        for event in result.store.query(
+        for event in store.query(
                 MailSentEvent, account_id=account.account_id):
             if day_start <= event.timestamp < day_start + DAY:
                 volume_day += 1
@@ -118,11 +115,9 @@ def hijack_day_deltas(result: SimulationResult, sample: int = 575, *,
     )
 
 
-def scam_phishing_split(result: SimulationResult, sample: int = 200, *,
-                        messages: Optional[Sequence] = None) -> Dict[str, float]:
+def scam_phishing_split(ctx: ArtifactContext) -> Dict[str, float]:
     """The manual review of Dataset 8: category → share."""
-    if messages is None:
-        messages = DatasetCatalog(result).d8_reported_hijack_mail(sample=sample)
+    messages = ctx.dataset("reported_hijack_mail")
     if not messages:
         return {}
     counts: Dict[str, int] = {}
@@ -133,11 +128,7 @@ def scam_phishing_split(result: SimulationResult, sample: int = 200, *,
     return {category: count / total for category, count in sorted(counts.items())}
 
 
-def contact_lift(result: SimulationResult, cohort_size: int = 3000,
-                 seed_window_days: Optional[int] = None,
-                 follow_up_days: int = 60, *,
-                 logins: Optional[Sequence] = None,
-                 catalog: Optional[DatasetCatalog] = None) -> ContactLift:
+def contact_lift(ctx: ArtifactContext) -> ContactLift:
     """Dataset 9's experiment.
 
     The paper sampled contacts of hijacked accounts and counted manual
@@ -146,17 +137,16 @@ def contact_lift(result: SimulationResult, cohort_size: int = 3000,
     victim: each contact's observation window starts when their friend's
     account was hijacked (that is when the hijacker obtains their
     address), and the random cohort is observed over matched windows.
+    Victims are the accounts exploited in the first half of the horizon.
     """
-    if seed_window_days is None:
-        seed_window_days = result.config.horizon_days // 2
+    result = ctx.result
+    seed_window_days = contact_seed_window_days(result)
     population = result.population
 
     # Victim exposure times: first hijacker login per exploited account
     # within the seed window.
-    if logins is None:
-        logins = hijacker_logins(result.store)
     first_hijack_login: Dict[str, int] = {}
-    for login in logins:
+    for login in ctx.dataset("hijacker_logins"):
         first_hijack_login.setdefault(login.account_id, login.timestamp)
     exploited_early = {
         report.account_id
@@ -180,15 +170,11 @@ def contact_lift(result: SimulationResult, cohort_size: int = 3000,
             if previous is None or exposed_at < previous:
                 exposure[contact.account_id] = exposed_at
 
-    window = follow_up_days * DAY
+    window = FOLLOW_UP_DAYS * DAY
     contact_items = sorted(exposure.items())
-    if len(contact_items) > cohort_size:
-        import random as _random
-
-        from repro.util.rng import child_seed
-
-        rng = _random.Random(child_seed(result.config.seed, "contact-lift"))
-        contact_items = rng.sample(contact_items, cohort_size)
+    if len(contact_items) > REQUESTED[9]:
+        rng = random.Random(child_seed(result.config.seed, "contact-lift"))
+        contact_items = rng.sample(contact_items, REQUESTED[9])
     contact_hits = sum(
         1 for account_id, exposed_at in contact_items
         if exposed_at
@@ -196,10 +182,7 @@ def contact_lift(result: SimulationResult, cohort_size: int = 3000,
     )
 
     # Random cohort: active users observed over matched windows.
-    if catalog is None:
-        catalog = DatasetCatalog(result)
-    _, random_cohort = catalog.d9_cohorts(
-        cohort_size=cohort_size, seed_window_days=seed_window_days)
+    random_cohort = ctx.dataset("random_cohort")
     exposure_times = sorted(at for _, at in contact_items) or [0]
     random_hits = 0
     for index, account in enumerate(random_cohort):
@@ -215,8 +198,7 @@ def contact_lift(result: SimulationResult, cohort_size: int = 3000,
     )
 
 
-def pooled_contact_lift(results, cohort_size: int = 3000,
-                        follow_up_days: int = 60) -> ContactLift:
+def pooled_contact_lift(results: Iterable[SimulationResult]) -> ContactLift:
     """Pool the Dataset 9 experiment over several independent worlds.
 
     A single world of our size yields single-digit hijack counts in the
@@ -227,8 +209,7 @@ def pooled_contact_lift(results, cohort_size: int = 3000,
     totals = dict(contact_cohort_size=0, random_cohort_size=0,
                   contact_hijacked=0, random_hijacked=0)
     for result in results:
-        lift = contact_lift(result, cohort_size=cohort_size,
-                            follow_up_days=follow_up_days)
+        lift = contact_lift(ArtifactContext(result))
         totals["contact_cohort_size"] += lift.contact_cohort_size
         totals["random_cohort_size"] += lift.random_cohort_size
         totals["contact_hijacked"] += lift.contact_hijacked
@@ -264,15 +245,7 @@ def render(deltas: HijackDayDeltas, split: Dict[str, float],
           description=("Section 5.3: hijack-day deltas, scam/phish split, "
                        "and the contact-targeting lift"),
           deps=("hijacked_accounts", "incident_timeline", "mail_reports",
-                "reported_hijack_mail", "hijacker_logins", "catalog"))
+                "reported_hijack_mail", "hijacker_logins", "random_cohort"))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(
-        hijack_day_deltas(ctx.result,
-                          accounts=ctx.dataset("hijacked_accounts"),
-                          windows=ctx.dataset("incident_timeline"),
-                          reports=ctx.dataset("mail_reports")),
-        scam_phishing_split(ctx.result,
-                            messages=ctx.dataset("reported_hijack_mail")),
-        contact_lift(ctx.result,
-                     logins=ctx.dataset("hijacker_logins"),
-                     catalog=ctx.dataset("catalog")))
+    return render(hijack_day_deltas(ctx), scam_phishing_split(ctx),
+                  contact_lift(ctx))

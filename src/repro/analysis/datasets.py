@@ -1,21 +1,32 @@
-"""Named, memoized log extractions shared across analysis artifacts.
+"""The study's datasets: named, memoized extractions every artifact reads.
 
-The paper's pipelines all start from a handful of curated pools (the
-Table 1 datasets, the hijacker-attributed event streams, the recovery
-timeline).  Before this layer each figure/table module re-extracted its
-own pools from the :class:`~repro.logs.store.LogStore`; a full report
-paid the same scans many times over.  Here every extraction is a
-**registered, dependency-declared dataset**: built at most once per
-:class:`~repro.core.simulation.SimulationResult`, cached on a
-:class:`Datasets` resolver, and shared by every artifact that declares
-it (see :mod:`repro.analysis.registry`).
+The paper derives every table and figure from the 14 curated datasets
+of its Table 1 (noisy pools — user reports, detections, login logs —
+narrowed by curation) plus a few hijacker-attributed event streams.
+Each of them is a **registered, dependency-declared dataset** here:
+built at most once per :class:`~repro.core.simulation.SimulationResult`,
+cached on a :class:`Datasets` resolver, and shared by every artifact
+that declares it (see :mod:`repro.analysis.registry`).  This is the only
+extraction path: analyses never query the log store for a pool that a
+dataset already names.
+
+Where the authors used human reviewers, we use the text classifier /
+template reviewer of :mod:`repro.analysis.curation`; where they used
+high-confidence abuse verdicts, we use the recovery-claim +
+hijacker-access criterion the paper itself describes ("selected based
+on their account recovery claims, which clearly indicate that they were
+manually hijacked").  Sample sizes are the paper's (:data:`REQUESTED`)
+but clamp to what the simulated world produced; ``dataset_specs``
+reports both.
 
 Contract:
 
 * **Pure.**  A builder is a deterministic function of the result and its
   declared dependencies — no global RNG, no mutation of simulation
-  state.  A cache hit is byte-for-byte what a recomputation would
-  return; callers treat datasets as read-only.
+  state.  A sampling builder draws from a fresh
+  ``child_seed(seed, "datasets:dN")`` stream, so a cache hit is
+  byte-for-byte what a recomputation would return; callers treat
+  datasets as read-only.
 * **Declared.**  A builder may only resolve datasets named in its
   ``deps`` — undeclared access raises :class:`UndeclaredDatasetError`.
   This keeps the dependency graph honest, so subgraph selection
@@ -32,24 +43,48 @@ Contract:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from repro import obs
-from repro.core.datasets import DatasetCatalog
+from repro.analysis.curation import (
+    hijacker_logins,
+    hijacker_searches,
+    review_message,
+)
 from repro.core.simulation import SimulationResult
+from repro.hijacker.groups import Era
+from repro.hijacker.incident import IncidentOutcome
 from repro.logs.events import (
     Actor,
     FolderOpenEvent,
     HijackFlagEvent,
+    HttpRequestEvent,
+    MailReportedEvent,
     MailSentEvent,
     NotificationEvent,
+    RecoveryClaimEvent,
+    SettingsChangeEvent,
 )
+from repro.recovery.latency import recovery_latencies
+from repro.scams.classifier import MessageCategory
+from repro.util.clock import DAY, HOUR
+from repro.util.rng import child_seed
+from repro.world.accounts import Account
+from repro.world.messages import EmailMessage
+from repro.world.users import ActivityLevel
 
 __all__ = [
-    "Dataset", "Datasets", "UndeclaredDatasetError", "UnknownDatasetError",
-    "dataset", "dataset_closure", "dataset_names", "get_dataset",
+    "D12_WINDOW_DAYS", "D1_POOL", "D9_SEED_WINDOW_DAYS", "Dataset",
+    "DatasetSpec", "Datasets", "REQUESTED", "UndeclaredDatasetError",
+    "UnknownDatasetError", "contact_seed_window_days", "dataset",
+    "dataset_closure", "dataset_names", "get_dataset",
+    "hijacked_sample_size",
 ]
+
+T = TypeVar("T")
 
 
 class UnknownDatasetError(KeyError):
@@ -163,77 +198,75 @@ class Datasets:
         return tuple(self._cache)
 
 
-# -- the catalog and its curated datasets ------------------------------------
-#
-# The shared DatasetCatalog is itself a dataset: every builder that
-# narrows a Table 1 pool goes through one catalog instance, whose own
-# per-(dataset, args) memoization collapses repeated builds (e.g. D7
-# feeding both Section 5.4 and the Table 1 inventory).
+# -- Table 1 sizes and sampling ----------------------------------------------
 
-@dataset("catalog")
-def _catalog(data: Datasets) -> DatasetCatalog:
-    """The shared Table 1 catalog (D1–D14 builders, memoized)."""
-    return DatasetCatalog(data.result)
-
-
-@dataset("dataset_specs", deps=("catalog",))
-def _dataset_specs(data: Datasets):
-    """Every Table 1 row: all 14 datasets built at paper sample sizes."""
-    return data.get("catalog").build_all()
+#: Table 1's "requested" size per dataset id: the paper's sample (or, for
+#: D5, its per-day login sample).  D6 and D12 are whole pools, so their
+#: requested size is whatever the world produced.
+REQUESTED: Dict[int, int] = {
+    1: 100, 2: 100, 3: 100, 4: 200, 5: 300, 7: 575, 8: 200, 9: 3000,
+    10: 600, 11: 5000, 13: 3000, 14: 300,
+}
+#: Reported messages D1 curation reads before it has its sample.
+D1_POOL = 5000
+#: D9's victims are accounts exploited within this many days.
+D9_SEED_WINDOW_DAYS = 7
+#: D12 is the last month of recovery claims.
+D12_WINDOW_DAYS = 28
 
 
-@dataset("phishing_emails", deps=("catalog",))
-def _phishing_emails(data: Datasets):
-    """D1: reported emails curated down to real phishing."""
-    return data.get("catalog").d1_phishing_emails()
+@dataclass(frozen=True)
+class DatasetSpec:
+    """One row of Table 1."""
+
+    dataset_id: int
+    data_type: str
+    requested: int
+    actual: int
+    used_in_section: str
 
 
-@dataset("detected_pages", deps=("catalog",))
-def _detected_pages(data: Datasets):
-    """D2: phishing pages detected by SafeBrowsing."""
-    return data.get("catalog").d2_detected_pages()
+def _rng(result: SimulationResult, dataset_id: int) -> random.Random:
+    return random.Random(child_seed(result.config.seed,
+                                    f"datasets:d{dataset_id}"))
 
 
-@dataset("forms_http_logs", deps=("catalog",))
-def _forms_http_logs(data: Datasets):
-    """D3: per-page HTTP logs of taken-down Forms pages."""
-    return data.get("catalog").d3_forms_http_logs()
+def _sample(result: SimulationResult, dataset_id: int,
+            items: Sequence[T], size: int) -> Sequence[T]:
+    """``items`` itself when it fits, else a seeded sample of ``size``."""
+    if len(items) <= size:
+        return items
+    return _rng(result, dataset_id).sample(items, size)
 
 
-@dataset("hijacked_accounts", deps=("catalog",))
-def _hijacked_accounts(data: Datasets):
-    """D7: high-confidence manually hijacked accounts."""
-    return data.get("catalog").d7_hijacked_accounts()
+def hijacked_sample_size(result: SimulationResult) -> int:
+    """D7's 575 accounts (November 2012), or D10's 600 for a 2011 world."""
+    return REQUESTED[10] if result.config.era is Era.Y2011 else REQUESTED[7]
 
 
-@dataset("reported_hijack_mail", deps=("catalog",))
-def _reported_hijack_mail(data: Datasets):
-    """D8: reported mail sent from hijacked accounts in-window."""
-    return data.get("catalog").d8_reported_hijack_mail()
+def contact_seed_window_days(result: SimulationResult) -> int:
+    """Section 5.3's contact-lift victims: the first half of the horizon."""
+    return result.config.horizon_days // 2
 
 
-@dataset("recovery_claims_month", deps=("catalog",))
-def _recovery_claims_month(data: Datasets):
-    """D12: one month of recovery claims."""
-    return data.get("catalog").d12_recovery_claims()
+# -- shared source pools -----------------------------------------------------
 
-
-@dataset("hijack_cases", deps=("catalog",))
-def _hijack_cases(data: Datasets):
-    """D13: hijack-case account ids for IP attribution."""
-    return data.get("catalog").d13_hijack_cases()
-
-
-@dataset("mail_reports", deps=("catalog",))
-def _mail_reports(data: Datasets):
+@dataset("mail_reports")
+def _mail_reports(data: Datasets) -> List[MailReportedEvent]:
     """Every spam/phishing report (the unindexable D1/D8 source pool)."""
-    return data.get("catalog").mail_reports()
+    return data.result.store.query(MailReportedEvent)
 
 
-@dataset("recovery_claims", deps=("catalog",))
-def _recovery_claims(data: Datasets):
+@dataset("recovery_claims")
+def _recovery_claims(data: Datasets) -> List[RecoveryClaimEvent]:
     """Every recovery claim, timestamp-sorted."""
-    return data.get("catalog").recovery_claims()
+    return data.result.store.query(RecoveryClaimEvent)
+
+
+@dataset("http_requests")
+def _http_requests(data: Datasets) -> List[HttpRequestEvent]:
+    """Every phishing-page HTTP request (D3's source pool)."""
+    return data.result.store.query(HttpRequestEvent)
 
 
 # -- hijacker action streams (login sessions & in-account behavior) ----------
@@ -241,13 +274,132 @@ def _recovery_claims(data: Datasets):
 @dataset("hijacker_logins")
 def _hijacker_logins(data: Datasets):
     """Login attempts attributed to manual hijackers (D5/D13 verdicts)."""
-    from repro.analysis.curation import hijacker_logins
-
     return hijacker_logins(data.result.store)
 
 
+@dataset("hijacker_sends")
+def _hijacker_sends(data: Datasets):
+    """Mail sent by manual hijackers from victim accounts."""
+    return data.result.store.query(
+        MailSentEvent, actor=Actor.MANUAL_HIJACKER)
+
+
+@dataset("hijacker_searches")
+def _hijacker_searches(data: Datasets):
+    """D6: search events attributed to hijacker sessions."""
+    return hijacker_searches(data.result.store)
+
+
+@dataset("hijacker_folder_opens")
+def _hijacker_folder_opens(data: Datasets):
+    """Folder opens attributed to hijacker sessions (Section 5.2)."""
+    return data.result.store.query(
+        FolderOpenEvent, actor=Actor.MANUAL_HIJACKER)
+
+
+# -- D1–D14 ------------------------------------------------------------------
+
+def _reported_message(result: SimulationResult,
+                      report: MailReportedEvent) -> Optional[EmailMessage]:
+    message = result.mail.message_index.get(report.message_id)
+    if message is not None:
+        return message
+    reporter = result.population.accounts.get(report.reporter_account_id)
+    if reporter is None:
+        return None
+    try:
+        return reporter.mailbox.get(report.message_id)
+    except KeyError:
+        return None
+
+
+@dataset("phishing_emails", deps=("mail_reports",))
+def _phishing_emails(data: Datasets) -> List[EmailMessage]:
+    """D1: reported emails curated down to real phishing.
+
+    The pool is everything users reported; curation keeps messages that
+    explicitly phish for credentials or link phishing pages.
+    """
+    reports = data.get("mail_reports")
+    # A *random* sample (shuffled even when the pool is small): iterating
+    # reports in log order would bias the curated 100 toward whatever
+    # campaigns ran first.
+    pool = _rng(data.result, 1).sample(reports, min(D1_POOL, len(reports)))
+    curated: List[EmailMessage] = []
+    seen = set()
+    for report in pool:
+        message = _reported_message(data.result, report)
+        if message is None or message.message_id in seen:
+            continue
+        seen.add(message.message_id)
+        if review_message(message) is MessageCategory.PHISHING:
+            curated.append(message)
+        if len(curated) >= REQUESTED[1]:
+            break
+    return curated
+
+
+@dataset("detected_pages")
+def _detected_pages(data: Datasets):
+    """D2: phishing pages detected by SafeBrowsing."""
+    detections = list(data.result.safebrowsing.detections)
+    chosen = _sample(data.result, 2, detections, REQUESTED[2])
+    return sorted(chosen, key=lambda d: d.detected_at)
+
+
+@dataset("forms_http_logs", deps=("http_requests",))
+def _forms_http_logs(data: Datasets) -> Dict[str, List[HttpRequestEvent]]:
+    """D3: per-page HTTP logs of taken-down Forms pages."""
+    forms = [d for d in data.result.safebrowsing.detections
+             if d.hosting.value == "forms"]
+    chosen = _sample(data.result, 3, forms, REQUESTED[3])
+    by_page: Dict[str, List[HttpRequestEvent]] = {
+        detection.page_id: [] for detection in chosen}
+    for event in data.get("http_requests"):
+        if event.request.page_id in by_page:
+            by_page[event.request.page_id].append(event)
+    return by_page
+
+
+@dataset("decoys")
+def _decoys(data: Datasets):
+    """D4: decoy credentials injected in phishing pages."""
+    return list(data.result.decoys.records)
+
+
+@dataset("hijacker_ips", deps=("hijacker_logins",))
+def _hijacker_ips(data: Datasets) -> Dict[str, list]:
+    """D5: hijacker login attempts grouped by source IP.
+
+    Curation stands in for the manual IP blocklist the authors held:
+    the hijacker-login verdict selects the logins, then the analysis
+    sees only (ip → attempts).
+    """
+    by_ip: Dict[str, list] = {}
+    for login in data.get("hijacker_logins"):
+        if login.ip is not None:
+            by_ip.setdefault(str(login.ip), []).append(login)
+    return by_ip
+
+
+@dataset("hijacked_accounts", deps=("recovery_claims",))
+def _hijacked_accounts(data: Datasets) -> List[Account]:
+    """D7/D10: accounts whose recovery claims indicate manual hijacking."""
+    result = data.result
+    claimed = {claim.account_id for claim in data.get("recovery_claims")}
+    exploited = {
+        report.account_id
+        for report in result.incidents
+        if report.outcome is IncidentOutcome.EXPLOITED
+        and report.account_id is not None
+    }
+    candidates = sorted(claimed & exploited)
+    chosen = _sample(result, 7, candidates, hijacked_sample_size(result))
+    return [result.population.accounts[a] for a in sorted(chosen)]
+
+
 @dataset("incident_timeline", deps=("hijacker_logins", "hijacked_accounts"))
-def _incident_timeline(data: Datasets):
+def _incident_timeline(data: Datasets) -> Dict[str, Tuple[int, int]]:
     """Per hijacked account, the (first, last) hijacker-login window."""
     wanted = {account.account_id for account in data.get("hijacked_accounts")}
     windows: Dict[str, Tuple[int, int]] = {}
@@ -261,26 +413,173 @@ def _incident_timeline(data: Datasets):
     return windows
 
 
-@dataset("hijacker_sends")
-def _hijacker_sends(data: Datasets):
-    """Mail sent by manual hijackers from victim accounts."""
-    return data.result.store.query(
-        MailSentEvent, actor=Actor.MANUAL_HIJACKER)
+@dataset("reported_hijack_mail",
+         deps=("hijacked_accounts", "incident_timeline", "mail_reports"))
+def _reported_hijack_mail(data: Datasets) -> List[EmailMessage]:
+    """D8: reported mail sent from hijacked accounts in-window.
+
+    The paper scopes Dataset 8 to "the day of the suspected hijacking";
+    we scope to each account's hijack window (first to last hijacker
+    login) plus two hours of slack — a hijacker session's sends all land
+    within an hour of the last login, and a tight window keeps the
+    owner's unrelated mail (also occasionally reported) out of the
+    sample, as the authors' review would have.
+    """
+    hijacked = {account.account_id
+                for account in data.get("hijacked_accounts")}
+    windows = data.get("incident_timeline")
+    messages: List[EmailMessage] = []
+    seen = set()
+    for report in data.get("mail_reports"):
+        if report.sender_account_id not in hijacked:
+            continue
+        message = _reported_message(data.result, report)
+        if message is None or message.message_id in seen:
+            continue
+        window = windows.get(report.sender_account_id)
+        if window is None:
+            continue
+        if not window[0] <= message.sent_at <= window[1] + 2 * HOUR:
+            continue
+        seen.add(message.message_id)
+        messages.append(message)
+    return _sample(data.result, 8, messages, REQUESTED[8])
 
 
-@dataset("hijacker_searches")
-def _hijacker_searches(data: Datasets):
-    """Search events attributed to hijacker sessions (D6)."""
-    from repro.analysis.curation import hijacker_searches
+def _cohorts(result: SimulationResult, seed_window_days: int,
+             ) -> Tuple[List[Account], List[Account]]:
+    """(contacts-of-victims, random-actives) cohorts.
 
-    return hijacker_searches(data.result.store)
+    Victims are accounts exploited within the first ``seed_window_days``;
+    both cohorts come from one ``datasets:d9`` stream, contacts first.
+    """
+    population = result.population
+    early_victims = {
+        report.account_id
+        for report in result.incidents
+        if report.outcome is IncidentOutcome.EXPLOITED
+        and report.account_id is not None
+        and report.pickup_at < seed_window_days * DAY
+    }
+    victim_users = {
+        population.accounts[a].owner.user_id for a in early_victims}
+    contact_users = population.contact_graph.neighborhood(victim_users)
+    contact_accounts = [
+        population.account_of_user(user_id)
+        for user_id in sorted(contact_users)
+    ]
+    rng = _rng(result, 9)
+    size = REQUESTED[9]
+    if len(contact_accounts) > size:
+        contact_accounts = rng.sample(contact_accounts, size)
+    active = [
+        account for account in population.accounts.values()
+        if account.owner.activity in (ActivityLevel.DAILY, ActivityLevel.WEEKLY)
+        and account.owner.user_id not in victim_users
+    ]
+    random_accounts = active if len(active) <= size else rng.sample(active, size)
+    return contact_accounts, random_accounts
 
 
-@dataset("hijacker_folder_opens")
-def _hijacker_folder_opens(data: Datasets):
-    """Folder opens attributed to hijacker sessions (Section 5.2)."""
-    return data.result.store.query(
-        FolderOpenEvent, actor=Actor.MANUAL_HIJACKER)
+@dataset("cohorts")
+def _cohorts_d9(data: Datasets) -> Tuple[List[Account], List[Account]]:
+    """D9: contacts of early victims and a random active-user sample."""
+    return _cohorts(data.result, D9_SEED_WINDOW_DAYS)
+
+
+@dataset("random_cohort")
+def _random_cohort(data: Datasets) -> List[Account]:
+    """The contact-lift random cohort (D9 drawn over its seed window)."""
+    return _cohorts(data.result, contact_seed_window_days(data.result))[1]
+
+
+@dataset("recovered_accounts")
+def _recovered_accounts(data: Datasets) -> List[str]:
+    """D11: hijacked accounts successfully recovered."""
+    recovered = sorted(
+        case.account_id
+        for case in data.result.remediation.recovered_cases())
+    return sorted(_sample(data.result, 11, recovered, REQUESTED[11]))
+
+
+@dataset("recovery_claims_month", deps=("recovery_claims",))
+def _recovery_claims_month(data: Datasets) -> List[RecoveryClaimEvent]:
+    """D12: the last month of recovery claims."""
+    since = max(0, data.result.horizon_minutes - D12_WINDOW_DAYS * DAY)
+    # Tail of the shared (timestamp-sorted) claim pool — the same events
+    # a windowed store query would bisect out.
+    return [claim for claim in data.get("recovery_claims")
+            if claim.timestamp >= since]
+
+
+@dataset("hijack_cases")
+def _hijack_cases(data: Datasets) -> List[str]:
+    """D13: hijack-case account ids for IP attribution."""
+    cases = sorted({
+        report.account_id
+        for report in data.result.incidents
+        if report.outcome.gained_access and report.account_id is not None
+    })
+    return sorted(_sample(data.result, 13, cases, REQUESTED[13]))
+
+
+@dataset("hijacker_phones")
+def _hijacker_phones(data: Datasets):
+    """D14: phone numbers hijackers enrolled as second factors."""
+    changes = data.result.store.query(
+        SettingsChangeEvent, actor=Actor.MANUAL_HIJACKER,
+        where=lambda e: e.setting == "two_factor" and e.phone is not None,
+    )
+    phones = [change.phone for change in changes]
+    return _sample(data.result, 14, phones, REQUESTED[14])
+
+
+@dataset("dataset_specs", deps=(
+    "phishing_emails", "detected_pages", "forms_http_logs", "decoys",
+    "hijacker_ips", "hijacker_searches", "hijacked_accounts",
+    "reported_hijack_mail", "cohorts", "recovered_accounts",
+    "recovery_claims_month", "hijack_cases", "hijacker_phones"))
+def _dataset_specs(data: Datasets) -> List[DatasetSpec]:
+    """Table 1: each dataset's paper size next to the size we collected.
+
+    D6 and D12 are whole pools, so they request what was there.  D10
+    (the earlier era's hijacked accounts) needs a second world, so its
+    row is a stub with nothing collected.
+    """
+    def size(name: str) -> int:
+        return len(data.get(name))
+
+    contacts, randoms = data.get("cohorts")
+    searches = size("hijacker_searches")
+    claims = size("recovery_claims_month")
+    rows = (
+        (1, "Phishing emails", REQUESTED[1], size("phishing_emails"), "4.1"),
+        (2, "Phishing pages detected by SafeBrowsing", REQUESTED[2],
+         size("detected_pages"), "4.1"),
+        (3, "Google Forms taken down for phishing", REQUESTED[3],
+         size("forms_http_logs"), "4.2"),
+        (4, "Decoy credentials injected in phishing pages", REQUESTED[4],
+         size("decoys"), "5.1"),
+        (5, "Login attempts from IPs belonging to hijackers", REQUESTED[5],
+         size("hijacker_ips"), "5.1"),
+        (6, "Keywords searched by hijackers", searches, searches, "5.2"),
+        (7, "High-confidence hijacked accounts",
+         hijacked_sample_size(data.result), size("hijacked_accounts"), "5.2"),
+        (8, "Mail sent from hijacked accounts reported as spam",
+         REQUESTED[8], size("reported_hijack_mail"), "5.3"),
+        (9, "Hijacked account contacts and active-user random sample",
+         REQUESTED[9], min(len(contacts), len(randoms)), "5.3"),
+        (10, "High-confidence hijacked accounts (earlier era)",
+         REQUESTED[10], 0, "5.4"),
+        (11, "Hijacked accounts successfully recovered", REQUESTED[11],
+         size("recovered_accounts"), "6.2"),
+        (12, "Account recovery claims (one month)", claims, claims, "6.3"),
+        (13, "Hijacking cases for IP attribution", REQUESTED[13],
+         size("hijack_cases"), "7"),
+        (14, "Phone numbers used by hijackers", REQUESTED[14],
+         size("hijacker_phones"), "7"),
+    )
+    return [DatasetSpec(*row) for row in rows]
 
 
 # -- remediation outcomes ----------------------------------------------------
@@ -300,8 +599,6 @@ def _hijack_flags(data: Datasets):
 @dataset("recovery_latencies", deps=("recovery_claims", "hijack_flags"))
 def _recovery_latencies(data: Datasets):
     """Flag→claim latencies per recovered account (Figure 9's series)."""
-    from repro.recovery.latency import recovery_latencies
-
     return recovery_latencies(
         data.result.store,
         claims=data.get("recovery_claims"),

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation, SimulationResult
-from repro.logs.events import Actor, HijackFlagEvent, LoginEvent, MailSentEvent
+from repro.logs.events import Actor, LoginEvent
 from repro.util.render import ascii_table, format_percent
 
 
@@ -35,39 +35,25 @@ class DefensePoint:
     n_hijacker_logins: int
 
 
-def evaluate(result: SimulationResult, *,
-             logins: Optional[Sequence[LoginEvent]] = None,
-             flags: Optional[Sequence[HijackFlagEvent]] = None,
-             sends: Optional[Sequence[MailSentEvent]] = None) -> DefensePoint:
-    store = result.store
-    owner_logins = store.query(
+def evaluate(ctx: ArtifactContext) -> DefensePoint:
+    owner_logins = ctx.result.store.query(
         LoginEvent, actor=Actor.OWNER,
         where=lambda e: e.password_correct,
     )
     owner_challenged = sum(1 for e in owner_logins if e.challenged or e.blocked)
     owner_rate = owner_challenged / len(owner_logins) if owner_logins else 0.0
 
-    if logins is None:
-        hijacker_logins = store.query(
-            LoginEvent, actor=Actor.MANUAL_HIJACKER,
-            where=lambda e: e.password_correct,
-        )
-    else:
-        hijacker_logins = [e for e in logins if e.password_correct]
+    hijacker_logins = [e for e in ctx.dataset("hijacker_logins")
+                       if e.password_correct]
     stopped = sum(
         1 for e in hijacker_logins
         if e.blocked or (e.challenged and not e.succeeded))
     hijacker_rate = stopped / len(hijacker_logins) if hijacker_logins else 0.0
 
-    if flags is None:
-        flags = store.query(
-            HijackFlagEvent, where=lambda e: e.source == "behavioral")
-    else:
-        flags = [e for e in flags if e.source == "behavioral"]
-    if sends is None:
-        sends = store.query(MailSentEvent, actor=Actor.MANUAL_HIJACKER)
+    flags = [e for e in ctx.dataset("hijack_flags")
+             if e.source == "behavioral"]
     first_hijack_send = {}
-    for sent in sends:
+    for sent in ctx.dataset("hijacker_sends"):
         first_hijack_send.setdefault(sent.account_id, sent.timestamp)
     too_late: Optional[float] = None
     if flags:
@@ -77,7 +63,7 @@ def evaluate(result: SimulationResult, *,
         too_late = late / len(flags)
 
     return DefensePoint(
-        aggressiveness=result.config.risk_aggressiveness,
+        aggressiveness=ctx.result.config.risk_aggressiveness,
         owner_challenge_rate=owner_rate,
         hijacker_stop_rate=hijacker_rate,
         behavioral_too_late_rate=too_late,
@@ -95,7 +81,7 @@ def sweep_aggressiveness(base_config: SimulationConfig,
     points = []
     for setting in settings:
         config = base_config.with_overrides(risk_aggressiveness=setting)
-        points.append(evaluate(run(config)))
+        points.append(evaluate(ArtifactContext(run(config))))
     return points
 
 
@@ -121,8 +107,4 @@ def render(points: Sequence[DefensePoint]) -> str:
           description="Section 8: defense stack evaluation",
           deps=("hijacker_logins", "hijack_flags", "hijacker_sends"))
 def _registered(ctx: ArtifactContext) -> str:
-    return render([evaluate(
-        ctx.result,
-        logins=ctx.dataset("hijacker_logins"),
-        flags=ctx.dataset("hijack_flags"),
-        sends=ctx.dataset("hijacker_sends"))])
+    return render([evaluate(ctx)])

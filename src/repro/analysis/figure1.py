@@ -10,7 +10,7 @@ that the measured points land in their Figure 1 regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.simulation import SimulationResult
@@ -30,16 +30,14 @@ class TaxonomyPoint:
     classified_as: AttackClass
 
 
-def _accounts_per_day(result: SimulationResult, actor: Actor,
-                      logins: Optional[Sequence[LoginEvent]] = None) -> float:
+def _accounts_per_day(result: SimulationResult,
+                      logins: Sequence[LoginEvent]) -> float:
     """Accounts touched per day, normalized to a million-user provider.
 
     The taxonomy's volume envelopes are absolute (a botnet touches tens
     of thousands of accounts a day at Google's scale); normalizing by
     population puts our smaller world on the same axis.
     """
-    if logins is None:
-        logins = result.store.query(LoginEvent, actor=actor)
     if not logins:
         return 0.0
     accounts = {login.account_id for login in logins}
@@ -68,14 +66,12 @@ def _manual_depth(result: SimulationResult) -> float:
     return score / len(accessed)
 
 
-def compute(result: SimulationResult, *,
-            manual_logins: Optional[Sequence[LoginEvent]] = None,
-            ) -> List[TaxonomyPoint]:
+def compute(ctx: ArtifactContext) -> List[TaxonomyPoint]:
     """Measured (volume, depth) per attack class present in the run."""
+    result = ctx.result
     points: List[TaxonomyPoint] = []
 
-    manual_volume = _accounts_per_day(result, Actor.MANUAL_HIJACKER,
-                                      logins=manual_logins)
+    manual_volume = _accounts_per_day(result, ctx.dataset("hijacker_logins"))
     if manual_volume > 0:
         depth = _manual_depth(result)
         points.append(TaxonomyPoint(
@@ -83,7 +79,8 @@ def compute(result: SimulationResult, *,
             classify_observed(manual_volume, depth),
         ))
 
-    automated_volume = _accounts_per_day(result, Actor.AUTOMATED_HIJACKER)
+    automated_volume = _accounts_per_day(result, result.store.query(
+        LoginEvent, actor=Actor.AUTOMATED_HIJACKER))
     if automated_volume > 0:
         # Bots spam and move on: shallow by construction, measured as
         # the absence of profiling/retention actions in their sessions.
@@ -126,5 +123,4 @@ def render(points: List[TaxonomyPoint]) -> str:
           description="Figure 1: depth of exploitation vs. accounts per day",
           deps=("hijacker_logins",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(
-        ctx.result, manual_logins=ctx.dataset("hijacker_logins")))
+    return render(compute(ctx))

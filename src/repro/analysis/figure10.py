@@ -9,11 +9,9 @@ method, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import MapReduceJob, run_job
 from repro.util.render import bar_chart
 
@@ -37,11 +35,8 @@ class Figure10:
         return tuple((method, self.success_rate(method)) for method in METHODS)
 
 
-def compute(result: SimulationResult, window_days: int = 28, *,
-            claims: Optional[Sequence] = None) -> Figure10:
-    if claims is None:
-        claims = DatasetCatalog(result).d12_recovery_claims(
-            window_days=window_days)
+def compute(ctx: ArtifactContext) -> Figure10:
+    claims = ctx.dataset("recovery_claims_month")
     job = MapReduceJob(
         mapper=lambda claim: [(claim.method, (1, 1 if claim.succeeded else 0))],
         reducer=lambda _method, pairs: (
@@ -70,5 +65,4 @@ def render(figure: Figure10) -> str:
           description="Figure 10: recovery success per verification channel",
           deps=("recovery_claims_month",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(
-        ctx.result, claims=ctx.dataset("recovery_claims_month")))
+    return render(compute(ctx))

@@ -9,12 +9,10 @@ both this and the phone dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.attribution.geolocate import country_shares, geolocate_hijack_ips
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.util.render import bar_chart
 
 
@@ -32,11 +30,9 @@ class Figure11:
         return 0.0
 
 
-def compute(result: SimulationResult, sample: int = 3000, *,
-            cases: Optional[Sequence[str]] = None) -> Figure11:
-    if cases is None:
-        cases = DatasetCatalog(result).d13_hijack_cases(sample=sample)
-    counts = geolocate_hijack_ips(result.store, result.geoip, cases)
+def compute(ctx: ArtifactContext) -> Figure11:
+    counts = geolocate_hijack_ips(ctx.result.store, ctx.result.geoip,
+                                  ctx.dataset("hijack_cases"))
     return Figure11(counts=counts, shares=country_shares(counts))
 
 
@@ -55,4 +51,4 @@ def render(figure: Figure11) -> str:
           description="Figure 11: countries of the IPs behind hijack cases",
           deps=("hijack_cases",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, cases=ctx.dataset("hijack_cases")))
+    return render(compute(ctx))

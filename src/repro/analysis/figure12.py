@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.attribution.geolocate import country_shares
 from repro.attribution.phones import hijacker_phone_countries
-from repro.core.simulation import SimulationResult
 from repro.util.render import bar_chart
 
 
@@ -37,8 +36,8 @@ class Figure12:
         return sum(self.counts.values())
 
 
-def compute(result: SimulationResult) -> Figure12:
-    counts = hijacker_phone_countries(result.store)
+def compute(ctx: ArtifactContext) -> Figure12:
+    counts = hijacker_phone_countries(ctx.result.store)
     return Figure12(counts=counts, shares=country_shares(counts))
 
 
@@ -56,4 +55,4 @@ def render(figure: Figure12) -> str:
 @artifact("figure12", title="Figure 12", report_order=190,
           description="Figure 12: country codes of hijacker phone numbers")
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result))
+    return render(compute(ctx))

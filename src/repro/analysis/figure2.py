@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
 from repro.util.clock import format_duration
 from repro.util.distributions import EmpiricalCdf
 
@@ -34,7 +33,8 @@ def _median(samples: List[float]) -> Optional[float]:
     return EmpiricalCdf(samples).quantile(0.5) if samples else None
 
 
-def compute(result: SimulationResult) -> LifecycleTimings:
+def compute(ctx: ArtifactContext) -> LifecycleTimings:
+    result = ctx.result
     pickups = [
         float(report.pickup_at - report.credential.captured_at)
         for report in result.incidents
@@ -91,4 +91,4 @@ def render(timings: LifecycleTimings) -> str:
 @artifact("figure2", title="Figure 2", report_order=50,
           description="Figure 2: the hijacking cycle's median dwell times")
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result))
+    return render(compute(ctx))

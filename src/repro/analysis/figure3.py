@@ -9,11 +9,9 @@ explaining the GMail oddity.  Computed from Dataset 3's Forms HTTP logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import count_by
 from repro.net.http import Method, ReferrerClass, classify_referrer
 from repro.util.render import bar_chart, format_percent
@@ -38,10 +36,8 @@ class Figure3:
         )
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
-            logs: Optional[Dict] = None) -> Figure3:
-    if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+def compute(ctx: ArtifactContext) -> Figure3:
+    logs = ctx.dataset("forms_http_logs")
     views = [
         event.request
         for events in logs.values()
@@ -75,4 +71,4 @@ def render(figure: Figure3) -> str:
           description="Figure 3: HTTP referrers of phishing-page visits",
           deps=("forms_http_logs",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, logs=ctx.dataset("forms_http_logs")))
+    return render(compute(ctx))

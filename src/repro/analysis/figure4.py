@@ -9,11 +9,9 @@ the big providers (Section 4.2).  Computed from Dataset 3's POSTs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import count_by
 from repro.net.email_addr import EmailAddress
 from repro.util.render import bar_chart, format_percent
@@ -37,10 +35,8 @@ class Figure4:
         )
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
-            logs: Optional[Dict] = None) -> Figure4:
-    if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+def compute(ctx: ArtifactContext) -> Figure4:
+    logs = ctx.dataset("forms_http_logs")
     tlds = []
     for events in logs.values():
         for event in events:
@@ -70,4 +66,4 @@ def render(figure: Figure4) -> str:
           description="Figure 4: TLDs of phished email addresses",
           deps=("forms_http_logs",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, logs=ctx.dataset("forms_http_logs")))
+    return render(compute(ctx))

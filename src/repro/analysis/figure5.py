@@ -8,14 +8,15 @@ pages that were "very poorly executed".  Computed from Dataset 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.net.http import Method
 from repro.util.distributions import mean
 from repro.util.render import ascii_table, format_percent, sparkline
+
+#: Pages with fewer views than this are dropped from Figure 5.
+MIN_VIEWS = 8
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,16 @@ class Figure5:
         return min((rate for _, rate, _, _ in self.rates), default=0.0)
 
 
-def compute(result: SimulationResult, sample: int = 100,
-            min_views: int = 8, *, logs: Optional[Dict] = None) -> Figure5:
+def compute(ctx: ArtifactContext) -> Figure5:
     """Conversion per page; pages with too few views are dropped (a
     3-view page's 0% or 33% is noise, and the paper's per-page chart is
     built from pages with real traffic)."""
-    if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+    logs = ctx.dataset("forms_http_logs")
     rates: List[Tuple[str, float, int, int]] = []
     for page_id, events in sorted(logs.items()):
         gets = sum(1 for e in events if e.request.method is Method.GET)
         posts = sum(1 for e in events if e.request.method is Method.POST)
-        if gets >= min_views:
+        if gets >= MIN_VIEWS:
             rates.append((page_id, posts / gets, gets, posts))
     rates.sort(key=lambda item: -item[1])
     return Figure5(rates=rates)
@@ -76,4 +75,4 @@ def render(figure: Figure5) -> str:
           description="Figure 5: page submission (conversion) rates",
           deps=("forms_http_logs",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, logs=ctx.dataset("forms_http_logs")))
+    return render(compute(ctx))

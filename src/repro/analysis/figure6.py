@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.net.http import Method
 from repro.util.clock import HOUR
 from repro.util.render import sparkline
@@ -62,10 +60,8 @@ def _outlier_score(series: List[float], quiet_hours: int = 12) -> float:
     return late - 3.0 * early
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
-            logs: Optional[Dict] = None) -> Figure6:
-    if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+def compute(ctx: ArtifactContext) -> Figure6:
+    logs = ctx.dataset("forms_http_logs")
     all_series: Dict[str, List[float]] = {
         page_id: _hourly_series(events)
         for page_id, events in logs.items() if events
@@ -104,4 +100,4 @@ def render(figure: Figure6) -> str:
           description="Figure 6: diurnal wave of the outlier Forms campaign",
           deps=("forms_http_logs",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, logs=ctx.dataset("forms_http_logs")))
+    return render(compute(ctx))

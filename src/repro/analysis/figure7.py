@@ -9,10 +9,9 @@ accessed within 30 minutes, 50% within 7 hours, with a plateau below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
 from repro.util.clock import HOUR
 from repro.util.render import series_table
 
@@ -42,11 +41,8 @@ class Figure7:
         ]
 
 
-def compute(result: SimulationResult, *,
-            deltas: Optional[Dict] = None) -> Figure7:
-    deltas_by_account = (
-        deltas if deltas is not None
-        else result.decoys.first_access_deltas(result.store))
+def compute(ctx: ArtifactContext) -> Figure7:
+    deltas_by_account = ctx.dataset("decoy_access_deltas")
     accessed = tuple(sorted(
         delta for delta in deltas_by_account.values() if delta is not None
     ))
@@ -68,5 +64,4 @@ def render(figure: Figure7) -> str:
                        "hijacker login"),
           deps=("decoy_access_deltas",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(
-        ctx.result, deltas=ctx.dataset("decoy_access_deltas")))
+    return render(compute(ctx))

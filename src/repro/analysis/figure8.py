@@ -9,11 +9,9 @@ success rate including trivial-variant retries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.curation import hijacker_logins
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
 from repro.util.clock import DAY
 from repro.util.distributions import mean
 from repro.util.render import series_table
@@ -31,10 +29,8 @@ class Figure8:
     password_success_rate: float
 
 
-def compute(result: SimulationResult, *,
-            logins: Optional[Sequence] = None) -> Figure8:
-    if logins is None:
-        logins = hijacker_logins(result.store)
+def compute(ctx: ArtifactContext) -> Figure8:
+    logins = ctx.dataset("hijacker_logins")
     accounts_by_ip: Dict[str, set] = {}
     accounts_by_ip_day: Dict[Tuple[str, int], set] = {}
     for login in logins:
@@ -93,4 +89,4 @@ def render(figure: Figure8) -> str:
                        "profile and password success"),
           deps=("hijacker_logins",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, logins=ctx.dataset("hijacker_logins")))
+    return render(compute(ctx))

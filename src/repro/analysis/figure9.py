@@ -9,16 +9,10 @@ the log store by :mod:`repro.recovery.latency`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
-from repro.logs.events import (
-    HijackFlagEvent,
-    NotificationEvent,
-    RecoveryClaimEvent,
-)
-from repro.recovery.latency import latency_histogram, recovery_latencies
+from repro.recovery.latency import latency_histogram
 from repro.util.clock import HOUR
 from repro.util.distributions import EmpiricalCdf
 from repro.util.render import series_table, sparkline
@@ -44,14 +38,11 @@ class Figure9:
         return latency_histogram(list(self.latencies))
 
 
-def compute(result: SimulationResult, *,
-            latencies: Optional[Sequence[int]] = None) -> Figure9:
-    if latencies is None:
-        latencies = recovery_latencies(result.store)
-    return Figure9(latencies=tuple(latencies))
+def compute(ctx: ArtifactContext) -> Figure9:
+    return Figure9(latencies=tuple(ctx.dataset("recovery_latencies")))
 
 
-def latency_by_notification(result: SimulationResult
+def latency_by_notification(ctx: ArtifactContext
                             ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """(notified latencies, un-notified latencies).
 
@@ -61,19 +52,19 @@ def latency_by_notification(result: SimulationResult
     """
     first_claim: dict = {}
     recovered: set = set()
-    for claim in result.store.query(RecoveryClaimEvent):
+    for claim in ctx.dataset("recovery_claims"):
         first_claim.setdefault(claim.account_id, claim.timestamp)
         if claim.succeeded:
             recovered.add(claim.account_id)
 
     notified_accounts = set()
-    for notification in result.store.query(NotificationEvent):
+    for notification in ctx.dataset("notifications"):
         claim_at = first_claim.get(notification.account_id)
         if claim_at is not None and notification.timestamp <= claim_at:
             notified_accounts.add(notification.account_id)
 
     first_flag: dict = {}
-    for flag in result.store.query(HijackFlagEvent):
+    for flag in ctx.dataset("hijack_flags"):
         first_flag.setdefault(flag.account_id, flag.timestamp)
 
     notified, unnotified = [], []
@@ -90,9 +81,9 @@ def latency_by_notification(result: SimulationResult
     return tuple(notified), tuple(unnotified)
 
 
-def render_notification_split(result: SimulationResult) -> str:
+def render_notification_split(ctx: ArtifactContext) -> str:
     """One-line summary of the §6.2 notification effect."""
-    notified, unnotified = latency_by_notification(result)
+    notified, unnotified = latency_by_notification(ctx)
 
     def median(values):
         if not values:
@@ -128,5 +119,4 @@ def render(figure: Figure9) -> str:
           description="Figure 9: recovery latency distribution",
           deps=("recovery_latencies",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(
-        ctx.result, latencies=ctx.dataset("recovery_latencies")))
+    return render(compute(ctx))

@@ -36,8 +36,8 @@ from repro.core.simulation import SimulationResult
 
 __all__ = [
     "Artifact", "ArtifactContext", "UnknownArtifactError", "artifact",
-    "artifact_keys", "artifacts", "descriptions", "get", "legacy_artifact_map",
-    "render_artifact", "render_artifacts", "report_sequence",
+    "artifact_keys", "artifacts", "descriptions", "get", "render_artifact",
+    "render_artifacts", "report_sequence",
 ]
 
 
@@ -80,7 +80,9 @@ def artifact(key: str, *, title: Optional[str] = None, description: str,
                   description="Figure 5: page submission rates",
                   deps=("forms_http_logs",))
         def _figure5(ctx: ArtifactContext) -> str:
-            return render(compute_from_logs(ctx.dataset("forms_http_logs")))
+            return render(compute(ctx))
+
+    where ``compute(ctx)`` reads ``ctx.dataset("forms_http_logs")``.
 
     Keys must be unique, descriptions non-empty, dependencies registered
     datasets, and report orders unique — all enforced at import time so
@@ -147,20 +149,25 @@ def descriptions() -> Dict[str, str]:
 
 
 class ArtifactContext:
-    """Everything a render function may read: the result(s) + datasets.
+    """Everything a render function may read: the result + its datasets.
 
     One context shared across several renders is what makes the pipeline
-    cheaper than the hand-wired modules it replaced: the dataset cache
-    on the context is the unit of sharing.
+    cheap: the dataset cache on the context is the unit of sharing.  An
+    earlier-era result (Section 5.4's longitudinal comparison) gets its
+    own context, :attr:`earlier_era`, with its own dataset cache; both
+    share one restriction stack, so an artifact's declared subgraph
+    bounds what it reads from either era.
     """
 
     def __init__(self, result: SimulationResult,
-                 earlier_era_result: Optional[SimulationResult] = None,
-                 datasets: Optional[Datasets] = None):
+                 earlier_era_result: Optional[SimulationResult] = None):
         self.result = result
-        self.earlier_era_result = earlier_era_result
-        self.datasets = datasets if datasets is not None else Datasets(result)
+        self.datasets = Datasets(result)
         self._allowed: List[Optional[FrozenSet[str]]] = []
+        self.earlier_era: Optional[ArtifactContext] = None
+        if earlier_era_result is not None:
+            self.earlier_era = ArtifactContext(earlier_era_result)
+            self.earlier_era._allowed = self._allowed
 
     def dataset(self, name: str):
         """Resolve a dataset the *current artifact declared*."""
@@ -196,16 +203,3 @@ def render_artifacts(result: SimulationResult, keys: Iterable[str],
     """
     ctx = ArtifactContext(result, earlier_era_result)
     return {key: render_artifact(key, ctx) for key in keys}
-
-
-def legacy_artifact_map() -> Dict[str, Callable[[SimulationResult], str]]:
-    """Key → ``render(result)`` callables (the pre-registry CLI shape).
-
-    Each callable builds a private context, so artifacts rendered this
-    way behave exactly like the old hand-wired modules — tests use the
-    map to check standalone and pipelined renders agree byte-for-byte.
-    """
-    def bind(key: str) -> Callable[[SimulationResult], str]:
-        return lambda result: render_artifact(key, ArtifactContext(result))
-
-    return {key: bind(key) for key in sorted(_REGISTRY)}

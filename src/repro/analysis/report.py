@@ -1,12 +1,12 @@
 """The full study report: a topological walk over the artifact registry.
 
-``full_report`` no longer knows any figure or table by name — every
-section is pulled from :mod:`repro.analysis.registry` in declared
-``report_order``, rendered against one shared
+``full_report`` knows no figure or table by name — every section is
+pulled from :mod:`repro.analysis.registry` in declared ``report_order``,
+rendered against one shared
 :class:`~repro.analysis.registry.ArtifactContext`, so every dataset the
-sections share (the Table 1 catalog, the hijacker login stream, the
-Forms HTTP logs, …) is extracted from the log store exactly once per
-result.
+sections share (the D1–D14 datasets behind Table 1, the hijacker login
+stream, the Forms HTTP logs, …) is extracted from the log store exactly
+once per result.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def full_report(result: SimulationResult,
         "\n".join(SummaryMetrics.from_result(result).lines()),
     ]
     for art in registry.report_sequence():
-        if art.needs_earlier_era and earlier_era_result is None:
+        if art.needs_earlier_era and ctx.earlier_era is None:
             continue
         with obs.trace("report.section", section=art.title):
             try:
@@ -57,7 +57,7 @@ def full_report(result: SimulationResult,
                       "order",
           composite=True)
 def _report(ctx: ArtifactContext) -> str:
-    return full_report(ctx.result, ctx.earlier_era_result, ctx=ctx)
+    return full_report(ctx.result, ctx=ctx)
 
 
 @artifact("metrics",

@@ -1,9 +1,9 @@
 """Section 5.4 — account-retention tactics and their evolution.
 
 Per-era tactic rates measured from the settings-change log over the
-high-confidence hijacked accounts (Datasets 7 and 10), and the
-longitudinal comparison the paper draws between October 2011 and
-November 2012:
+high-confidence hijacked accounts (Datasets 7 and 10: 575 accounts of a
+2012 world, 600 of a 2011 one), and the longitudinal comparison the
+paper draws between October 2011 and November 2012:
 
 * mass deletion among password-change cases: 46% → 1.6%,
 * hijacker-initiated recovery-option changes: 60% → 21%,
@@ -13,11 +13,9 @@ November 2012:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Set
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.logs.events import Actor, SettingsChangeEvent
 from repro.util.render import ascii_table, format_percent
 
@@ -36,12 +34,10 @@ class RetentionRates:
     two_factor_rate: float
 
 
-def compute(result: SimulationResult, sample: int = 575, *,
-            accounts: Optional[Sequence] = None) -> RetentionRates:
-    if accounts is None:
-        accounts = DatasetCatalog(result).d7_hijacked_accounts(sample=sample)
-    wanted = {account.account_id for account in accounts}
-    changes = result.store.query(
+def compute(ctx: ArtifactContext) -> RetentionRates:
+    wanted = {account.account_id
+              for account in ctx.dataset("hijacked_accounts")}
+    changes = ctx.result.store.query(
         SettingsChangeEvent, actor=Actor.MANUAL_HIJACKER,
         where=lambda e: e.account_id in wanted,
     )
@@ -62,7 +58,7 @@ def compute(result: SimulationResult, sample: int = 575, *,
         return len(accounts_set) / n if n else 0.0
 
     return RetentionRates(
-        era=result.config.era.value,
+        era=ctx.result.config.era.value,
         n_accounts=n,
         password_change_rate=rate(password_changed),
         mass_delete_given_password_change=(
@@ -83,14 +79,10 @@ class RetentionEvolution:
     later: RetentionRates
 
 
-def evolution(result_2011: SimulationResult,
-              result_2012: SimulationResult,
-              sample_2011: int = 600, sample_2012: int = 575,
-              ) -> RetentionEvolution:
-    return RetentionEvolution(
-        earlier=compute(result_2011, sample=sample_2011),
-        later=compute(result_2012, sample=sample_2012),
-    )
+def evolution(ctx: ArtifactContext) -> RetentionEvolution:
+    """Each era's rates, resolved through that era's own context."""
+    return RetentionEvolution(earlier=compute(ctx.earlier_era),
+                              later=compute(ctx))
 
 
 def render(rates: RetentionRates) -> str:
@@ -140,16 +132,15 @@ def render_evolution(evo: RetentionEvolution) -> str:
           description="Section 5.4: account-retention tactic rates per era",
           deps=("hijacked_accounts",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(
-        ctx.result, accounts=ctx.dataset("hijacked_accounts")))
+    return render(compute(ctx))
 
 
 @artifact("evolution", title="Section 5.4 evolution", report_order=155,
           description=("Section 5.4: retention-tactic evolution between "
                        "eras (needs --artifact with an earlier-era run)"),
-          needs_earlier_era=True)
+          deps=("hijacked_accounts",), needs_earlier_era=True)
 def _registered_evolution(ctx: ArtifactContext) -> str:
-    if ctx.earlier_era_result is None:
+    if ctx.earlier_era is None:
         return ("Section 5.4 evolution: needs an earlier-era run to "
                 "compare against (pass earlier_era_result)")
-    return render_evolution(evolution(ctx.earlier_era_result, ctx.result))
+    return render_evolution(evolution(ctx))

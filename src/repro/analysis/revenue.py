@@ -18,11 +18,9 @@ the value of the retention playbook a measured quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
-from repro.logs.events import RecoveryClaimEvent
 from repro.util.render import ascii_table
 
 
@@ -59,28 +57,23 @@ class RevenueReport:
         return sum(1 for p in pool if p.collected) / len(pool)
 
 
-def compute(result: SimulationResult, *,
-            claims: Optional[Sequence[RecoveryClaimEvent]] = None
-            ) -> RevenueReport:
+def compute(ctx: ArtifactContext) -> RevenueReport:
     """Resolve every attempted payment.
 
     A payment collects when, at ``paid_at``, either (a) replies were
     diverted to a hijacker-controlled doppelganger, or (b) the account
     had not yet been returned to its owner.
     """
-    if claims is None:
-        claims = result.store.query(
-            RecoveryClaimEvent, where=lambda e: e.succeeded)
-    else:
-        claims = [claim for claim in claims if claim.succeeded]
     recovered_at: Dict[str, int] = {}
-    for claim in claims:
+    for claim in ctx.dataset("recovery_claims"):
+        if not claim.succeeded:
+            continue
         previous = recovered_at.get(claim.account_id)
         if previous is None or claim.completed_at < previous:
             recovered_at[claim.account_id] = claim.completed_at
 
     payments: List[ResolvedPayment] = []
-    for report in result.incidents:
+    for report in ctx.result.incidents:
         if report.exploitation is None or not report.exploitation.payments:
             continue
         diverted = bool(
@@ -129,4 +122,4 @@ def render(report: RevenueReport) -> str:
           description="scam revenue model (extortion/wire amounts)",
           deps=("recovery_claims",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, claims=ctx.dataset("recovery_claims")))
+    return render(compute(ctx))

@@ -1,23 +1,23 @@
 """Table 1 — the dataset inventory.
 
-Builds every dataset the result supports and renders the same rows the
-paper's Table 1 lists: id, data type, requested vs. collected sample
-size, and the section each dataset feeds.
+Resolves the ``dataset_specs`` table (every registered D1–D14 dataset,
+built once) and renders the same rows the paper's Table 1 lists: id,
+data type, requested vs. collected sample size, and the section each
+dataset feeds.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from repro.analysis.datasets import DatasetSpec
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog, DatasetSpec
-from repro.core.simulation import SimulationResult
 from repro.util.render import ascii_table
 
 
-def compute(result: SimulationResult) -> List[DatasetSpec]:
-    """Build all datasets and return their specs in Table 1 order."""
-    return DatasetCatalog(result).build_all()
+def compute(ctx: ArtifactContext) -> List[DatasetSpec]:
+    """Every dataset's spec, in Table 1 order."""
+    return ctx.dataset("dataset_specs")
 
 
 def render(specs: List[DatasetSpec]) -> str:
@@ -36,4 +36,4 @@ def render(specs: List[DatasetSpec]) -> str:
           description="Table 1: log datasets mined and their sizes",
           deps=("dataset_specs",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(ctx.dataset("dataset_specs"))
+    return render(compute(ctx))

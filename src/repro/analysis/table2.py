@@ -11,12 +11,10 @@ looking at which login page it imitates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.curation import review_phishing_target
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
-from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import count_by
 from repro.util.render import ascii_table
 
@@ -39,21 +37,14 @@ class Table2:
         ]
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
-            emails: Optional[Sequence] = None,
-            detections: Optional[Sequence] = None) -> Table2:
-    if emails is None or detections is None:
-        catalog = DatasetCatalog(result)
-        if emails is None:
-            emails = catalog.d1_phishing_emails(sample=sample)
-        if detections is None:
-            detections = catalog.d2_detected_pages(sample=sample)
-    email_counts = count_by(emails, key_of=review_phishing_target)
+def compute(ctx: ArtifactContext) -> Table2:
+    email_counts = count_by(ctx.dataset("phishing_emails"),
+                            key_of=review_phishing_target)
 
-    pages_by_id = {page.page_id: page for page in result.pages}
+    pages_by_id = {page.page_id: page for page in ctx.result.pages}
     page_targets = [
         pages_by_id[detection.page_id].target.value
-        for detection in detections
+        for detection in ctx.dataset("detected_pages")
         if detection.page_id in pages_by_id
     ]
     page_counts = count_by(page_targets, key_of=lambda target: target)
@@ -72,7 +63,4 @@ def render(table: Table2) -> str:
           description="Table 2: phishing page targets by account type",
           deps=("phishing_emails", "detected_pages"))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(
-        ctx.result,
-        emails=ctx.dataset("phishing_emails"),
-        detections=ctx.dataset("detected_pages")))
+    return render(compute(ctx))

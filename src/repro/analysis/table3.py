@@ -10,11 +10,9 @@ hijacker search log the same way and report the top terms per bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.curation import hijacker_searches
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
 from repro.hijacker.profiling import ACCOUNT_TERMS, CONTENT_TERMS, FINANCE_TERMS
 from repro.logs.mapreduce import count_by
 from repro.util.render import ascii_table, format_percent
@@ -46,10 +44,8 @@ class Table3:
         return self.shares.get(bucket, [])[:n]
 
 
-def compute(result: SimulationResult, *,
-            searches: Optional[Sequence] = None) -> Table3:
-    if searches is None:
-        searches = hijacker_searches(result.store)
+def compute(ctx: ArtifactContext) -> Table3:
+    searches = ctx.dataset("hijacker_searches")
     total = len(searches)
     counts = count_by(searches, key_of=lambda event: event.query)
     shares: Dict[str, List[Tuple[str, float]]] = {
@@ -89,4 +85,4 @@ def render(table: Table3, top_n: int = 9) -> str:
           description="Table 3: mailbox search terms hijackers profile with",
           deps=("hijacker_searches",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, searches=ctx.dataset("hijacker_searches")))
+    return render(compute(ctx))

@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.curation import hijacker_logins
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
 from repro.logs.events import LoginEvent
 from repro.util.clock import hour_of_day, weekday_of
 from repro.util.render import sparkline
@@ -69,19 +67,16 @@ class CrewWorkweek:
         return best_hour
 
 
-def compute(result: SimulationResult, *,
-            logins: Optional[List[LoginEvent]] = None) -> List[CrewWorkweek]:
+def compute(ctx: ArtifactContext) -> List[CrewWorkweek]:
     """Per-crew activity fingerprints, crews resolved via incident ground
     truth (the paper had per-individual session attribution)."""
     account_to_crew: Dict[str, str] = {}
-    for report in result.incidents:
+    for report in ctx.result.incidents:
         if report.account_id is not None:
             account_to_crew.setdefault(report.account_id, report.crew_name)
 
-    if logins is None:
-        logins = hijacker_logins(result.store)
     logins_by_crew: Dict[str, List[LoginEvent]] = {}
-    for login in logins:
+    for login in ctx.dataset("hijacker_logins"):
         crew = account_to_crew.get(login.account_id)
         if crew is not None:
             logins_by_crew.setdefault(crew, []).append(login)
@@ -136,4 +131,4 @@ def render(fingerprints: List[CrewWorkweek]) -> str:
           description="Section 5.5: hijacker workweek (activity by weekday)",
           deps=("hijacker_logins",))
 def _registered(ctx: ArtifactContext) -> str:
-    return render(compute(ctx.result, logins=ctx.dataset("hijacker_logins")))
+    return render(compute(ctx))

@@ -1,17 +1,15 @@
 """The study's core: simulation configuration, the discrete-event
 orchestrator that runs the hijacking ecosystem against the provider,
-scenario presets per experiment, the 14-dataset extraction of Table 1,
-and headline summary metrics."""
+scenario presets per experiment, and headline summary metrics.  The
+14 datasets of Table 1 are extracted by :mod:`repro.analysis.datasets`."""
 
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation, SimulationResult
-from repro.core.datasets import DatasetCatalog
 from repro.core.metrics import SummaryMetrics
 
 __all__ = [
     "SimulationConfig",
     "Simulation",
     "SimulationResult",
-    "DatasetCatalog",
     "SummaryMetrics",
 ]

@@ -155,8 +155,7 @@ class TestDatasetLayer:
     def test_closure_is_transitive(self):
         closure = dataset_closure(("recovery_latencies",))
         assert closure == frozenset(
-            {"recovery_latencies", "recovery_claims", "hijack_flags",
-             "catalog"})
+            {"recovery_latencies", "recovery_claims", "hijack_flags"})
 
     def test_builder_deps_resolve(self, smoke_result):
         data = Datasets(smoke_result)

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.analysis import revenue
+from repro.analysis.registry import ArtifactContext
 from repro.analysis.revenue import ResolvedPayment, RevenueReport
 
 
 class TestComputed:
     @pytest.fixture(scope="class")
     def report(self, exploitation_result):
-        return revenue.compute(exploitation_result)
+        return revenue.compute(ArtifactContext(exploitation_result))
 
     def test_payments_resolved(self, report):
         assert report.payments

@@ -1,11 +1,12 @@
 import pytest
 
 from repro.analysis import table1, table2, table3
+from repro.analysis.registry import ArtifactContext
 
 
 class TestTable1:
     def test_fourteen_rows(self, exploitation_result):
-        specs = table1.compute(exploitation_result)
+        specs = table1.compute(ArtifactContext(exploitation_result))
         assert len(specs) == 14
         assert "Table 1" in table1.render(specs)
 
@@ -13,7 +14,7 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result_table(self, exploitation_result):
-        return table2.compute(exploitation_result)
+        return table2.compute(ArtifactContext(exploitation_result))
 
     def test_mail_tops_both_columns(self, result_table):
         emails = result_table.email_counts
@@ -41,7 +42,7 @@ class TestTable2:
 class TestTable3:
     @pytest.fixture(scope="class")
     def result_table(self, exploitation_result):
-        return table3.compute(exploitation_result)
+        return table3.compute(ArtifactContext(exploitation_result))
 
     def test_finance_dominates(self, result_table):
         finance = sum(share for _, share in result_table.shares["Finance"])

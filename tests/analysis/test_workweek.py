@@ -3,13 +3,14 @@
 import pytest
 
 from repro.analysis import workweek
+from repro.analysis.registry import ArtifactContext
 from repro.analysis.workweek import CrewWorkweek
 
 
 class TestComputed:
     @pytest.fixture(scope="class")
     def fingerprints(self, exploitation_result):
-        return workweek.compute(exploitation_result)
+        return workweek.compute(ArtifactContext(exploitation_result))
 
     def test_every_active_crew_fingerprinted(self, fingerprints,
                                              exploitation_result):

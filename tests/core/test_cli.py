@@ -6,13 +6,8 @@ import pytest
 
 from repro import obs
 from repro.analysis import registry
-from repro.__main__ import (
-    ARTIFACT_DESCRIPTIONS,
-    ARTIFACTS,
-    SCENARIOS,
-    build_parser,
-    main,
-)
+from repro.analysis.registry import ArtifactContext, render_artifact
+from repro.__main__ import SCENARIOS, build_parser, main
 
 
 class TestParser:
@@ -48,11 +43,12 @@ class TestRegistries:
     def test_artifact_registry_covers_paper(self):
         for name in ("report", "metrics", "table1", "table2", "table3",
                      "figure1", "figure7", "figure12", "section5.5"):
-            assert name in ARTIFACTS
+            assert name in registry.artifact_keys()
 
     def test_every_artifact_has_a_description(self):
-        assert set(ARTIFACT_DESCRIPTIONS) == set(ARTIFACTS)
-        for description in ARTIFACT_DESCRIPTIONS.values():
+        descriptions = registry.descriptions()
+        assert set(descriptions) == set(registry.artifact_keys())
+        for description in descriptions.values():
             assert description.strip()
 
 
@@ -70,15 +66,15 @@ class TestExecution:
         assert "assessment" in out
 
     def test_artifact_functions_work_on_result(self, smoke_result):
-        # Every artifact function must at least render on a live result.
-        for name, render in ARTIFACTS.items():
-            text = render(smoke_result)
-            assert isinstance(text, str) and text, name
+        # Every artifact must at least render on a live result.
+        for key in registry.artifact_keys():
+            text = render_artifact(key, ArtifactContext(smoke_result))
+            assert isinstance(text, str) and text, key
 
     def test_list_artifacts(self, capsys):
         assert main(["--list-artifacts"]) == 0
         out = capsys.readouterr().out
-        for name in ARTIFACTS:
+        for name in registry.artifact_keys():
             assert name in out
         # Descriptions come straight from the registry, so they cannot
         # drift from the modules they describe.

@@ -9,6 +9,7 @@ import pytest
 
 from repro import Simulation
 from repro.analysis import figure3, figure4, figure7, figure9, table3
+from repro.analysis.registry import ArtifactContext
 from repro.analysis.report import full_report
 from repro.core.scenarios import smoke_scenario
 from repro.logs.events import LoginEvent, MailSentEvent
@@ -35,11 +36,12 @@ class TestQuietWorld:
         assert hijacker == []
 
     def test_empty_figures_do_not_crash(self, quiet_world):
-        assert figure7.compute(quiet_world).n_decoys == 0
-        assert figure3.compute(quiet_world).total_views == 0
-        assert figure4.compute(quiet_world).total_submissions == 0
-        assert figure9.compute(quiet_world).n == 0
-        assert table3.compute(quiet_world).total_searches == 0
+        assert figure7.compute(ArtifactContext(quiet_world)).n_decoys == 0
+        assert figure3.compute(ArtifactContext(quiet_world)).total_views == 0
+        assert figure4.compute(
+            ArtifactContext(quiet_world)).total_submissions == 0
+        assert figure9.compute(ArtifactContext(quiet_world)).n == 0
+        assert table3.compute(ArtifactContext(quiet_world)).total_searches == 0
 
     def test_full_report_degrades_gracefully(self, quiet_world):
         # Every section must either render (with zeros) or note the
