@@ -56,7 +56,10 @@ def case_signature(store: LogStore, geoip: GeoIpDatabase,
         return None
     countries = [geoip.lookup(login.ip) for login in logins]
     countries = [c for c in countries if c is not None]
-    country = max(set(countries), key=countries.count) if countries else None
+    # Ties go to the alphabetically first country, as in the language vote
+    # below: iterating a bare set would follow per-process string hashing.
+    country = (max(sorted(set(countries)), key=countries.count)
+               if countries else None)
 
     searches = store.query(
         SearchEvent, account_id=account_id, actor=Actor.MANUAL_HIJACKER,

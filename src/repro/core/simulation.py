@@ -611,16 +611,18 @@ class Simulation:
             )
             for account in rng.sample(pool, min(n_provider, len(pool)))
         ]
-        # The external pool is a lazy Sequence: sampling indexes (and
-        # materializes) only the chosen victims.
+        # Sample indices, not the lazy pool: ``random.sample`` copies a
+        # Sequence with ``list()`` (materializing every victim) when k is
+        # large against it.  Same RNG draws, same picks.
         externals = self.population.external_victims
+        picks = rng.sample(range(len(externals)), min(n_external, len(externals)))
         targets.extend(
             LureTarget(
                 address=victim.address,
                 filter_block_probability=victim.spam_filter_strength,
                 gullibility=victim.gullibility,
             )
-            for victim in rng.sample(externals, min(n_external, len(externals)))
+            for victim in map(externals.__getitem__, picks)
         )
         return targets
 

@@ -79,17 +79,21 @@ def generate_username(rng: random.Random) -> str:
 
 
 def generate_address(rng: random.Random, domain: str,
-                     taken: Container[EmailAddress] = ()) -> EmailAddress:
-    """Generate an address on ``domain`` not present in ``taken``.
+                     taken: Container[str] = ()) -> EmailAddress:
+    """Generate an address on ``domain`` whose username is not in ``taken``.
 
-    ``taken`` is used for membership tests only — pass a set when
-    generating many addresses to keep this O(1) per call.
+    ``taken`` holds the usernames already issued on ``domain`` and is used
+    for membership tests only — pass a set when generating many addresses
+    to keep this O(1) per call.  Rejected attempts are plain strings; the
+    one :class:`EmailAddress` built per call is the accepted one.  The first
+    eleven attempts draw bare ``first.last``/``firstNN`` names; later ones
+    append a ``0``–``999`` suffix, which is how every address gets issued
+    once that 2,860-name space is full.
     """
     for attempt in range(1000):
         username = generate_username(rng)
         if attempt > 10:
             username = f"{username}{rng.randrange(1000)}"
-        address = EmailAddress(username, domain)
-        if address not in taken:
-            return address
+        if username not in taken:
+            return EmailAddress(username, domain)
     raise RuntimeError(f"username space exhausted on {domain!r}")

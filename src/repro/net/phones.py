@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 #: Country calling codes (E.164) for every country in the study's universe.
 #: Keys are dialing prefixes *without* the leading '+'.
@@ -45,6 +45,8 @@ _NSN_LENGTH: Dict[str, int] = {
     "VE": 10, "MY": 9, "AU": 9, "JP": 10, "VN": 9, "CN": 11, "IN": 10,
     "ML": 8, "CI": 8, "NE": 8, "NG": 10, "ZA": 9, "AF": 9,
 }
+
+_DIGITS = "0123456789"
 
 _CODE_BY_COUNTRY: Dict[str, str] = {}
 for _code, _country in CALLING_CODES.items():
@@ -95,24 +97,30 @@ def country_of_calling_code(code: str) -> Optional[str]:
 
 
 class PhoneNumberPlan:
-    """Mints valid, distinct phone numbers per country."""
+    """Mints valid, distinct phone numbers per country.
+
+    Distinctness is checked on the E.164 string: ``_issued`` holds the
+    strings minted so far, and a :class:`PhoneNumber` is built once per
+    :meth:`mint`, for the accepted number.
+    """
 
     def __init__(self, rng: random.Random):
         self._rng = rng
-        self._issued: set = set()
+        self._issued: Set[str] = set()
 
     def mint(self, country: str) -> PhoneNumber:
         """Mint a fresh number in ``country``; raises KeyError if unknown."""
-        code = _CODE_BY_COUNTRY[country]
-        nsn_length = _NSN_LENGTH[country]
+        prefix = f"+{_CODE_BY_COUNTRY[country]}"
+        rest_length = _NSN_LENGTH[country] - 1
+        randrange = self._rng.randrange
         for _ in range(1000):
             # Leading national digit is non-zero to keep lengths canonical.
-            first = str(self._rng.randrange(1, 10))
-            rest = "".join(str(self._rng.randrange(10)) for _ in range(nsn_length - 1))
-            number = PhoneNumber(f"+{code}{first}{rest}")
-            if number not in self._issued:
-                self._issued.add(number)
-                return number
+            digits = [_DIGITS[randrange(1, 10)]]
+            digits += [_DIGITS[randrange(10)] for _ in range(rest_length)]
+            e164 = prefix + "".join(digits)
+            if e164 not in self._issued:
+                self._issued.add(e164)
+                return PhoneNumber(e164)
         raise RuntimeError(f"phone number space for {country!r} exhausted")
 
     def issued_count(self) -> int:

@@ -26,9 +26,11 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   (:func:`repro.world.equivalence.materialize_histories`), no matter
   which mailboxes get touched, in what order, or never.
 * **Streamed external victims.**  The external pool is a lazy sequence:
-  victim *i* is derived from ``(external master, i)`` on first index,
-  so campaigns sampling a few hundred targets never materialize the
-  other 10⁶.
+  victim *i* is derived from ``(external master, i)`` on first index.
+  Campaign targeting samples *indices* (``rng.sample(range(n), k)``)
+  and indexes the pool, so a campaign materializes only the victims it
+  picks.  (``rng.sample(pool, k)`` would not: CPython copies a Sequence
+  population with ``list()`` whenever k is large against it.)
 * **Array-backed contact graph** — see :mod:`repro.world.contacts`.
 """
 
@@ -113,10 +115,9 @@ class ExternalVictimPool(Sequence):
 
     Victim *i* is a pure function of ``(master seed, i, config)``, so
     indexing is order-independent and two pools built from the same seed
-    agree element-wise.  ``random.sample`` and friends work unchanged
-    (the pool is a ``Sequence``); only the indexed victims are ever
-    constructed, which is what lets a 10⁶-victim pool cost nothing until
-    campaigns start sampling it.
+    agree element-wise.  Only indexed victims are ever constructed.  To
+    sample, draw indices and index the pool: ``random.sample(pool, k)``
+    copies the whole pool with ``list()`` unless k is small against it.
     """
 
     __slots__ = ("_master_seed", "_n_edu", "_n_other", "_edu_strength",
@@ -278,7 +279,7 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
 
     users: Dict[str, User] = {}
     accounts: Dict[str, Account] = {}
-    taken_addresses: set = set()
+    taken_usernames: set = set()
 
     with obs.trace("population.build", n_users=config.n_users):
         with obs.trace("population.build.users"):
@@ -286,8 +287,8 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
                 user_id = minter.mint("user")
                 country = sample_home_country(user_rng)
                 address = generate_address(user_rng, domains.PRIMARY_PROVIDER,
-                                           taken_addresses)
-                taken_addresses.add(address)
+                                           taken_usernames)
+                taken_usernames.add(address.username)
                 user = User(
                     user_id=user_id,
                     name=address.username.replace(".", " ").title(),

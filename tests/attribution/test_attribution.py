@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.attribution.geolocate import (
@@ -115,7 +121,44 @@ class TestPhones:
         assert hijacker_phone_countries(store) == {"??": 1}
 
 
+_TIED_COUNTRY_CASE = textwrap.dedent("""
+    import random
+    from repro.attribution.groups import case_signature
+    from repro.logs.events import Actor, LoginEvent
+    from repro.logs.store import LogStore
+    from repro.net.geoip import build_default_internet
+    from repro.net.ip import IpAllocator
+
+    allocator = IpAllocator(random.Random(5))
+    geoip = build_default_internet(allocator)
+    store = LogStore()
+    for country in ("ZA", "NG", "VE", "CN", "MY", "CI"):
+        for _ in range(2):
+            store.append(LoginEvent(
+                timestamp=100, account_id="acct-000000",
+                ip=allocator.allocate(country), password_correct=True,
+                succeeded=True, actor=Actor.MANUAL_HIJACKER))
+    print(case_signature(store, geoip, "acct-000000").country)
+""")
+
+
+def _tied_case_country(hash_seed: str) -> str:
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run(
+        [sys.executable, "-c", _TIED_COUNTRY_CASE], env=env,
+        capture_output=True, text=True, check=True)
+    return completed.stdout.strip()
+
+
 class TestGroupInference:
+    def test_tied_countries_resolve_the_same_in_every_process(self):
+        """Six countries with two hijacker logins each: the signature
+        must not follow per-process string hashing."""
+        assert _tied_case_country("1") == _tied_case_country("2") == "CI"
+
     def test_signature_extracts_country_language_shift(self, world):
         allocator, geoip = world
         store = LogStore()

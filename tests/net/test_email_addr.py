@@ -1,6 +1,30 @@
+import re
+
 import pytest
 
-from repro.net.email_addr import EmailAddress, generate_address, generate_username
+from repro.net.email_addr import (
+    _USERNAME_FIRST,
+    _USERNAME_LAST,
+    EmailAddress,
+    generate_address,
+    generate_username,
+)
+
+#: Every username the bare ``first.last``/``firstNN`` shapes can produce.
+BARE_USERNAMES = frozenset(
+    [f"{first}.{last}" for first in _USERNAME_FIRST for last in _USERNAME_LAST]
+    + [f"{first}{nn}" for first in _USERNAME_FIRST for nn in range(10, 100)]
+)
+
+_FIRST = "|".join(_USERNAME_FIRST)
+_LAST = "|".join(_USERNAME_LAST)
+#: A bare name plus a 0-999 suffix.
+SUFFIXED = re.compile(rf"(?:{_FIRST})(?:\.(?:{_LAST})\d{{1,3}}|\d{{3,5}})")
+
+
+class _Everything:
+    def __contains__(self, item) -> bool:
+        return True
 
 
 class TestEmailAddress:
@@ -46,5 +70,18 @@ class TestGeneration:
         taken = set()
         for _ in range(300):
             address = generate_address(rng, "primarymail.com", taken)
-            assert address not in taken
-            taken.add(address)
+            assert address.domain == "primarymail.com"
+            assert address.username not in taken
+            taken.add(address.username)
+
+    def test_past_saturation_every_username_is_suffixed(self, rng):
+        taken = set(BARE_USERNAMES)
+        for _ in range(500):
+            username = generate_address(rng, "primarymail.com", taken).username
+            assert SUFFIXED.fullmatch(username), username
+            assert username not in taken
+            taken.add(username)
+
+    def test_fully_taken_space_raises(self, rng):
+        with pytest.raises(RuntimeError, match="username space exhausted"):
+            generate_address(rng, "primarymail.com", _Everything())

@@ -63,6 +63,14 @@ class TestPhoneNumberPlan:
         assert len(set(numbers)) == 100
         assert plan.issued_count() == 100
 
+    def test_large_batch_distinct(self, rng):
+        plan = PhoneNumberPlan(rng)
+        numbers = [plan.mint("NG") for _ in range(20_000)]
+        assert len({number.e164 for number in numbers}) == 20_000
+        assert plan.issued_count() == 20_000
+        assert all(number.country() == "NG" and len(number.digits) == 13
+                   for number in numbers)
+
     def test_canada_maps_to_nanp(self, rng):
         # CA shares +1; attribution resolves to US (documented).
         number = PhoneNumberPlan(rng).mint("CA")

@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from repro.core.config import SimulationConfig
+from repro.core.simulation import Simulation
 from repro.logs.store import LogStore
 from repro.mail.reports import UserReportModel
 from repro.net.geoip import build_default_internet
@@ -290,6 +292,26 @@ class TestExternalVictimPool:
         chosen = random.Random(1).sample(pool, 25)
         assert len(chosen) == 25
         assert pool.materialized_count() <= 60  # sample overhead only
+
+    def test_campaign_scale_pick_materializes_only_the_targets(self):
+        """A rate-preset campaign picks 390 of 1,700 externals.  At that
+        k ``random.sample`` would copy the whole pool, so targeting must
+        sample indices, and it must draw the same victims from the same
+        RNG state as sampling the pool itself."""
+        simulation = Simulation(SimulationConfig(
+            seed=3, n_users=300, n_external_edu=1_200, n_external_other=500,
+            campaign_target_count=600, provider_target_fraction=0.35))
+        pool = simulation.population.external_victims
+        assert len(pool) == 1_700 and pool.materialized_count() == 0
+        rng, reference = random.Random(8), random.Random(8)
+        targets = simulation._pick_targets(rng, is_outlier=False)
+        externals = [t for t in targets if t.account is None]
+        assert len(externals) == 390
+        assert pool.materialized_count() == 390
+        reference.sample(simulation._provider_pool, 210)
+        expected = reference.sample(list(pool), 390)
+        assert [t.address for t in externals] == [v.address for v in expected]
+        assert rng.getstate() == reference.getstate()
 
     def test_edu_other_split(self):
         pool = ExternalVictimPool(3, n_edu=30, n_other=10,

@@ -4,6 +4,7 @@ from repro.net.domains import PRIMARY_PROVIDER
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
+from repro.world.equivalence import population_fingerprint
 from repro.world.messages import MessageKind
 from repro.world.population import (
     Population,
@@ -98,6 +99,25 @@ class TestBuildPopulation:
                     == second.accounts[account_id].password)
             assert (len(first.accounts[account_id].mailbox)
                     == len(second.accounts[account_id].mailbox))
+
+
+class TestSaturatedWorldIdentity:
+    def test_world_past_username_saturation_is_pinned(self):
+        """6,000 users overrun the 2,860 bare ``first.last``/``firstNN``
+        names, so most primary addresses come from the suffixed attempts
+        behind eleven certain rejections — a path the smoke goldens
+        (1,200 users) never reach.  Any change to an RNG draw on it,
+        rejected or accepted, moves this digest."""
+        rngs = RngRegistry(11)
+        population = build_population(
+            PopulationConfig(n_users=6000, n_external_edu=25,
+                             n_external_other=10, mean_contacts=6,
+                             mean_history_messages=2.0),
+            rngs, IdMinter(), PhoneNumberPlan(rngs.stream("phones")),
+        )
+        assert population_fingerprint(population, range(35)) == (
+            "f7b1a099c65991ff472eb642f8e118be"
+            "7c26f23b8a6981a3a2829e3c382ed7e8")
 
 
 class TestConfigValidation:
