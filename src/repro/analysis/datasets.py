@@ -33,8 +33,7 @@ Contract:
   (``--artifacts figure5``) provably computes only what is declared.
 * **Observable.**  Every build runs under an ``analysis.dataset.build``
   span and bumps ``analysis.dataset.build.<name>``; cache hits bump
-  ``analysis.dataset.hit`` — the perf gate and tests assert sharing on
-  these counters.
+  ``analysis.dataset.hit`` — tests assert sharing on these counters.
 * **Import-time deterministic, pickling-free.**  The registry is
   populated by this module's import alone, and resolvers hold plain
   per-result caches — nothing here needs to cross a process boundary,

@@ -15,9 +15,9 @@ Determinism contract:
   ``configs``, and each result is bit-identical to
   ``Simulation(config).run()`` executed serially in a fresh process —
   there is no cross-world state to leak.
-* Parallelism is an execution detail: setting ``REPRO_PARALLEL=0`` (or
-  ``max_workers=1``) falls back to the serial loop and must produce the
-  same results.
+* Parallelism is an execution detail: ``max_workers=1``, a single
+  world, or a platform that cannot spawn worker processes falls back to
+  the serial loop, which must produce the same results.
 """
 
 from __future__ import annotations
@@ -62,27 +62,20 @@ def default_workers(n_worlds: int) -> int:
     return max(1, min(n_worlds, os.cpu_count() or 1))
 
 
-def parallelism_enabled() -> bool:
-    """Process-level parallelism honors the ``REPRO_PARALLEL`` kill switch."""
-    return os.environ.get("REPRO_PARALLEL", "1") != "0"
-
-
 def run_worlds(configs: Iterable[SimulationConfig],
                max_workers: Optional[int] = None) -> List[SimulationResult]:
     """Run independent worlds, across processes where possible.
 
     Results come back in input order.  Falls back to the serial loop
-    when parallelism is disabled, only one world (or worker) is
-    requested, or the platform cannot spawn worker processes — and each
-    fallback is recorded as a ``run_worlds.serial_fallback.<reason>``
-    counter instead of degrading silently.
+    when only one world (or worker) is requested, or the platform cannot
+    spawn worker processes — and each fallback is recorded as a
+    ``run_worlds.serial_fallback.<reason>`` counter instead of degrading
+    silently.
     """
     configs = list(configs)
     workers = (default_workers(len(configs)) if max_workers is None
                else max(1, min(max_workers, len(configs))))
-    if not parallelism_enabled():
-        serial_reason = "kill_switch"
-    elif len(configs) <= 1:
+    if len(configs) <= 1:
         serial_reason = "single_world"
     elif workers <= 1:
         serial_reason = "worker_count"

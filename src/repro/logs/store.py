@@ -25,9 +25,9 @@ Indexing strategy (the hot-path contract every analysis relies on):
   events actually lived in — the affected accounts and actors — instead
   of every account list in the store.
 
-The naive semantics these indexes must match byte-for-byte live in
-:mod:`repro.logs.reference`; property tests diff the two on random
-append/query/remove interleavings.
+The naive semantics these indexes must match byte-for-byte live in the
+test oracle ``tests/property/naive_logstore.py``; property tests diff
+the two on random append/query/remove interleavings.
 """
 
 from __future__ import annotations

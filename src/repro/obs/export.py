@@ -4,9 +4,8 @@ Three formats, one source of truth:
 
 * :func:`format_summary` — the human-readable per-phase rollup the CLI
   prints to stderr under ``--metrics``.
-* :func:`metrics_snapshot` — a plain-dict JSON snapshot; the perf gate
-  embeds it into ``BENCH_logstore.json`` so the bench trajectory carries
-  per-layer numbers.
+* :func:`metrics_snapshot` — a plain-dict JSON snapshot of every
+  counter, gauge and histogram, for dashboards and tools.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — Chrome trace-event
   JSON (the ``{"traceEvents": [...]}`` object form) loadable in Perfetto
   or ``chrome://tracing``.

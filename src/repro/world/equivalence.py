@@ -5,10 +5,9 @@ external victim pool) changes *when* state is paid for, never *what* it
 is.  These fingerprints make that promise checkable: they digest every
 observable fact of a world — message content and placement, contact
 lists, account credentials/recovery, external victims — into a single
-hex string.  The differential tests and the world-build perf gate
-compare a world left lazy against the same world put through
-:func:`materialize_histories` right after its build; any drift is a
-determinism bug, not noise.
+hex string.  The differential tests compare a world left lazy against
+the same world put through :func:`materialize_histories` right after
+its build; any drift is a determinism bug, not noise.
 
 Fingerprinting a lazy world materializes it (digesting a mailbox reads
 it), so always fingerprint *after* the measured build.

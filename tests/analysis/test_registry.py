@@ -110,11 +110,29 @@ class TestSubgraphSelection:
         assert counters.get("analysis.dataset.hit.forms_http_logs") == 2
 
     def test_standalone_equals_pipelined(self, smoke_result):
-        keys = ["table3", "figure1", "figure5", "section5.5", "economics"]
-        pipelined = render_artifacts(smoke_result, keys)
-        for key, text in pipelined.items():
-            standalone = render_artifact(key, ArtifactContext(smoke_result))
-            assert standalone == text, key
+        """Every report artifact renders the same bytes on a private
+        context as through one shared context, and sharing saves exactly
+        the log-store scans and dataset builds it did when pinned."""
+        keys = [art.key for art in registry.report_sequence()
+                if not art.needs_earlier_era]
+        assert len(keys) == 21
+        with obs.recording() as standalone_recorder:
+            standalone = {
+                key: render_artifact(key, ArtifactContext(smoke_result))
+                for key in keys}
+        with obs.recording() as shared_recorder:
+            shared = render_artifacts(smoke_result, keys)
+        for key in keys:
+            assert standalone[key] == shared[key], key
+
+        def walk_counts(counters):
+            scans = sum(value for name, value in counters.items()
+                        if name.startswith("logstore.query."))
+            return (scans, counters.get("analysis.dataset.miss", 0),
+                    counters.get("analysis.dataset.hit", 0))
+
+        assert walk_counts(standalone_recorder.counters) == (50, 58, 10)
+        assert walk_counts(shared_recorder.counters) == (29, 25, 30)
 
     def test_composite_report_exempt_from_restriction(self, smoke_result):
         text = render_artifact("report", ArtifactContext(smoke_result))

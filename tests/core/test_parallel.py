@@ -43,12 +43,6 @@ def test_results_come_back_in_input_order(configs):
     assert [r.config.seed for r in results] == [c.seed for c in configs]
 
 
-def test_kill_switch_forces_serial(configs, monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "0")
-    results = run_worlds(configs, max_workers=2)
-    assert [r.config.seed for r in results] == [3, 9]
-
-
 def test_single_world_runs_inline():
     (result,) = run_worlds([tiny_config(5)])
     assert result.config.seed == 5
@@ -68,13 +62,6 @@ class TestSerialFallbackTelemetry:
     def teardown_method(self):
         obs.disable()
 
-    def test_kill_switch_reason_recorded(self, configs, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        with obs.recording() as recorder:
-            run_worlds(configs, max_workers=2)
-        assert recorder.counters["run_worlds.serial_fallback.kill_switch"] == 1
-        assert recorder.histograms["run_worlds.world_seconds"].count == 2
-
     def test_single_world_reason_recorded(self):
         with obs.recording() as recorder:
             run_worlds([tiny_config(5)])
@@ -82,8 +69,10 @@ class TestSerialFallbackTelemetry:
 
     def test_worker_count_reason_recorded(self, configs):
         with obs.recording() as recorder:
-            run_worlds(configs, max_workers=1)
+            results = run_worlds(configs, max_workers=1)
         assert recorder.counters["run_worlds.serial_fallback.worker_count"] == 1
+        assert recorder.histograms["run_worlds.world_seconds"].count == 2
+        assert [r.config.seed for r in results] == [3, 9]
 
     def test_parallel_path_records_per_world_timings(self, configs):
         with obs.recording() as recorder:

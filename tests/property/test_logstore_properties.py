@@ -1,18 +1,23 @@
 """Differential properties: the indexed LogStore vs the naive reference.
 
 The indexed store (`repro.logs.store.LogStore`) must return byte-identical
-results to the scan-and-sort reference (`repro.logs.reference.NaiveLogStore`)
+results to the scan-and-sort reference (`naive_logstore.NaiveLogStore`)
 for *any* interleaving of appends, queries, and retention erasures — and
 its lazy sorting must preserve the stable (append) order of
 equal-timestamp events across repeated read/append/read cycles.
 """
 
+import random
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.logs.events import Actor, LoginEvent, SearchEvent, SuspensionEvent
-from repro.logs.reference import NaiveLogStore
 from repro.logs.store import LogStore
+from repro.util.clock import DAY
+from tests.property.naive_logstore import NaiveLogStore
 
 ACCOUNTS = ["acct-a", "acct-b", "acct-c"]
 ACTORS = [Actor.OWNER, Actor.MANUAL_HIJACKER]
@@ -129,3 +134,50 @@ def test_lazy_sort_preserves_stable_order_across_reads(batches):
             assert store.query(SearchEvent, account_id=account) == [
                 e for e in expected if e.account_id == account
             ]
+
+
+def _login_stream(n_events, n_accounts):
+    """A near-monotonic login stream shaped like a simulation's: ~2%
+    one-minute backfills and ~5% hijacker-attributed logins."""
+    rand = random.Random(7)
+    events = []
+    timestamp = 0
+    for _ in range(n_events):
+        timestamp += rand.randrange(3)
+        jitter = -1 if rand.random() < 0.02 and timestamp > 0 else 0
+        account = f"acct-{rand.randrange(n_accounts):06d}"
+        actor = (Actor.MANUAL_HIJACKER if rand.random() < 0.05
+                 else Actor.OWNER)
+        events.append(LoginEvent(
+            timestamp=timestamp + jitter, account_id=account,
+            password_correct=True, succeeded=True, actor=actor))
+    return events
+
+
+def test_windowed_account_queries_touch_only_the_account_column():
+    """The hot analysis query — a one-day window on one account — must
+    match the reference and read only that account's events, never the
+    whole type column."""
+    events = _login_stream(10_000, n_accounts=500)
+    indexed, naive = LogStore(), NaiveLogStore()
+    indexed.extend(events)
+    naive.extend(events)
+    horizon = events[-1].timestamp
+    accounts = sorted({e.account_id for e in events[:2000]})
+    windows = [((index * 37) % max(1, horizon - DAY),
+                accounts[index % len(accounts)]) for index in range(50)]
+
+    with obs.recording() as recorder:
+        got = [indexed.query(LoginEvent, since=since, until=since + DAY,
+                             account_id=account)
+               for since, account in windows]
+    expected = [naive.query(LoginEvent, since=since, until=since + DAY,
+                            account_id=account)
+                for since, account in windows]
+    assert got == expected
+    assert sum(map(len, got)) > 0
+    assert recorder.counters["logstore.query.account_index"] == 50
+    assert "logstore.query.type_scan" not in recorder.counters
+    largest_account = max(Counter(e.account_id for e in events).values())
+    assert recorder.histograms["logstore.query.window_events"].maximum \
+        <= largest_account < len(events)

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.logs.store import LogStore
@@ -46,9 +47,9 @@ from repro.world.population import (
 def build(seed: int = 11, lazy: bool = True, n_users: int = 60,
           **overrides):
     rngs = RngRegistry(seed)
-    config = PopulationConfig(
-        n_users=n_users, n_external_edu=25, n_external_other=10,
-        mean_contacts=6, **overrides)
+    config = PopulationConfig(n_users=n_users, **{
+        "n_external_edu": 25, "n_external_other": 10, "mean_contacts": 6,
+        **overrides})
     population = build_population(config, rngs, IdMinter(),
                                   PhoneNumberPlan(rngs.stream("phones")))
     return population if lazy else materialize_histories(population)
@@ -58,6 +59,17 @@ class TestLazyTriggers:
     def test_nothing_materialized_at_build(self):
         population = build(lazy=True)
         assert population.pending_history_count() == len(population)
+        # At 1,500 users the build must still seed no history, mint no
+        # external victim and index no mailbox: each would put per-user
+        # work back on the build path.
+        with obs.recording() as recorder:
+            population = build(seed=1234, n_users=1_500, n_external_edu=300,
+                               n_external_other=125, mean_contacts=8)
+        assert population.pending_history_count() == 1_500
+        for counter in ("population.build.history_materialized",
+                        "population.build.external_materialized",
+                        "mailbox.postings.built"):
+            assert counter not in recorder.counters, counter
 
     def test_eager_build_has_no_pending_history(self):
         population = build(lazy=False)
@@ -236,6 +248,18 @@ class TestLazyEagerEquivalence:
         eager = build(seed=23, lazy=False)
         assert population_fingerprint(lazy, external_sample=range(35)) \
             == population_fingerprint(eager, external_sample=range(35))
+
+    def test_pinned_world_bit_identical(self):
+        """A 300-user world at the default contact degree has one pinned
+        fingerprint, whether left lazy or with every history seeded."""
+        pinned = ("8f58014c6dab8406644dd3b156bc5afa"
+                  "d307d39587210b202798244421e48f5f")
+        for lazy in (True, False):
+            population = build(seed=1234, lazy=lazy, n_users=300,
+                               n_external_edu=60, n_external_other=25,
+                               mean_contacts=8)
+            assert population_fingerprint(
+                population, external_sample=range(40)) == pinned, lazy
 
     def test_access_order_is_irrelevant(self):
         forward = build(seed=31, lazy=True)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from repro import obs
 from repro.net.email_addr import EmailAddress
 from repro.world.mailbox import MailFilter, Mailbox
 from repro.world.messages import EmailMessage, Folder
@@ -177,6 +180,26 @@ class TestSearchIndex:
         mailbox.delete_all()
         mailbox.restore_from(snapshot)
         assert mailbox.search("bank") == self.naive_search(mailbox, "bank")
+
+    def test_large_mailbox_searches_off_one_index(self, mailbox):
+        """2,000 messages over ten keywords: every keyword query is
+        answered from postings built once, never by a scan fallback."""
+        rand = random.Random(11)
+        keywords = ("bank", "statement", "invoice", "passport", "photos",
+                    "meeting", "wire", "transfer", "receipt", "taxes")
+        for index in range(2_000):
+            mailbox.deliver(make_message(
+                f"msg-{index:06d}", sender=f"peer{index % 50}",
+                folder_time=index, subject=f"re: {rand.choice(keywords)}",
+                keywords=(rand.choice(keywords),)))
+        queries = ["wire transfer", "bank statement", "passport", "receipt"]
+        with obs.recording() as recorder:
+            results = [mailbox.search(query) for query in queries]
+        assert results == [self.naive_search(mailbox, query)
+                           for query in queries]
+        assert any(results)
+        assert recorder.counters["mailbox.postings.built"] == 1
+        assert "mailbox.search.scan_fallback" not in recorder.counters
 
 
 class TestSnapshots:
