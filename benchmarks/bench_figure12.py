@@ -6,6 +6,7 @@ two-factor lockout tactic so CN/MY are absent.
 """
 
 from repro.analysis import figure12
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext
 from benchmarks.conftest import save_artifact
 
@@ -26,10 +27,11 @@ def test_group_inference(benchmark, attribution_result):
     language) clusters, with the five main countries all represented."""
     from repro.attribution.groups import infer_groups
 
-    cases = ArtifactContext(attribution_result).dataset("hijack_cases")
+    data = Datasets(attribution_result)
+    cases = data.get("hijack_cases")
     clusters = benchmark(
-        infer_groups, attribution_result.store, attribution_result.geoip,
-        cases)
+        infer_groups, data.get("hijacker_logins"),
+        data.get("hijacker_searches"), attribution_result.geoip, cases)
     countries = {country for (country, _), members in clusters.items()
                  if len(members) >= 5}
     assert {"CN", "MY", "CI", "NG", "ZA"} <= countries

@@ -10,6 +10,7 @@ dedicated rate-calibration scenario.
 import pytest
 
 from repro import Simulation
+from repro.analysis.registry import ArtifactContext
 from repro.core.metrics import SummaryMetrics
 from repro.core.scenarios import rate_calibration_study
 from benchmarks.conftest import save_artifact
@@ -24,7 +25,8 @@ def rate_result():
 
 
 def test_incident_rate_order_of_magnitude(benchmark, rate_result):
-    metrics = benchmark(SummaryMetrics.from_result, rate_result)
+    metrics = benchmark(
+        lambda: SummaryMetrics.from_context(ArtifactContext(rate_result)))
     rate = metrics.incidents_per_million_actives_per_day
     # Same order of magnitude as the paper's 9/M/day.
     assert 1.0 <= rate <= 60.0

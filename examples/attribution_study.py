@@ -33,7 +33,9 @@ def main() -> None:
           "(they never used the phone-lockout tactic)\n")
 
     cases = ctx.dataset("hijack_cases")
-    clusters = infer_groups(result.store, result.geoip, cases)
+    clusters = infer_groups(ctx.dataset("hijacker_logins"),
+                            ctx.dataset("hijacker_searches"), result.geoip,
+                            cases)
     print(f"inferred {len(clusters)} distinct groups from "
           f"{len(cases)} cases:")
     for (country, language), members in sorted(

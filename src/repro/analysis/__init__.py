@@ -3,11 +3,11 @@ the section-level analyses (exploitation, contacts, retention, defense).
 
 Every analysis is a function of one
 :class:`~repro.analysis.registry.ArtifactContext`: it reads the curated
-datasets (the 14 of Table 1 and the hijacker event streams, registered
-in :mod:`repro.analysis.datasets`) through ``ctx.dataset(...)`` — the
-same shape as the authors' map-reduce pipelines — and returns plain
-data plus an ASCII rendering, so benches can print the rows the paper
-reports and tests can assert on the numbers.
+datasets (the 14 of Table 1 and the actor-attributed event streams,
+registered in :mod:`repro.analysis.datasets`) through ``ctx.dataset(...)``
+— its only path to the log store — and returns plain data plus an ASCII
+rendering, so benches can print the rows the paper reports and tests
+can assert on the numbers.
 
 Importing this package populates the artifact registry: the dataset
 layer and registry come first, then every artifact module in a fixed

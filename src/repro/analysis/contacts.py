@@ -21,7 +21,6 @@ from repro.analysis.curation import review_message
 from repro.analysis.datasets import REQUESTED, contact_seed_window_days
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.simulation import SimulationResult
-from repro.logs.events import MailSentEvent
 from repro.util.clock import DAY
 from repro.util.rng import child_seed
 
@@ -68,8 +67,8 @@ class ContactLift:
 
 def hijack_day_deltas(ctx: ArtifactContext) -> HijackDayDeltas:
     """Volume / recipient / report ratios, averaged over hijacked accounts."""
-    store = ctx.result.store
     windows = ctx.dataset("incident_timeline")
+    sends = ctx.dataset("hijacked_account_sends")
     reported_message_ids = {r.message_id for r in ctx.dataset("mail_reports")}
 
     volume_day = volume_prev = 0
@@ -86,10 +85,7 @@ def hijack_day_deltas(ctx: ArtifactContext) -> HijackDayDeltas:
         counted += 1
         recipients_day: set = set()
         recipients_prev: set = set()
-        # Indexed per-account lookup: same events, same order as grouping
-        # a full MailSentEvent scan, without paying the scan per call.
-        for event in store.query(
-                MailSentEvent, account_id=account.account_id):
+        for event in sends[account.account_id]:
             if day_start <= event.timestamp < day_start + DAY:
                 volume_day += 1
                 recipients_day.update(event.distinct_recipients)
@@ -244,8 +240,9 @@ def render(deltas: HijackDayDeltas, split: Dict[str, float],
 @artifact("section5.3", title="Section 5.3", report_order=130,
           description=("Section 5.3: hijack-day deltas, scam/phish split, "
                        "and the contact-targeting lift"),
-          deps=("hijacked_accounts", "incident_timeline", "mail_reports",
-                "reported_hijack_mail", "hijacker_logins", "random_cohort"))
+          deps=("hijacked_accounts", "hijacked_account_sends",
+                "incident_timeline", "mail_reports", "reported_hijack_mail",
+                "hijacker_logins", "random_cohort"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(hijack_day_deltas(ctx), scam_phishing_split(ctx),
                   contact_lift(ctx))

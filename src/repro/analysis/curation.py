@@ -1,19 +1,16 @@
-"""Curation: the boundary between noisy logs and labeled samples.
+"""Curation: the human reviewers behind the labeled samples.
 
 The paper leans on manual curation throughout ("we are forced to
 manually curate data points sampled from a much larger, noisy source to
-have precise ground truth").  This module is the single place where our
-analyses may consult simulator ground truth — each helper documents
-which human/verdict process it stands in for.  Analyses never read
-``Actor`` tags or ``MessageKind`` labels directly; they go through here.
+have precise ground truth").  The helpers here stand in for the
+reviewers who read a message and judged it: they see only its visible
+text, never the simulator's ``MessageKind`` label.  The verdicts the
+authors applied to log records (hijacker IP lists, session verdicts) are
+the actor-attributed datasets of :mod:`repro.analysis.datasets`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.logs.events import Actor, LoginEvent, SearchEvent
-from repro.logs.store import LogStore
 from repro.scams.classifier import MessageCategory, classify_text
 from repro.world.messages import EmailMessage
 
@@ -49,52 +46,3 @@ def review_phishing_target(message: EmailMessage) -> str:
         if any(marker in haystack for marker in markers):
             return target
     return "Other"
-
-
-def hijacker_searches(store: LogStore,
-                      case_account_ids: Optional[List[str]] = None,
-                      ) -> List[SearchEvent]:
-    """Search events attributed to hijackers.
-
-    Stands in for: the temporary logging experiment of Section 5.2,
-    which captured searches from sessions already verdicted as hijacker
-    sessions.  The actor tag here plays the role of that verdict.
-    """
-    wanted = set(case_account_ids) if case_account_ids is not None else None
-    return store.query(
-        SearchEvent, actor=Actor.MANUAL_HIJACKER,
-        where=None if wanted is None else (lambda e: e.account_id in wanted),
-    )
-
-
-def hijacker_logins(store: LogStore,
-                    case_account_ids: Optional[List[str]] = None,
-                    ) -> List[LoginEvent]:
-    """Login attempts attributed to manual hijackers.
-
-    Stands in for: the manually maintained hijacker-IP list behind
-    Dataset 5 and the high-confidence case verdicts behind Dataset 13.
-    """
-    wanted = set(case_account_ids) if case_account_ids is not None else None
-    return store.query(
-        LoginEvent, actor=Actor.MANUAL_HIJACKER,
-        where=None if wanted is None else (lambda e: e.account_id in wanted),
-    )
-
-
-def hijack_windows(store: LogStore,
-                   account_ids: List[str]) -> Dict[str, Tuple[int, int]]:
-    """Per-account (first, last) hijacker-login timestamps.
-
-    Stands in for: the per-case incident timelines the authors could
-    reconstruct from verdicted sessions; used to scope "hijack day"
-    analyses like the Section 5.3 volume deltas.
-    """
-    windows: Dict[str, Tuple[int, int]] = {}
-    for login in hijacker_logins(store, account_ids):
-        first, last = windows.get(
-            login.account_id, (login.timestamp, login.timestamp))
-        windows[login.account_id] = (
-            min(first, login.timestamp), max(last, login.timestamp),
-        )
-    return windows

@@ -16,7 +16,6 @@ from typing import Callable, List, Optional, Sequence
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation, SimulationResult
-from repro.logs.events import Actor, LoginEvent
 from repro.util.render import ascii_table, format_percent
 
 
@@ -36,10 +35,7 @@ class DefensePoint:
 
 
 def evaluate(ctx: ArtifactContext) -> DefensePoint:
-    owner_logins = ctx.result.store.query(
-        LoginEvent, actor=Actor.OWNER,
-        where=lambda e: e.password_correct,
-    )
+    owner_logins = ctx.dataset("owner_logins")
     owner_challenged = sum(1 for e in owner_logins if e.challenged or e.blocked)
     owner_rate = owner_challenged / len(owner_logins) if owner_logins else 0.0
 
@@ -105,6 +101,7 @@ def render(points: Sequence[DefensePoint]) -> str:
 
 @artifact("section8", title="Section 8", report_order=200,
           description="Section 8: defense stack evaluation",
-          deps=("hijacker_logins", "hijack_flags", "hijacker_sends"))
+          deps=("owner_logins", "hijacker_logins", "hijack_flags",
+                "hijacker_sends"))
 def _registered(ctx: ArtifactContext) -> str:
     return render([evaluate(ctx)])

@@ -15,7 +15,7 @@ from typing import List, Sequence
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.simulation import SimulationResult
 from repro.hijacker.taxonomy import AttackClass, classify_observed
-from repro.logs.events import Actor, LoginEvent
+from repro.logs.events import LoginEvent
 from repro.util.clock import DAY
 from repro.util.render import ascii_table
 
@@ -79,8 +79,8 @@ def compute(ctx: ArtifactContext) -> List[TaxonomyPoint]:
             classify_observed(manual_volume, depth),
         ))
 
-    automated_volume = _accounts_per_day(result, result.store.query(
-        LoginEvent, actor=Actor.AUTOMATED_HIJACKER))
+    automated_volume = _accounts_per_day(
+        result, ctx.dataset("automated_logins"))
     if automated_volume > 0:
         # Bots spam and move on: shallow by construction, measured as
         # the absence of profiling/retention actions in their sessions.
@@ -92,8 +92,7 @@ def compute(ctx: ArtifactContext) -> List[TaxonomyPoint]:
     # Targeted volume is NOT population-proportional: an espionage crew
     # works a hand-picked target list whose size doesn't grow with the
     # provider — so its point uses raw accounts/day.
-    targeted_logins = result.store.query(
-        LoginEvent, actor=Actor.TARGETED_ATTACKER)
+    targeted_logins = ctx.dataset("targeted_logins")
     if targeted_logins:
         accounts = {login.account_id for login in targeted_logins}
         days = max(1, (targeted_logins[-1].timestamp
@@ -121,6 +120,6 @@ def render(points: List[TaxonomyPoint]) -> str:
 
 @artifact("figure1", title="Figure 1", report_order=40,
           description="Figure 1: depth of exploitation vs. accounts per day",
-          deps=("hijacker_logins",))
+          deps=("hijacker_logins", "automated_logins", "targeted_logins"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

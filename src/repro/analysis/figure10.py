@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.logs.mapreduce import MapReduceJob, run_job
+from repro.logs.mapreduce import count_by
 from repro.util.render import bar_chart
 
 METHODS = ("sms", "email", "fallback")
@@ -37,16 +37,11 @@ class Figure10:
 
 def compute(ctx: ArtifactContext) -> Figure10:
     claims = ctx.dataset("recovery_claims_month")
-    job = MapReduceJob(
-        mapper=lambda claim: [(claim.method, (1, 1 if claim.succeeded else 0))],
-        reducer=lambda _method, pairs: (
-            sum(a for a, _ in pairs), sum(s for _, s in pairs)),
-        name="figure10",
-    )
-    folded = run_job(job, claims)
     return Figure10(
-        attempts={method: counts[0] for method, counts in folded.items()},
-        successes={method: counts[1] for method, counts in folded.items()},
+        attempts=count_by(claims, key_of=lambda claim: claim.method),
+        successes=count_by(
+            (claim for claim in claims if claim.succeeded),
+            key_of=lambda claim: claim.method),
     )
 
 

@@ -31,7 +31,8 @@ class Figure11:
 
 
 def compute(ctx: ArtifactContext) -> Figure11:
-    counts = geolocate_hijack_ips(ctx.result.store, ctx.result.geoip,
+    counts = geolocate_hijack_ips(ctx.dataset("hijacker_logins"),
+                                  ctx.result.geoip,
                                   ctx.dataset("hijack_cases"))
     return Figure11(counts=counts, shares=country_shares(counts))
 
@@ -49,6 +50,6 @@ def render(figure: Figure11) -> str:
 
 @artifact("figure11", title="Figure 11", report_order=180,
           description="Figure 11: countries of the IPs behind hijack cases",
-          deps=("hijack_cases",))
+          deps=("hijack_cases", "hijacker_logins"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

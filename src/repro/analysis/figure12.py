@@ -37,7 +37,7 @@ class Figure12:
 
 
 def compute(ctx: ArtifactContext) -> Figure12:
-    counts = hijacker_phone_countries(ctx.result.store)
+    counts = hijacker_phone_countries(ctx.dataset("hijacker_phone_pool"))
     return Figure12(counts=counts, shares=country_shares(counts))
 
 
@@ -53,6 +53,7 @@ def render(figure: Figure12) -> str:
 
 
 @artifact("figure12", title="Figure 12", report_order=190,
-          description="Figure 12: country codes of hijacker phone numbers")
+          description="Figure 12: country codes of hijacker phone numbers",
+          deps=("hijacker_phone_pool",))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

@@ -36,7 +36,7 @@ def full_report(result: SimulationResult,
     sections = [
         "REPRODUCTION REPORT — Handcrafted Fraud and Extortion (IMC 2014)",
         result.summary(),
-        "\n".join(SummaryMetrics.from_result(result).lines()),
+        "\n".join(SummaryMetrics.from_context(ctx).lines()),
     ]
     for art in registry.report_sequence():
         if art.needs_earlier_era and ctx.earlier_era is None:
@@ -61,6 +61,7 @@ def _report(ctx: ArtifactContext) -> str:
 
 
 @artifact("metrics",
-          description="headline summary metrics (14-dataset catalog scale)")
+          description="headline summary metrics (14-dataset catalog scale)",
+          deps=("decoy_access_deltas",))
 def _metrics(ctx: ArtifactContext) -> str:
-    return "\n".join(SummaryMetrics.from_result(ctx.result).lines())
+    return "\n".join(SummaryMetrics.from_context(ctx).lines())

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Set
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.logs.events import Actor, SettingsChangeEvent
 from repro.util.render import ascii_table, format_percent
 
 
@@ -37,13 +36,10 @@ class RetentionRates:
 def compute(ctx: ArtifactContext) -> RetentionRates:
     wanted = {account.account_id
               for account in ctx.dataset("hijacked_accounts")}
-    changes = ctx.result.store.query(
-        SettingsChangeEvent, actor=Actor.MANUAL_HIJACKER,
-        where=lambda e: e.account_id in wanted,
-    )
     by_setting: Dict[str, Set[str]] = {}
-    for change in changes:
-        by_setting.setdefault(change.setting, set()).add(change.account_id)
+    for change in ctx.dataset("hijacker_settings_changes"):
+        if change.account_id in wanted:
+            by_setting.setdefault(change.setting, set()).add(change.account_id)
 
     n = len(wanted)
     password_changed = by_setting.get("password", set())
@@ -130,7 +126,7 @@ def render_evolution(evo: RetentionEvolution) -> str:
 
 @artifact("section5.4", title="Section 5.4", report_order=140,
           description="Section 5.4: account-retention tactic rates per era",
-          deps=("hijacked_accounts",))
+          deps=("hijacked_accounts", "hijacker_settings_changes"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))
 
@@ -138,7 +134,8 @@ def _registered(ctx: ArtifactContext) -> str:
 @artifact("evolution", title="Section 5.4 evolution", report_order=155,
           description=("Section 5.4: retention-tactic evolution between "
                        "eras (needs --artifact with an earlier-era run)"),
-          deps=("hijacked_accounts",), needs_earlier_era=True)
+          deps=("hijacked_accounts", "hijacker_settings_changes"),
+          needs_earlier_era=True)
 def _registered_evolution(ctx: ArtifactContext) -> str:
     if ctx.earlier_era is None:
         return ("Section 5.4 evolution: needs an earlier-era run to "

@@ -1,39 +1,33 @@
 """IP-based attribution — Figure 11.
 
 "Our analysis relies on the geolocation of IPs used to access 3000
-hijacked accounts selected at random in January 2014."  Given a set of
-hijack-case account ids, we pull the hijacker-side login events from the
-log store, geolocate each source address, and aggregate country shares.
-Whether the addresses are proxies or true origins is as unknowable here
-as it was to the authors — the analysis reports where the *traffic*
-comes from.
+hijacked accounts selected at random in January 2014."  Given the
+hijacker-side login events (the ``hijacker_logins`` dataset) and a set
+of hijack-case account ids, we geolocate each source address behind the
+cases and aggregate country shares.  Whether the addresses are proxies
+or true origins is as unknowable here as it was to the authors — the
+analysis reports where the *traffic* comes from.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.logs.events import Actor, LoginEvent
+from repro.logs.events import LoginEvent
 from repro.logs.mapreduce import count_by
-from repro.logs.store import LogStore
 from repro.net.geoip import GeoIpDatabase
 
 
-def geolocate_hijack_ips(store: LogStore, geoip: GeoIpDatabase,
-                         case_account_ids: Iterable[str],
-                         since: int = 0,
-                         until: Optional[int] = None) -> Dict[str, int]:
+def geolocate_hijack_ips(logins: Iterable[LoginEvent], geoip: GeoIpDatabase,
+                         case_account_ids: Iterable[str]) -> Dict[str, int]:
     """Country → distinct-IP count over the cases' hijacker logins.
 
     Each distinct address counts once (the paper counts IPs involved,
     not login volume, so a chatty session doesn't skew geography).
     """
     cases = set(case_account_ids)
-    logins = store.query(
-        LoginEvent, since=since, until=until, actor=Actor.MANUAL_HIJACKER,
-        where=lambda e: e.account_id in cases and e.ip is not None,
-    )
-    distinct_ips = {login.ip for login in logins}
+    distinct_ips = {login.ip for login in logins
+                    if login.account_id in cases and login.ip is not None}
     located = [(ip, geoip.lookup(ip)) for ip in sorted(distinct_ips)]
     return count_by(
         [country for _, country in located if country is not None],

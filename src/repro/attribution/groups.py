@@ -6,18 +6,19 @@ apart.  Section 5.5 adds the office-job evidence: synchronized start
 times, lunch breaks, weekend inactivity, shared tooling.
 
 We reproduce the inference: build a signature per hijack case (egress
-geography, search language, working-hour fingerprint) and merge cases
-whose signatures agree.  The number of clusters — and their country/
-language makeup — is the analysis output.
+geography, search language, working-hour fingerprint) from the case's
+hijacker logins and searches (the ``hijacker_logins`` and
+``hijacker_searches`` datasets) and merge cases whose signatures agree.
+The number of clusters — and their country/language makeup — is the
+analysis output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.logs.events import Actor, LoginEvent, SearchEvent
-from repro.logs.store import LogStore
+from repro.logs.events import LoginEvent, SearchEvent
 from repro.net.geoip import GeoIpDatabase
 from repro.util.clock import hour_of_day
 
@@ -45,13 +46,12 @@ class GroupSignature:
         return (self.country, self.language)
 
 
-def case_signature(store: LogStore, geoip: GeoIpDatabase,
-                   account_id: str) -> Optional[GroupSignature]:
-    """Build the signature for one case, or None without hijacker logins."""
-    logins = store.query(
-        LoginEvent, account_id=account_id, actor=Actor.MANUAL_HIJACKER,
-        where=lambda e: e.ip is not None,
-    )
+def case_signature(logins: Sequence[LoginEvent],
+                   searches: Sequence[SearchEvent],
+                   geoip: GeoIpDatabase) -> Optional[GroupSignature]:
+    """Build one case's signature from its hijacker logins and searches,
+    or None without a hijacker login from a known address."""
+    logins = [login for login in logins if login.ip is not None]
     if not logins:
         return None
     countries = [geoip.lookup(login.ip) for login in logins]
@@ -61,9 +61,6 @@ def case_signature(store: LogStore, geoip: GeoIpDatabase,
     country = (max(sorted(set(countries)), key=countries.count)
                if countries else None)
 
-    searches = store.query(
-        SearchEvent, account_id=account_id, actor=Actor.MANUAL_HIJACKER,
-    )
     # Majority vote over language-revealing queries; a lone borrowed
     # foreign term must not flip the case's language.
     votes: Dict[str, int] = {}
@@ -86,13 +83,24 @@ def case_signature(store: LogStore, geoip: GeoIpDatabase,
     )
 
 
-def infer_groups(store: LogStore, geoip: GeoIpDatabase,
+def infer_groups(logins: Iterable[LoginEvent],
+                 searches: Iterable[SearchEvent], geoip: GeoIpDatabase,
                  case_account_ids: Iterable[str],
                  ) -> Dict[Tuple, List[str]]:
     """Cluster cases by signature; returns signature-key → case ids."""
+    cases = sorted(set(case_account_ids))
+    logins_of: Dict[str, List[LoginEvent]] = {case: [] for case in cases}
+    searches_of: Dict[str, List[SearchEvent]] = {case: [] for case in cases}
+    for login in logins:
+        if login.account_id in logins_of:
+            logins_of[login.account_id].append(login)
+    for search in searches:
+        if search.account_id in searches_of:
+            searches_of[search.account_id].append(search)
     clusters: Dict[Tuple, List[str]] = {}
-    for account_id in sorted(set(case_account_ids)):
-        signature = case_signature(store, geoip, account_id)
+    for account_id in cases:
+        signature = case_signature(
+            logins_of[account_id], searches_of[account_id], geoip)
         if signature is None:
             continue
         clusters.setdefault(signature.key(), []).append(account_id)

@@ -2,34 +2,23 @@
 
 In 2012 hijackers briefly enrolled their own phones as second factors to
 lock victims out; the ~300 numbers they used map to countries through
-E.164 calling codes.  The tactic's phone trail is in the settings-change
-log (``setting == "two_factor"`` with a hijacker actor).
+E.164 calling codes.  The phones come from the settings-change log
+(the ``hijacker_phone_pool`` dataset).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable
 
-from repro.logs.events import Actor, SettingsChangeEvent
 from repro.logs.mapreduce import count_by
-from repro.logs.store import LogStore
+from repro.net.phones import PhoneNumber
 
 
-def hijacker_phone_countries(store: LogStore, since: int = 0,
-                             until: Optional[int] = None) -> Dict[str, int]:
+def hijacker_phone_countries(phones: Iterable[PhoneNumber]) -> Dict[str, int]:
     """Country → count over hijacker-enrolled two-factor phone numbers.
 
     Numbers whose calling code we cannot attribute are aggregated under
     ``"??"`` rather than dropped — the paper's chart has a small
     unattributed remainder too.
     """
-    changes = store.query(
-        SettingsChangeEvent, since=since, until=until,
-        actor=Actor.MANUAL_HIJACKER,
-        where=lambda e: e.setting == "two_factor" and e.phone is not None,
-    )
-    countries = []
-    for change in changes:
-        country = change.phone.country()
-        countries.append(country if country is not None else "??")
-    return count_by(countries, key_of=lambda country: country)
+    return count_by(phones, key_of=lambda phone: phone.country() or "??")

@@ -63,9 +63,6 @@ class SimulationConfig:
 
     # -- defense ---------------------------------------------------------
     risk_aggressiveness: float = 1.0
-    challenge_threshold: float = 0.50
-    block_threshold: float = 0.93
-    behavioral_flag_threshold: float = 1.0
 
     # -- baselines ---------------------------------------------------------
     #: Run an automated-botnet wave for the taxonomy comparison.
@@ -78,9 +75,6 @@ class SimulationConfig:
     targeted_victims: int = 5
 
     # -- telemetry ---------------------------------------------------------
-    #: Days of owner activity materialized around each victim's incident.
-    organic_backfill_days: int = 3
-    organic_forward_days: int = 2
     #: Enforce the provider's privacy-driven log retention at the end of
     #: the run ("Google sanitizes or entirely erases many
     #: authentication-related logs within a short time window", §3).

@@ -1,7 +1,7 @@
 """Headline summary metrics.
 
-The in-text numbers the paper leads with, computed from a simulation
-result: the 9-per-million-per-day incident rate, decoy response speed,
+The in-text numbers the paper leads with, computed from an artifact
+context: the 9-per-million-per-day incident rate, decoy response speed,
 the 3-minute assessment, the 75% password-success rate, per-IP blending,
 and recovery outcomes.  Analyses and benches reuse these so every number
 is computed exactly one way.
@@ -10,12 +10,15 @@ is computed exactly one way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.simulation import SimulationResult
 from repro.hijacker.incident import IncidentOutcome
 from repro.util.clock import HOUR
 from repro.util.distributions import mean
+
+if TYPE_CHECKING:
+    from repro.analysis.registry import ArtifactContext
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,10 @@ class SummaryMetrics:
     recovery_rate: Optional[float]
 
     @classmethod
-    def from_result(cls, result: SimulationResult) -> "SummaryMetrics":
+    def from_context(cls, ctx: "ArtifactContext") -> "SummaryMetrics":
+        """Decoy speed from the ``decoy_access_deltas`` dataset; the
+        rest from the result."""
+        result = ctx.result
         incidents = result.access_incidents()
         n_actives = len(result.population)
         days = result.config.horizon_days
@@ -42,7 +48,7 @@ class SummaryMetrics:
             if n_actives and days else 0.0
         )
 
-        deltas = result.decoys.first_access_deltas(result.store)
+        deltas = ctx.dataset("decoy_access_deltas")
         accessed = [d for d in deltas.values() if d is not None]
         n_decoys = len(deltas)
         fraction_accessed = len(accessed) / n_decoys if n_decoys else 0.0

@@ -74,6 +74,10 @@ from repro.util.rng import RngRegistry, weighted_choice
 from repro.world.accounts import Account, AccountState, Credential
 from repro.world.population import Population, build_population, generate_password
 
+#: Days of owner activity materialized before and after each pickup day.
+ORGANIC_BACKFILL_DAYS = 3
+ORGANIC_FORWARD_DAYS = 2
+
 
 @dataclass
 class CrewState:
@@ -156,9 +160,7 @@ class Simulation:
         )
 
         self.store = LogStore()
-        self.behavioral = BehavioralRiskAnalyzer(
-            self.store, flag_threshold=config.behavioral_flag_threshold,
-        )
+        self.behavioral = BehavioralRiskAnalyzer(self.store)
         self.mail = MailService(
             population=self.population,
             store=self.store,
@@ -182,8 +184,6 @@ class Simulation:
         self.auth = AuthService(
             self.store, self.risk,
             ChallengeService(self.rngs.stream("defense.challenge"), self.store),
-            challenge_threshold=config.challenge_threshold,
-            block_threshold=config.block_threshold,
         )
 
         self.remission = RemissionService(
@@ -665,8 +665,8 @@ class Simulation:
             self.organic.materialize_window(
                 account,
                 center_day=pickup_at // DAY,
-                back=self.config.organic_backfill_days,
-                forward=self.config.organic_forward_days,
+                back=ORGANIC_BACKFILL_DAYS,
+                forward=ORGANIC_FORWARD_DAYS,
                 horizon_days=self.config.horizon_days,
             )
 

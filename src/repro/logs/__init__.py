@@ -1,6 +1,9 @@
 """Log infrastructure: typed event records, the append-only store the
-measurement pipeline mines, privacy-driven retention, and a small
-map-reduce engine mirroring how the paper aggregates its system logs.
+measurement pipeline mines, privacy-driven retention, and the
+count-per-key aggregation (:func:`repro.logs.mapreduce.count_by`).
+
+Analyses read the store only through the registered datasets of
+:mod:`repro.analysis.datasets`.
 """
 
 from repro.logs.events import (
@@ -22,7 +25,6 @@ from repro.logs.events import (
 )
 from repro.logs.store import LogStore
 from repro.logs.retention import RetentionPolicy
-from repro.logs.mapreduce import MapReduceJob, run_job
 
 __all__ = [
     "Actor",
@@ -42,6 +44,4 @@ __all__ = [
     "HttpRequestEvent",
     "LogStore",
     "RetentionPolicy",
-    "MapReduceJob",
-    "run_job",
 ]

@@ -1,94 +1,24 @@
-"""A miniature map-reduce engine.
+"""Count-per-key aggregation over log records.
 
 The paper's datasets "originate from various system logs that we
-aggregate via map-reduce computation" (Section 3).  The analysis modules
-run their aggregations through this engine: a mapper emits (key, value)
-pairs per record, a shuffle groups by key, and a reducer folds each
-group.  Keeping the aggregation in this shape — rather than ad-hoc loops —
-keeps every analysis an honest *log computation* and makes the per-figure
-code read like the pipeline the authors describe.
+aggregate via map-reduce computation" (Section 3).  Every aggregation
+our artifacts need is the count-per-key job, so that is the one helper
+here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Generic, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, TypeVar
 
 R = TypeVar("R")   # input record
-K = TypeVar("K")   # shuffle key
-V = TypeVar("V")   # mapped value
-O = TypeVar("O")   # reduced output
-
-
-@dataclass(frozen=True)
-class MapReduceJob(Generic[R, K, V, O]):
-    """A map-reduce job definition.
-
-    ``mapper`` emits zero or more (key, value) pairs per record;
-    ``reducer`` folds all values of one key into one output.
-    """
-
-    mapper: Callable[[R], Iterable[Tuple[K, V]]]
-    reducer: Callable[[K, List[V]], O]
-    name: str = "job"
-
-
-def run_job(job: MapReduceJob, records: Iterable[R],
-            combiner: Optional[Callable[[K, List[V]], List[V]]] = None,
-            ) -> Dict[K, O]:
-    """Execute a job over ``records``.
-
-    ``combiner`` optionally pre-folds each key's values (the classic
-    network-saving optimization; here it lets jobs bound memory).
-    Output is a dict keyed by shuffle key.
-    """
-    groups: Dict[K, List[V]] = {}
-    for record in records:
-        for key, value in job.mapper(record):
-            groups.setdefault(key, []).append(value)
-            if combiner is not None and len(groups[key]) >= 1024:
-                groups[key] = list(combiner(key, groups[key]))
-    return {
-        key: job.reducer(key, values)
-        for key, values in sorted(groups.items(), key=lambda kv: repr(kv[0]))
-    }
+K = TypeVar("K")   # grouping key
 
 
 def count_by(records: Iterable[R], key_of: Callable[[R], K]) -> Dict[K, int]:
-    """Convenience: the ubiquitous count-per-key job."""
-    job: MapReduceJob = MapReduceJob(
-        mapper=lambda record: [(key_of(record), 1)],
-        reducer=lambda _key, ones: sum(ones),
-        name="count_by",
-    )
-    return run_job(job, records, combiner=lambda _key, ones: [sum(ones)])
-
-
-def sum_by(records: Iterable[R], key_of: Callable[[R], K],
-           value_of: Callable[[R], float]) -> Dict[K, float]:
-    """Convenience: sum a numeric field per key."""
-    job: MapReduceJob = MapReduceJob(
-        mapper=lambda record: [(key_of(record), value_of(record))],
-        reducer=lambda _key, values: sum(values),
-        name="sum_by",
-    )
-    return run_job(job, records, combiner=lambda _key, values: [sum(values)])
-
-
-def mean_by(records: Iterable[R], key_of: Callable[[R], K],
-            value_of: Callable[[R], float]) -> Dict[K, float]:
-    """Convenience: mean of a numeric field per key."""
-    job: MapReduceJob = MapReduceJob(
-        mapper=lambda record: [(key_of(record), (value_of(record), 1))],
-        reducer=lambda _key, pairs: (
-            sum(total for total, _ in pairs) / sum(count for _, count in pairs)
-        ),
-        name="mean_by",
-    )
-    return run_job(
-        job, records,
-        combiner=lambda _key, pairs: [(
-            sum(total for total, _ in pairs),
-            sum(count for _, count in pairs),
-        )],
-    )
+    """Records per key, with keys in ``repr`` order (deterministic for
+    any hashable key)."""
+    counts: Dict[K, int] = {}
+    for record in records:
+        key = key_of(record)
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items(), key=lambda kv: repr(kv[0])))

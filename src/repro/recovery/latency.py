@@ -3,37 +3,30 @@
 "The recovery time is calculated by taking the delta between the time
 our risk analysis system flagged the account as hijacked and the time
 the user started the recovery process."  These helpers compute exactly
-that from the log store, so the figure is a log computation rather than
-a read-out of the scheduling model.
+that from the claim and flag logs (the ``recovery_claims`` and
+``hijack_flags`` datasets), so the figure is a log computation rather
+than a read-out of the scheduling model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.logs.events import HijackFlagEvent, RecoveryClaimEvent
-from repro.logs.store import LogStore
 from repro.util.clock import HOUR
 from repro.util.distributions import EmpiricalCdf
 
 
-def recovery_latencies(store: LogStore, since: int = 0,
-                       until: Optional[int] = None,
-                       *,
-                       claims: Optional[Sequence[RecoveryClaimEvent]] = None,
-                       flags: Optional[Sequence[HijackFlagEvent]] = None,
-                       ) -> List[int]:
+def recovery_latencies(claims: Sequence[RecoveryClaimEvent],
+                       flags: Sequence[HijackFlagEvent]) -> List[int]:
     """Flag→claim-start latency (minutes) per recovered account.
 
     Uses the earliest hijack flag and the earliest claim per account,
     restricted to accounts with at least one *successful* claim — the
     paper's sample is 5,000 accounts "returned to the rightful owner".
-    ``claims``/``flags`` accept pre-extracted (timestamp-sorted) event
-    lists so the shared dataset layer can reuse its single scan; when
-    omitted, the store is queried directly.
+    Both lists must be timestamp-sorted, as the log store returns them:
+    the first event seen per account is taken as its earliest.
     """
-    if claims is None:
-        claims = store.query(RecoveryClaimEvent, since=since, until=until)
     first_claim_at: Dict[str, int] = {}
     recovered: set = set()
     for claim in claims:
@@ -41,8 +34,6 @@ def recovery_latencies(store: LogStore, since: int = 0,
         if claim.succeeded:
             recovered.add(claim.account_id)
 
-    if flags is None:
-        flags = store.query(HijackFlagEvent)
     first_flag_at: Dict[str, int] = {}
     for flag in flags:
         first_flag_at.setdefault(flag.account_id, flag.timestamp)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
@@ -24,45 +23,11 @@ def exponential(rng: random.Random, mean: float) -> float:
     return rng.expovariate(1.0 / mean)
 
 
-def lognormal_from_median(rng: random.Random, median: float, sigma: float) -> float:
-    """Sample a lognormal parameterized by its *median* and log-sigma.
-
-    The median parameterization is friendlier than (mu, sigma): the paper
-    reports medians ("50% within 7 hours"), so calibration is direct.
-    """
-    if median <= 0:
-        raise ValueError(f"median must be positive, got {median}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return rng.lognormvariate(math.log(median), sigma)
-
-
-def pareto(rng: random.Random, minimum: float, alpha: float) -> float:
-    """Sample a Pareto(minimum, alpha) heavy-tailed value (>= minimum)."""
-    if minimum <= 0:
-        raise ValueError(f"minimum must be positive, got {minimum}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return minimum * (1.0 + rng.paretovariate(alpha) - 1.0)
-
-
 def truncated(value: float, low: float, high: float) -> float:
     """Clamp ``value`` into [low, high]."""
     if low > high:
         raise ValueError(f"empty interval [{low}, {high}]")
     return max(low, min(high, value))
-
-
-def beta_between(rng: random.Random, alpha: float, beta: float,
-                 low: float, high: float) -> float:
-    """Sample a Beta(alpha, beta) rescaled onto [low, high].
-
-    Used for bounded rates such as per-page phishing conversion, which the
-    paper observes ranging from 3% to 45% with a 13.7% mean.
-    """
-    if low > high:
-        raise ValueError(f"empty interval [{low}, {high}]")
-    return low + rng.betavariate(alpha, beta) * (high - low)
 
 
 def diurnal_weight(minute_of_day: int, peak_hour: int = 14, trough_ratio: float = 0.15) -> float:
@@ -79,29 +44,6 @@ def diurnal_weight(minute_of_day: int, peak_hour: int = 14, trough_ratio: float 
     phase = 2.0 * math.pi * (minute_of_day - peak_hour * 60) / (24 * 60)
     # Cosine in [-1, 1] remapped onto [trough_ratio, 1].
     return trough_ratio + (1.0 - trough_ratio) * (1.0 + math.cos(phase)) / 2.0
-
-
-@dataclass(frozen=True)
-class Mixture:
-    """A finite mixture of (weight, sampler) pairs.
-
-    Samplers are zero-argument callables closed over their own rng; the
-    mixture only decides *which* component fires.
-    """
-
-    components: Tuple[Tuple[float, object], ...]
-
-    def sample(self, rng: random.Random) -> float:
-        total = sum(weight for weight, _ in self.components)
-        if total <= 0:
-            raise ValueError("mixture weights must sum to a positive value")
-        point = rng.random() * total
-        cumulative = 0.0
-        for weight, sampler in self.components:
-            cumulative += weight
-            if point < cumulative:
-                return sampler()  # type: ignore[operator]
-        return self.components[-1][1]()  # type: ignore[operator]
 
 
 class EmpiricalCdf:

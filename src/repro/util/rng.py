@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -89,35 +89,8 @@ def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[fl
     return items[-1]
 
 
-def sample_without_replacement(rng: random.Random, items: Sequence[T], k: int) -> list:
-    """Sample ``min(k, len(items))`` distinct items."""
-    if k < 0:
-        raise ValueError(f"sample size must be non-negative, got {k}")
-    k = min(k, len(items))
-    return rng.sample(list(items), k)
-
-
 def shuffled(rng: random.Random, items: Sequence[T]) -> list:
     """Return a shuffled copy of ``items`` (the input is left untouched)."""
     copy = list(items)
     rng.shuffle(copy)
     return copy
-
-
-def bernoulli(rng: random.Random, probability: float) -> bool:
-    """Return True with the given probability (clamped to [0, 1])."""
-    if probability <= 0:
-        return False
-    if probability >= 1:
-        return True
-    return rng.random() < probability
-
-
-def round_robin_split(items: Sequence[T], n_bins: int) -> Iterator[list]:
-    """Deterministically split items into ``n_bins`` near-equal bins."""
-    if n_bins <= 0:
-        raise ValueError(f"number of bins must be positive, got {n_bins}")
-    bins: list = [[] for _ in range(n_bins)]
-    for index, item in enumerate(items):
-        bins[index % n_bins].append(item)
-    return iter(bins)

@@ -1,16 +1,9 @@
 """The curation boundary: what stands in for the paper's human review."""
 
-import pytest
-
 from repro.analysis import curation
-from repro.logs.events import Actor, LoginEvent, SearchEvent
-from repro.logs.store import LogStore
 from repro.net.email_addr import EmailAddress
-from repro.net.ip import IpAddress
 from repro.scams.classifier import MessageCategory
 from repro.world.messages import EmailMessage
-
-IP = IpAddress.parse("10.0.0.1")
 
 
 def message(subject, body="", keywords=()):
@@ -53,47 +46,3 @@ class TestReviewTarget:
     def test_fallback_other(self):
         assert curation.review_phishing_target(message(
             "parcel delayed")) == "Other"
-
-
-class TestLogCuration:
-    @pytest.fixture
-    def store(self):
-        store = LogStore()
-        store.append(LoginEvent(timestamp=10, account_id="acct-000000",
-                                ip=IP, password_correct=True, succeeded=True,
-                                actor=Actor.MANUAL_HIJACKER))
-        store.append(LoginEvent(timestamp=20, account_id="acct-000000",
-                                ip=IP, password_correct=True, succeeded=True,
-                                actor=Actor.OWNER))
-        store.append(LoginEvent(timestamp=30, account_id="acct-000001",
-                                ip=IP, password_correct=True, succeeded=True,
-                                actor=Actor.MANUAL_HIJACKER))
-        store.append(SearchEvent(timestamp=11, account_id="acct-000000",
-                                 query="wire transfer",
-                                 actor=Actor.MANUAL_HIJACKER))
-        store.append(SearchEvent(timestamp=21, account_id="acct-000000",
-                                 query="receipts", actor=Actor.OWNER))
-        return store
-
-    def test_hijacker_logins_filtered(self, store):
-        logins = curation.hijacker_logins(store)
-        assert len(logins) == 2
-        assert all(l.actor is Actor.MANUAL_HIJACKER for l in logins)
-
-    def test_case_scoping(self, store):
-        logins = curation.hijacker_logins(store, ["acct-000001"])
-        assert [l.account_id for l in logins] == ["acct-000001"]
-
-    def test_hijacker_searches_exclude_owner(self, store):
-        searches = curation.hijacker_searches(store)
-        assert [s.query for s in searches] == ["wire transfer"]
-
-    def test_hijack_windows(self, store):
-        store.append(LoginEvent(timestamp=90, account_id="acct-000000",
-                                ip=IP, password_correct=True, succeeded=True,
-                                actor=Actor.MANUAL_HIJACKER))
-        windows = curation.hijack_windows(store, ["acct-000000"])
-        assert windows["acct-000000"] == (10, 90)
-
-    def test_windows_empty_without_hijacker_logins(self):
-        assert curation.hijack_windows(LogStore(), ["acct-000000"]) == {}

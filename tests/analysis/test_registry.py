@@ -17,6 +17,7 @@ from repro.analysis.registry import (
     render_artifact,
     render_artifacts,
 )
+from repro.logs.store import LogStore
 
 #: Infrastructure modules of repro.analysis that do not render artifacts.
 _NON_ARTIFACT_MODULES = {"curation", "datasets", "registry"}
@@ -131,8 +132,8 @@ class TestSubgraphSelection:
             return (scans, counters.get("analysis.dataset.miss", 0),
                     counters.get("analysis.dataset.hit", 0))
 
-        assert walk_counts(standalone_recorder.counters) == (50, 58, 10)
-        assert walk_counts(shared_recorder.counters) == (29, 25, 30)
+        assert walk_counts(standalone_recorder.counters) == (50, 68, 11)
+        assert walk_counts(shared_recorder.counters) == (26, 31, 34)
 
     def test_composite_report_exempt_from_restriction(self, smoke_result):
         text = render_artifact("report", ArtifactContext(smoke_result))
@@ -145,6 +146,45 @@ class TestSubgraphSelection:
     def test_evolution_with_earlier_era_renders_table(self, smoke_result):
         ctx = ArtifactContext(smoke_result, earlier_era_result=smoke_result)
         assert "evolution" in render_artifact("evolution", ctx)
+
+
+class TestLogReadBoundary:
+    """DESIGN §6: artifacts read the log store only through datasets."""
+
+    def test_every_artifact_reads_logs_through_datasets(self, smoke_result,
+                                                        monkeypatch):
+        building = []
+        resolve = Datasets.get
+
+        def tracked_get(data, name):
+            building.append(name)
+            try:
+                return resolve(data, name)
+            finally:
+                building.pop()
+
+        def guarded(read):
+            def checked(store, *args, **kwargs):
+                if not building:
+                    raise AssertionError(
+                        f"LogStore.{read.__name__} outside a dataset build")
+                return read(store, *args, **kwargs)
+            return checked
+
+        monkeypatch.setattr(Datasets, "get", tracked_get)
+        monkeypatch.setattr(LogStore, "query", guarded(LogStore.query))
+        monkeypatch.setattr(LogStore, "for_account",
+                            guarded(LogStore.for_account))
+        for art in registry.artifacts():
+            earlier = smoke_result if art.needs_earlier_era else None
+            text = render_artifact(
+                art.key, ArtifactContext(smoke_result, earlier))
+            assert "earlier-era run" not in text
+        report_keys = {art.key for art in registry.report_sequence()
+                       if not art.needs_earlier_era}
+        assert len(report_keys) == 21
+        assert set(registry.artifact_keys()) == report_keys | {
+            "report", "metrics", "evolution"}
 
 
 class TestDatasetLayer:

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from repro import Simulation, obs
-from repro.analysis import contacts, defense, exploitation, retention
+from repro.analysis import contacts, defense, exploitation, registry, retention
 from repro.analysis.datasets import dataset_closure, hijacked_sample_size
 from repro.analysis.registry import ArtifactContext, render_artifact
 from repro.core.scenarios import retention_study
@@ -126,7 +126,7 @@ class TestSection54:
         ctx = ArtifactContext(late, earlier_era_result=early)
         with obs.recording() as recorder:
             render_artifact("evolution", ctx)
-        closure = dataset_closure(("hijacked_accounts",))
+        closure = dataset_closure(registry.get("evolution").deps)
         assert set(ctx.datasets.built()) == closure
         assert set(ctx.earlier_era.datasets.built()) == closure
         assert recorder.counters.get(

@@ -13,8 +13,7 @@ from repro.attribution.geolocate import (
 )
 from repro.attribution.groups import case_signature, infer_groups
 from repro.attribution.phones import hijacker_phone_countries
-from repro.logs.events import Actor, LoginEvent, SearchEvent, SettingsChangeEvent
-from repro.logs.store import LogStore
+from repro.logs.events import Actor, LoginEvent, SearchEvent
 from repro.net.geoip import build_default_internet
 from repro.net.ip import IpAllocator
 from repro.net.phones import PhoneNumber
@@ -37,40 +36,27 @@ def hijacker_login(account_id, ip, timestamp=100):
 class TestGeolocate:
     def test_counts_by_country(self, world):
         allocator, geoip = world
-        store = LogStore()
-        for index in range(6):
-            store.append(hijacker_login("acct-000000",
-                                        allocator.allocate("CN")))
-        for index in range(3):
-            store.append(hijacker_login("acct-000001",
-                                        allocator.allocate("NG")))
-        counts = geolocate_hijack_ips(store, geoip,
+        logins = (
+            [hijacker_login("acct-000000", allocator.allocate("CN"))
+             for _ in range(6)]
+            + [hijacker_login("acct-000001", allocator.allocate("NG"))
+               for _ in range(3)])
+        counts = geolocate_hijack_ips(logins, geoip,
                                       ["acct-000000", "acct-000001"])
         assert counts == {"CN": 6, "NG": 3}
 
     def test_distinct_ips_counted_once(self, world):
         allocator, geoip = world
-        store = LogStore()
         ip = allocator.allocate("CN")
-        for timestamp in range(5):
-            store.append(hijacker_login("acct-000000", ip, timestamp))
-        counts = geolocate_hijack_ips(store, geoip, ["acct-000000"])
+        logins = [hijacker_login("acct-000000", ip, timestamp)
+                  for timestamp in range(5)]
+        counts = geolocate_hijack_ips(logins, geoip, ["acct-000000"])
         assert counts == {"CN": 1}
-
-    def test_owner_logins_excluded(self, world):
-        allocator, geoip = world
-        store = LogStore()
-        store.append(LoginEvent(
-            timestamp=1, account_id="acct-000000",
-            ip=allocator.allocate("US"), password_correct=True,
-            succeeded=True, actor=Actor.OWNER))
-        assert geolocate_hijack_ips(store, geoip, ["acct-000000"]) == {}
 
     def test_cases_outside_sample_excluded(self, world):
         allocator, geoip = world
-        store = LogStore()
-        store.append(hijacker_login("acct-000009", allocator.allocate("CN")))
-        assert geolocate_hijack_ips(store, geoip, ["acct-000000"]) == {}
+        logins = [hijacker_login("acct-000009", allocator.allocate("CN"))]
+        assert geolocate_hijack_ips(logins, geoip, ["acct-000000"]) == {}
 
 
 class TestShares:
@@ -94,51 +80,29 @@ class TestShares:
 
 class TestPhones:
     def test_two_factor_phones_attributed(self):
-        store = LogStore()
-        store.append(SettingsChangeEvent(
-            timestamp=1, account_id="acct-000000", setting="two_factor",
-            actor=Actor.MANUAL_HIJACKER,
-            phone=PhoneNumber("+2348012345678")))
-        store.append(SettingsChangeEvent(
-            timestamp=2, account_id="acct-000001", setting="two_factor",
-            actor=Actor.MANUAL_HIJACKER,
-            phone=PhoneNumber("+22512345678")))
-        assert hijacker_phone_countries(store) == {"CI": 1, "NG": 1}
-
-    def test_owner_changes_excluded(self):
-        store = LogStore()
-        store.append(SettingsChangeEvent(
-            timestamp=1, account_id="acct-000000", setting="two_factor",
-            actor=Actor.OWNER, phone=PhoneNumber("+14155551234")))
-        assert hijacker_phone_countries(store) == {}
+        phones = [PhoneNumber("+2348012345678"), PhoneNumber("+22512345678")]
+        assert hijacker_phone_countries(phones) == {"CI": 1, "NG": 1}
 
     def test_unknown_codes_bucketed(self):
-        store = LogStore()
-        store.append(SettingsChangeEvent(
-            timestamp=1, account_id="acct-000000", setting="two_factor",
-            actor=Actor.MANUAL_HIJACKER,
-            phone=PhoneNumber("+999123456789")))
-        assert hijacker_phone_countries(store) == {"??": 1}
+        phones = [PhoneNumber("+999123456789")]
+        assert hijacker_phone_countries(phones) == {"??": 1}
 
 
 _TIED_COUNTRY_CASE = textwrap.dedent("""
     import random
     from repro.attribution.groups import case_signature
     from repro.logs.events import Actor, LoginEvent
-    from repro.logs.store import LogStore
     from repro.net.geoip import build_default_internet
     from repro.net.ip import IpAllocator
 
     allocator = IpAllocator(random.Random(5))
     geoip = build_default_internet(allocator)
-    store = LogStore()
-    for country in ("ZA", "NG", "VE", "CN", "MY", "CI"):
-        for _ in range(2):
-            store.append(LoginEvent(
-                timestamp=100, account_id="acct-000000",
-                ip=allocator.allocate(country), password_correct=True,
-                succeeded=True, actor=Actor.MANUAL_HIJACKER))
-    print(case_signature(store, geoip, "acct-000000").country)
+    logins = [
+        LoginEvent(timestamp=100, account_id="acct-000000",
+                   ip=allocator.allocate(country), password_correct=True,
+                   succeeded=True, actor=Actor.MANUAL_HIJACKER)
+        for country in ("ZA", "NG", "VE", "CN", "MY", "CI") for _ in range(2)]
+    print(case_signature(logins, [], geoip).country)
 """)
 
 
@@ -161,36 +125,31 @@ class TestGroupInference:
 
     def test_signature_extracts_country_language_shift(self, world):
         allocator, geoip = world
-        store = LogStore()
-        store.append(hijacker_login("acct-000000", allocator.allocate("VE"),
-                                    timestamp=15 * HOUR))
-        store.append(SearchEvent(timestamp=15 * HOUR + 2,
-                                 account_id="acct-000000",
-                                 query="transferencia",
-                                 actor=Actor.MANUAL_HIJACKER))
-        signature = case_signature(store, geoip, "acct-000000")
+        logins = [hijacker_login("acct-000000", allocator.allocate("VE"),
+                                 timestamp=15 * HOUR)]
+        searches = [SearchEvent(timestamp=15 * HOUR + 2,
+                                account_id="acct-000000",
+                                query="transferencia",
+                                actor=Actor.MANUAL_HIJACKER)]
+        signature = case_signature(logins, searches, geoip)
         assert signature.country == "VE"
         assert signature.language == "es"
         assert signature.shift_bucket == 1
 
     def test_no_logins_no_signature(self, world):
         _allocator, geoip = world
-        assert case_signature(LogStore(), geoip, "acct-000000") is None
+        assert case_signature([], [], geoip) is None
 
     def test_distinct_groups_inferred(self, world):
         """The NG and CI actors must cluster apart (Section 7's
         different-language, 2000-km-apart argument)."""
         allocator, geoip = world
-        store = LogStore()
-        for index in range(4):
-            store.append(hijacker_login(f"acct-00000{index}",
-                                        allocator.allocate("NG"),
-                                        timestamp=10 * HOUR))
-        for index in range(4, 8):
-            store.append(hijacker_login(f"acct-00000{index}",
-                                        allocator.allocate("CI"),
-                                        timestamp=10 * HOUR))
-        clusters = infer_groups(store, geoip,
+        countries = ["NG"] * 4 + ["CI"] * 4
+        logins = [hijacker_login(f"acct-00000{index}",
+                                 allocator.allocate(country),
+                                 timestamp=10 * HOUR)
+                  for index, country in enumerate(countries)]
+        clusters = infer_groups(logins, [], geoip,
                                 [f"acct-00000{i}" for i in range(8)])
         assert len(clusters) == 2
         sizes = sorted(len(cases) for cases in clusters.values())

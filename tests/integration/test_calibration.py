@@ -105,12 +105,14 @@ class TestFigure10Calibration:
 class TestHeadlineMetrics:
     def test_exploited_fraction_selective(self, exploitation_result):
         """Hijackers skip accounts they deem not valuable (Section 5.2)."""
-        metrics = SummaryMetrics.from_result(exploitation_result)
+        metrics = SummaryMetrics.from_context(
+            ArtifactContext(exploitation_result))
         assert 0.30 <= metrics.exploited_fraction_of_accessed <= 0.80
 
     def test_incident_rate_scales_with_intensity(self, exploitation_result,
                                                  smoke_result):
-        heavy = SummaryMetrics.from_result(exploitation_result)
-        light = SummaryMetrics.from_result(smoke_result)
+        heavy = SummaryMetrics.from_context(
+            ArtifactContext(exploitation_result))
+        light = SummaryMetrics.from_context(ArtifactContext(smoke_result))
         assert heavy.incidents_per_million_actives_per_day > 0
         assert light.incidents_per_million_actives_per_day > 0

@@ -3,7 +3,6 @@ acquisition → exploitation → remediation, traced in the logs."""
 
 import pytest
 
-from repro.analysis.curation import hijack_windows
 from repro.hijacker.incident import IncidentOutcome
 from repro.logs.events import (
     Actor,
@@ -76,12 +75,12 @@ class TestLifecycleOrdering:
 
 class TestCrossChecks:
     def test_hijack_window_brackets_logins(self, lifecycle):
-        result, report, _events = lifecycle
-        windows = hijack_windows(result.store, [report.account_id])
-        window = windows[report.account_id]
+        _result, report, events = lifecycle
+        stamps = [e.timestamp for e in events if isinstance(e, LoginEvent)
+                  and e.actor is Actor.MANUAL_HIJACKER]
         # All hijacker logins happen between pickup and session end.
-        assert report.pickup_at <= window[0] <= report.session_start
-        assert window[1] <= report.session_end
+        assert report.pickup_at <= min(stamps) <= report.session_start
+        assert max(stamps) <= report.session_end
 
     def test_retention_changes_notified(self, lifecycle):
         result, report, events = lifecycle

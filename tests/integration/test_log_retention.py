@@ -4,6 +4,7 @@ that forced several of the paper's datasets into short windows)."""
 import pytest
 
 from repro import Simulation
+from repro.analysis.datasets import Datasets
 from repro.core.scenarios import smoke_scenario
 from repro.logs.events import LoginEvent, RecoveryClaimEvent, SearchEvent
 from repro.logs.retention import DEFAULT_WINDOWS, RetentionError, RetentionPolicy
@@ -43,12 +44,10 @@ class TestEnforcedRun:
     def test_analyses_work_on_recent_windows(self, enforced_result):
         """The authors' situation: analyses must be scoped to recent
         data; a recent-window login analysis still functions."""
-        from repro.analysis.curation import hijacker_logins
-
         horizon = enforced_result.horizon_minutes
-        recent = [l for l in hijacker_logins(enforced_result.store)
+        all_logins = Datasets(enforced_result).get("hijacker_logins")
+        recent = [l for l in all_logins
                   if l.timestamp >= horizon - DEFAULT_WINDOWS[LoginEvent]]
-        all_logins = hijacker_logins(enforced_result.store)
         assert recent == all_logins  # everything older was erased
 
     def test_queryability_guard(self, enforced_result):

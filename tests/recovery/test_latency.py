@@ -1,7 +1,6 @@
 import pytest
 
 from repro.logs.events import HijackFlagEvent, RecoveryClaimEvent
-from repro.logs.store import LogStore
 from repro.recovery.latency import (
     latency_cdf,
     latency_histogram,
@@ -10,46 +9,39 @@ from repro.recovery.latency import (
 from repro.util.clock import HOUR
 
 
-def seed_store(cases):
+def claims_and_flags(cases):
     """cases: list of (account_id, flag_at, claim_at, succeeded)."""
-    store = LogStore()
+    claims, flags = [], []
     for account_id, flag_at, claim_at, succeeded in cases:
-        store.append(HijackFlagEvent(timestamp=flag_at,
+        flags.append(HijackFlagEvent(timestamp=flag_at,
                                      account_id=account_id,
                                      source="behavioral"))
-        store.append(RecoveryClaimEvent(
+        claims.append(RecoveryClaimEvent(
             timestamp=claim_at, account_id=account_id, method="sms",
             succeeded=succeeded, hijack_flagged_at=flag_at,
             completed_at=claim_at + 10))
-    return store
+    return claims, flags
 
 
 class TestRecoveryLatencies:
     def test_basic_delta(self):
-        store = seed_store([("acct-000000", 100, 160, True)])
-        assert recovery_latencies(store) == [60]
+        claims, flags = claims_and_flags([("acct-000000", 100, 160, True)])
+        assert recovery_latencies(claims, flags) == [60]
 
     def test_only_recovered_accounts_counted(self):
-        store = seed_store([
+        claims, flags = claims_and_flags([
             ("acct-000000", 100, 160, True),
             ("acct-000001", 100, 500, False),
         ])
-        assert recovery_latencies(store) == [60]
+        assert recovery_latencies(claims, flags) == [60]
 
     def test_earliest_claim_and_flag_used(self):
-        store = seed_store([("acct-000000", 100, 400, False)])
-        store.append(RecoveryClaimEvent(
+        claims, flags = claims_and_flags([("acct-000000", 100, 400, False)])
+        claims.append(RecoveryClaimEvent(
             timestamp=700, account_id="acct-000000", method="email",
             succeeded=True, hijack_flagged_at=100, completed_at=710))
         # earliest claim at 400 counts, even though success came later
-        assert recovery_latencies(store) == [300]
-
-    def test_window_filter(self):
-        store = seed_store([
-            ("acct-000000", 100, 160, True),
-            ("acct-000001", 5000, 5100, True),
-        ])
-        assert recovery_latencies(store, since=4000) == [100]
+        assert recovery_latencies(claims, flags) == [300]
 
 
 class TestSummaries:

@@ -2,14 +2,10 @@ import pytest
 
 from repro.util.distributions import (
     EmpiricalCdf,
-    Mixture,
-    beta_between,
     diurnal_weight,
     exponential,
     histogram,
-    lognormal_from_median,
     mean,
-    pareto,
     truncated,
 )
 
@@ -22,35 +18,6 @@ class TestSamplers:
     def test_exponential_rejects_bad_mean(self, rng):
         with pytest.raises(ValueError):
             exponential(rng, 0.0)
-
-    def test_lognormal_median(self, rng):
-        samples = sorted(lognormal_from_median(rng, 7.0, 0.5)
-                         for _ in range(5001))
-        assert 6.0 < samples[2500] < 8.2
-
-    def test_lognormal_rejects_bad_params(self, rng):
-        with pytest.raises(ValueError):
-            lognormal_from_median(rng, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            lognormal_from_median(rng, 1.0, 0.0)
-
-    def test_pareto_respects_minimum(self, rng):
-        assert all(pareto(rng, 5.0, 2.0) >= 5.0 for _ in range(200))
-
-    def test_pareto_rejects_bad_params(self, rng):
-        with pytest.raises(ValueError):
-            pareto(rng, 0, 1)
-        with pytest.raises(ValueError):
-            pareto(rng, 1, 0)
-
-    def test_beta_between_bounds(self, rng):
-        for _ in range(200):
-            value = beta_between(rng, 2.0, 4.0, 0.1, 0.5)
-            assert 0.1 <= value <= 0.5
-
-    def test_beta_between_rejects_empty_interval(self, rng):
-        with pytest.raises(ValueError):
-            beta_between(rng, 1, 1, 0.9, 0.1)
 
     def test_truncated(self):
         assert truncated(5, 0, 3) == 3
@@ -77,17 +44,6 @@ class TestDiurnal:
             diurnal_weight(24 * 60)
         with pytest.raises(ValueError):
             diurnal_weight(100, trough_ratio=0.0)
-
-
-class TestMixture:
-    def test_picks_components_by_weight(self, rng):
-        mixture = Mixture(components=((1.0, lambda: 1.0), (0.0, lambda: 2.0)))
-        assert all(mixture.sample(rng) == 1.0 for _ in range(20))
-
-    def test_rejects_zero_total(self, rng):
-        mixture = Mixture(components=((0.0, lambda: 1.0),))
-        with pytest.raises(ValueError):
-            mixture.sample(rng)
 
 
 class TestEmpiricalCdf:

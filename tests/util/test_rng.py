@@ -4,10 +4,7 @@ import pytest
 
 from repro.util.rng import (
     RngRegistry,
-    bernoulli,
     child_seed,
-    round_robin_split,
-    sample_without_replacement,
     shuffled,
     weighted_choice,
 )
@@ -103,17 +100,6 @@ class TestWeightedChoice:
 
 
 class TestSamplingHelpers:
-    def test_sample_without_replacement_distinct(self, rng):
-        sample = sample_without_replacement(rng, list(range(20)), 10)
-        assert len(sample) == len(set(sample)) == 10
-
-    def test_sample_clamps_to_population(self, rng):
-        assert len(sample_without_replacement(rng, [1, 2], 5)) == 2
-
-    def test_sample_negative_rejected(self, rng):
-        with pytest.raises(ValueError):
-            sample_without_replacement(rng, [1], -1)
-
     def test_shuffled_preserves_elements(self, rng):
         items = list(range(30))
         assert sorted(shuffled(rng, items)) == items
@@ -122,20 +108,3 @@ class TestSamplingHelpers:
         items = list(range(30))
         shuffled(rng, items)
         assert items == list(range(30))
-
-    def test_bernoulli_extremes(self, rng):
-        assert bernoulli(rng, 1.0) is True
-        assert bernoulli(rng, 0.0) is False
-
-    def test_bernoulli_rough_rate(self, rng):
-        hits = sum(bernoulli(rng, 0.3) for _ in range(4000))
-        assert 0.25 < hits / 4000 < 0.35
-
-    def test_round_robin_split_covers_all(self):
-        bins = list(round_robin_split(list(range(10)), 3))
-        assert sorted(x for b in bins for x in b) == list(range(10))
-        assert [len(b) for b in bins] == [4, 3, 3]
-
-    def test_round_robin_rejects_zero_bins(self):
-        with pytest.raises(ValueError):
-            list(round_robin_split([1], 0))
