@@ -13,16 +13,13 @@ Three measurements:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.analysis.curation import review_message
-from repro.analysis.datasets import REQUESTED, contact_seed_window_days
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.simulation import SimulationResult
 from repro.util.clock import DAY
-from repro.util.rng import child_seed
 
 #: Contacts (and matched random users) count as hijacked when it
 #: happens within this many days of exposure — the paper's "next 60 days".
@@ -131,46 +128,15 @@ def contact_lift(ctx: ArtifactContext) -> ContactLift:
     hijackings among them "over the next 60 days", against a random
     active-user sample over the same period.  Sampling is anchored per
     victim: each contact's observation window starts when their friend's
-    account was hijacked (that is when the hijacker obtains their
-    address), and the random cohort is observed over matched windows.
-    Victims are the accounts exploited in the first half of the horizon.
+    account was hijacked (the ``exposed_contacts`` dataset), and the
+    random cohort is observed over matched windows.
     """
-    result = ctx.result
-    seed_window_days = contact_seed_window_days(result)
-    population = result.population
-
-    # Victim exposure times: first hijacker login per exploited account
-    # within the seed window.
     first_hijack_login: Dict[str, int] = {}
     for login in ctx.dataset("hijacker_logins"):
         first_hijack_login.setdefault(login.account_id, login.timestamp)
-    exploited_early = {
-        report.account_id
-        for report in result.incidents
-        if report.exploitation is not None
-        and report.account_id is not None
-        and report.pickup_at < seed_window_days * DAY
-    }
-
-    # Contact cohort: (account, exposure time), earliest exposure wins.
-    exposure: Dict[str, int] = {}
-    for victim_id in sorted(exploited_early):
-        victim_account = population.accounts[victim_id]
-        exposed_at = first_hijack_login.get(victim_id)
-        if exposed_at is None:
-            continue
-        for contact in population.contacts_of_account(victim_account):
-            if contact.account_id in exploited_early:
-                continue
-            previous = exposure.get(contact.account_id)
-            if previous is None or exposed_at < previous:
-                exposure[contact.account_id] = exposed_at
 
     window = FOLLOW_UP_DAYS * DAY
-    contact_items = sorted(exposure.items())
-    if len(contact_items) > REQUESTED[9]:
-        rng = random.Random(child_seed(result.config.seed, "contact-lift"))
-        contact_items = rng.sample(contact_items, REQUESTED[9])
+    contact_items = ctx.dataset("exposed_contacts")
     contact_hits = sum(
         1 for account_id, exposed_at in contact_items
         if exposed_at
@@ -242,7 +208,7 @@ def render(deltas: HijackDayDeltas, split: Dict[str, float],
                        "and the contact-targeting lift"),
           deps=("hijacked_accounts", "hijacked_account_sends",
                 "incident_timeline", "mail_reports", "reported_hijack_mail",
-                "hijacker_logins", "random_cohort"))
+                "hijacker_logins", "exposed_contacts", "random_cohort"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(hijack_day_deltas(ctx), scam_phishing_split(ctx),
                   contact_lift(ctx))

@@ -8,9 +8,12 @@ Each of them is a **registered, dependency-declared dataset** here:
 built at most once per :class:`~repro.core.simulation.SimulationResult`,
 cached on a :class:`Datasets` resolver, and shared by every artifact
 that declares it (see :mod:`repro.analysis.registry`).  This is the only
-extraction path: this module is the only analysis code that reads the
-log store, and a tier-1 test renders every artifact with
-``LogStore.query``/``for_account`` failing outside a dataset build.
+extraction path and the one module that knows a result's layout.
+Tier-1 tests render every artifact with ``LogStore.query``/
+``for_account`` failing outside a dataset build, and with the result's
+ground truth failing outside the four builds that stand in for a named
+review (``reviewed_incidents``, ``recovery_cases``, ``targeted_depth``,
+``run_summary``).
 
 Where the authors used human reviewers, we use the text classifier /
 template reviewer of :mod:`repro.analysis.curation`; where they used
@@ -51,9 +54,10 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
 
 from repro import obs
 from repro.analysis.curation import review_message
+from repro.attribution.geolocate import geolocate_hijack_ips
 from repro.core.simulation import SimulationResult
 from repro.hijacker.groups import Era
-from repro.hijacker.incident import IncidentOutcome
+from repro.hijacker.incident import IncidentOutcome, IncidentReport
 from repro.logs.events import (
     Actor,
     FolderOpenEvent,
@@ -68,6 +72,7 @@ from repro.logs.events import (
     SettingsChangeEvent,
 )
 from repro.net.phones import PhoneNumber
+from repro.recovery.claims import RecoveryCase
 from repro.recovery.latency import recovery_latencies
 from repro.scams.classifier import MessageCategory
 from repro.util.clock import DAY, HOUR
@@ -269,6 +274,36 @@ def _http_requests(data: Datasets) -> List[HttpRequestEvent]:
     return data.result.store.query(HttpRequestEvent)
 
 
+# -- ground truth behind named reviews ---------------------------------------
+#
+# The only datasets that read the simulator's own records instead of the
+# logs.  Each stands in for a process the paper names; every other
+# dataset reaches ground truth through them (a tier-1 test pins the set).
+
+@dataset("reviewed_incidents")
+def _reviewed_incidents(data: Datasets) -> List[IncidentReport]:
+    """Every processed credential's incident: the analysts' case review."""
+    return data.result.incidents
+
+
+@dataset("recovery_cases")
+def _recovery_cases(data: Datasets) -> List[RecoveryCase]:
+    """Every remediation case: the recovery team's case records."""
+    return data.result.remediation.cases
+
+
+@dataset("targeted_depth")
+def _targeted_depth(data: Datasets) -> float:
+    """The espionage case study's depth rating (Figure 1's targeted point)."""
+    return data.result.targeted_depth_score
+
+
+@dataset("run_summary")
+def _run_summary(data: Datasets) -> str:
+    """The simulator's report header: run scale, not a paper statistic."""
+    return data.result.summary()
+
+
 # -- actor-attributed action streams (login sessions & in-account behavior) --
 #
 # The actor tag plays the role of the paper's verdicts: the manually
@@ -422,14 +457,14 @@ def _hijacker_ips(data: Datasets) -> Dict[str, list]:
     return by_ip
 
 
-@dataset("hijacked_accounts", deps=("recovery_claims",))
+@dataset("hijacked_accounts", deps=("recovery_claims", "reviewed_incidents"))
 def _hijacked_accounts(data: Datasets) -> List[Account]:
     """D7/D10: accounts whose recovery claims indicate manual hijacking."""
     result = data.result
     claimed = {claim.account_id for claim in data.get("recovery_claims")}
     exploited = {
         report.account_id
-        for report in result.incidents
+        for report in data.get("reviewed_incidents")
         if report.outcome is IncidentOutcome.EXPLOITED
         and report.account_id is not None
     }
@@ -496,17 +531,18 @@ def _reported_hijack_mail(data: Datasets) -> List[EmailMessage]:
     return _sample(data.result, 8, messages, REQUESTED[8])
 
 
-def _cohorts(result: SimulationResult, seed_window_days: int,
+def _cohorts(data: Datasets, seed_window_days: int,
              ) -> Tuple[List[Account], List[Account]]:
     """(contacts-of-victims, random-actives) cohorts.
 
     Victims are accounts exploited within the first ``seed_window_days``;
     both cohorts come from one ``datasets:d9`` stream, contacts first.
     """
+    result = data.result
     population = result.population
     early_victims = {
         report.account_id
-        for report in result.incidents
+        for report in data.get("reviewed_incidents")
         if report.outcome is IncidentOutcome.EXPLOITED
         and report.account_id is not None
         and report.pickup_at < seed_window_days * DAY
@@ -531,24 +567,66 @@ def _cohorts(result: SimulationResult, seed_window_days: int,
     return contact_accounts, random_accounts
 
 
-@dataset("cohorts")
+@dataset("cohorts", deps=("reviewed_incidents",))
 def _cohorts_d9(data: Datasets) -> Tuple[List[Account], List[Account]]:
     """D9: contacts of early victims and a random active-user sample."""
-    return _cohorts(data.result, D9_SEED_WINDOW_DAYS)
+    return _cohorts(data, D9_SEED_WINDOW_DAYS)
 
 
-@dataset("random_cohort")
+@dataset("random_cohort", deps=("reviewed_incidents",))
 def _random_cohort(data: Datasets) -> List[Account]:
     """The contact-lift random cohort (D9 drawn over its seed window)."""
-    return _cohorts(data.result, contact_seed_window_days(data.result))[1]
+    return _cohorts(data, contact_seed_window_days(data.result))[1]
 
 
-@dataset("recovered_accounts")
+@dataset("exposed_contacts", deps=("hijacker_logins", "reviewed_incidents"))
+def _exposed_contacts(data: Datasets) -> List[Tuple[str, int]]:
+    """The contact-lift contact cohort: (account id, exposure time) pairs.
+
+    Victims are the accounts exploited in the first half of the horizon.
+    Each victim's contacts are exposed at the victim's first hijacker
+    login (when the hijacker obtains their address); the earliest
+    exposure wins, and other early victims are left out.  Sorted by
+    account, or a ``contact-lift`` sample of D9's size when larger.
+    """
+    result = data.result
+    population = result.population
+    seed_window_days = contact_seed_window_days(result)
+    first_hijack_login: Dict[str, int] = {}
+    for login in data.get("hijacker_logins"):
+        first_hijack_login.setdefault(login.account_id, login.timestamp)
+    exploited_early = {
+        report.account_id
+        for report in data.get("reviewed_incidents")
+        if report.exploitation is not None
+        and report.account_id is not None
+        and report.pickup_at < seed_window_days * DAY
+    }
+    exposure: Dict[str, int] = {}
+    for victim_id in sorted(exploited_early):
+        victim_account = population.accounts[victim_id]
+        exposed_at = first_hijack_login.get(victim_id)
+        if exposed_at is None:
+            continue
+        for contact in population.contacts_of_account(victim_account):
+            if contact.account_id in exploited_early:
+                continue
+            previous = exposure.get(contact.account_id)
+            if previous is None or exposed_at < previous:
+                exposure[contact.account_id] = exposed_at
+    items = sorted(exposure.items())
+    if len(items) > REQUESTED[9]:
+        rng = random.Random(child_seed(result.config.seed, "contact-lift"))
+        items = rng.sample(items, REQUESTED[9])
+    return items
+
+
+@dataset("recovered_accounts", deps=("recovery_cases",))
 def _recovered_accounts(data: Datasets) -> List[str]:
     """D11: hijacked accounts successfully recovered."""
     recovered = sorted(
         case.account_id
-        for case in data.result.remediation.recovered_cases())
+        for case in data.get("recovery_cases") if case.recovered)
     return sorted(_sample(data.result, 11, recovered, REQUESTED[11]))
 
 
@@ -562,15 +640,22 @@ def _recovery_claims_month(data: Datasets) -> List[RecoveryClaimEvent]:
             if claim.timestamp >= since]
 
 
-@dataset("hijack_cases")
+@dataset("hijack_cases", deps=("reviewed_incidents",))
 def _hijack_cases(data: Datasets) -> List[str]:
     """D13: hijack-case account ids for IP attribution."""
     cases = sorted({
         report.account_id
-        for report in data.result.incidents
+        for report in data.get("reviewed_incidents")
         if report.outcome.gained_access and report.account_id is not None
     })
     return sorted(_sample(data.result, 13, cases, REQUESTED[13]))
+
+
+@dataset("hijacker_ip_countries", deps=("hijacker_logins", "hijack_cases"))
+def _hijacker_ip_countries(data: Datasets) -> Dict[str, int]:
+    """Figure 11: country → distinct hijacker IPs behind the D13 cases."""
+    return geolocate_hijack_ips(data.get("hijacker_logins"),
+                                data.result.geoip, data.get("hijack_cases"))
 
 
 @dataset("hijacker_phones", deps=("hijacker_phone_pool",))

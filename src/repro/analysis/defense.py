@@ -59,7 +59,7 @@ def evaluate(ctx: ArtifactContext) -> DefensePoint:
         too_late = late / len(flags)
 
     return DefensePoint(
-        aggressiveness=ctx.result.config.risk_aggressiveness,
+        aggressiveness=ctx.config.risk_aggressiveness,
         owner_challenge_rate=owner_rate,
         hijacker_stop_rate=hijacker_rate,
         behavioral_too_late_rate=too_late,

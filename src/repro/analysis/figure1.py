@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
+from repro.hijacker.incident import IncidentReport
 from repro.hijacker.taxonomy import AttackClass, classify_observed
 from repro.logs.events import LoginEvent
 from repro.util.clock import DAY
@@ -30,7 +30,7 @@ class TaxonomyPoint:
     classified_as: AttackClass
 
 
-def _accounts_per_day(result: SimulationResult,
+def _accounts_per_day(n_accounts: int,
                       logins: Sequence[LoginEvent]) -> float:
     """Accounts touched per day, normalized to a million-user provider.
 
@@ -42,13 +42,13 @@ def _accounts_per_day(result: SimulationResult,
         return 0.0
     accounts = {login.account_id for login in logins}
     days = max(1, (logins[-1].timestamp - logins[0].timestamp) // DAY + 1)
-    scale = 1_000_000 / max(1, len(result.population))
+    scale = 1_000_000 / max(1, n_accounts)
     return len(accounts) / days * scale
 
 
-def _manual_depth(result: SimulationResult) -> float:
+def _manual_depth(incidents: Sequence[IncidentReport]) -> float:
     """Depth folded from per-victim actions of manual incidents."""
-    accessed = result.access_incidents()
+    accessed = [report for report in incidents if report.outcome.gained_access]
     if not accessed:
         return 0.0
     score = 0.0
@@ -68,19 +68,19 @@ def _manual_depth(result: SimulationResult) -> float:
 
 def compute(ctx: ArtifactContext) -> List[TaxonomyPoint]:
     """Measured (volume, depth) per attack class present in the run."""
-    result = ctx.result
     points: List[TaxonomyPoint] = []
 
-    manual_volume = _accounts_per_day(result, ctx.dataset("hijacker_logins"))
+    manual_volume = _accounts_per_day(ctx.n_accounts,
+                                      ctx.dataset("hijacker_logins"))
     if manual_volume > 0:
-        depth = _manual_depth(result)
+        depth = _manual_depth(ctx.dataset("reviewed_incidents"))
         points.append(TaxonomyPoint(
             AttackClass.MANUAL, manual_volume, depth,
             classify_observed(manual_volume, depth),
         ))
 
     automated_volume = _accounts_per_day(
-        result, ctx.dataset("automated_logins"))
+        ctx.n_accounts, ctx.dataset("automated_logins"))
     if automated_volume > 0:
         # Bots spam and move on: shallow by construction, measured as
         # the absence of profiling/retention actions in their sessions.
@@ -98,7 +98,7 @@ def compute(ctx: ArtifactContext) -> List[TaxonomyPoint]:
         days = max(1, (targeted_logins[-1].timestamp
                        - targeted_logins[0].timestamp) // DAY + 1)
         targeted_volume = len(accounts) / days
-        depth = result.targeted_depth_score
+        depth = ctx.dataset("targeted_depth")
         points.append(TaxonomyPoint(
             AttackClass.TARGETED, targeted_volume, depth,
             classify_observed(targeted_volume, depth),
@@ -120,6 +120,7 @@ def render(points: List[TaxonomyPoint]) -> str:
 
 @artifact("figure1", title="Figure 1", report_order=40,
           description="Figure 1: depth of exploitation vs. accounts per day",
-          deps=("hijacker_logins", "automated_logins", "targeted_logins"))
+          deps=("hijacker_logins", "automated_logins", "targeted_logins",
+                "reviewed_incidents", "targeted_depth"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.attribution.geolocate import country_shares, geolocate_hijack_ips
+from repro.attribution.geolocate import country_shares
 from repro.util.render import bar_chart
 
 
@@ -31,9 +31,7 @@ class Figure11:
 
 
 def compute(ctx: ArtifactContext) -> Figure11:
-    counts = geolocate_hijack_ips(ctx.dataset("hijacker_logins"),
-                                  ctx.result.geoip,
-                                  ctx.dataset("hijack_cases"))
+    counts = ctx.dataset("hijacker_ip_countries")
     return Figure11(counts=counts, shares=country_shares(counts))
 
 
@@ -50,6 +48,6 @@ def render(figure: Figure11) -> str:
 
 @artifact("figure11", title="Figure 11", report_order=180,
           description="Figure 11: countries of the IPs behind hijack cases",
-          deps=("hijack_cases", "hijacker_logins"))
+          deps=("hijacker_ip_countries",))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

@@ -34,30 +34,30 @@ def _median(samples: List[float]) -> Optional[float]:
 
 
 def compute(ctx: ArtifactContext) -> LifecycleTimings:
-    result = ctx.result
+    incidents = ctx.dataset("reviewed_incidents")
+    cases = ctx.dataset("recovery_cases")
     pickups = [
         float(report.pickup_at - report.credential.captured_at)
-        for report in result.incidents
+        for report in incidents
     ]
     assessments = [
         float(report.assessment.duration_minutes)
-        for report in result.incidents if report.assessment is not None
+        for report in incidents if report.assessment is not None
     ]
     exploitations = [
         float(report.exploitation.duration_minutes)
-        for report in result.incidents if report.exploitation is not None
+        for report in incidents if report.exploitation is not None
     ]
     flags_to_claims = [
-        float(case.latency)
-        for case in result.remediation.cases if case.latency is not None
+        float(case.latency) for case in cases if case.latency is not None
     ]
     claims_to_recoveries = [
         float(case.recovered_at - case.claim_started_at)
-        for case in result.remediation.recovered_cases()
-        if case.claim_started_at is not None
+        for case in cases
+        if case.recovered and case.claim_started_at is not None
     ]
     return LifecycleTimings(
-        n_incidents=len(result.incidents),
+        n_incidents=len(incidents),
         capture_to_pickup=_median(pickups),
         assessment=_median(assessments),
         exploitation=_median(exploitations),
@@ -89,6 +89,7 @@ def render(timings: LifecycleTimings) -> str:
 
 
 @artifact("figure2", title="Figure 2", report_order=50,
-          description="Figure 2: the hijacking cycle's median dwell times")
+          description="Figure 2: the hijacking cycle's median dwell times",
+          deps=("reviewed_incidents", "recovery_cases"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

@@ -14,7 +14,8 @@ deterministic: module import order fixes registration order, and every
 artifact carries an explicit ``report_order`` that pins its slot in the
 paper-ordered report, independent of import order.  Nothing in the
 registry holds per-run state — render functions receive an
-:class:`ArtifactContext` that owns the per-result dataset cache — so
+:class:`ArtifactContext` that owns the per-result dataset cache and
+exposes no result, only datasets, config and world size — so
 results produced by :func:`repro.core.parallel.run_worlds` feed straight
 into :func:`render_artifact` in the parent process; no registry object
 ever needs pickling.
@@ -149,19 +150,24 @@ def descriptions() -> Dict[str, str]:
 
 
 class ArtifactContext:
-    """Everything a render function may read: the result + its datasets.
+    """Everything a render function may read: datasets, config, world size.
 
-    One context shared across several renders is what makes the pipeline
-    cheap: the dataset cache on the context is the unit of sharing.  An
-    earlier-era result (Section 5.4's longitudinal comparison) gets its
-    own context, :attr:`earlier_era`, with its own dataset cache; both
-    share one restriction stack, so an artifact's declared subgraph
-    bounds what it reads from either era.
+    The result itself is not exposed: :mod:`repro.analysis.datasets` is
+    the one module that knows its layout, so every input an artifact
+    reads is a declared dataset.  One context shared across several
+    renders is what makes the pipeline cheap: the dataset cache on the
+    context is the unit of sharing.  An earlier-era result (Section
+    5.4's longitudinal comparison) gets its own context,
+    :attr:`earlier_era`, with its own dataset cache; both share one
+    restriction stack, so an artifact's declared subgraph bounds what it
+    reads from either era.
     """
 
     def __init__(self, result: SimulationResult,
                  earlier_era_result: Optional[SimulationResult] = None):
-        self.result = result
+        self.config = result.config
+        #: World size: provider accounts (per-million normalizations).
+        self.n_accounts = len(result.population)
         self.datasets = Datasets(result)
         self._allowed: List[Optional[FrozenSet[str]]] = []
         self.earlier_era: Optional[ArtifactContext] = None

@@ -33,9 +33,13 @@ def full_report(result: SimulationResult,
     """
     if ctx is None:
         ctx = ArtifactContext(result, earlier_era_result)
+    return _walk(ctx)
+
+
+def _walk(ctx: ArtifactContext) -> str:
     sections = [
         "REPRODUCTION REPORT — Handcrafted Fraud and Extortion (IMC 2014)",
-        result.summary(),
+        ctx.dataset("run_summary"),
         "\n".join(SummaryMetrics.from_context(ctx).lines()),
     ]
     for art in registry.report_sequence():
@@ -57,11 +61,12 @@ def full_report(result: SimulationResult,
                       "order",
           composite=True)
 def _report(ctx: ArtifactContext) -> str:
-    return full_report(ctx.result, ctx=ctx)
+    return _walk(ctx)
 
 
 @artifact("metrics",
           description="headline summary metrics (14-dataset catalog scale)",
-          deps=("decoy_access_deltas",))
+          deps=("decoy_access_deltas", "reviewed_incidents",
+                "recovery_cases", "hijacker_ips"))
 def _metrics(ctx: ArtifactContext) -> str:
     return "\n".join(SummaryMetrics.from_context(ctx).lines())

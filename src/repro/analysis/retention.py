@@ -54,7 +54,7 @@ def compute(ctx: ArtifactContext) -> RetentionRates:
         return len(accounts_set) / n if n else 0.0
 
     return RetentionRates(
-        era=ctx.result.config.era.value,
+        era=ctx.config.era.value,
         n_accounts=n,
         password_change_rate=rate(password_changed),
         mass_delete_given_password_change=(

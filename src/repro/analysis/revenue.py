@@ -73,7 +73,7 @@ def compute(ctx: ArtifactContext) -> RevenueReport:
             recovered_at[claim.account_id] = claim.completed_at
 
     payments: List[ResolvedPayment] = []
-    for report in ctx.result.incidents:
+    for report in ctx.dataset("reviewed_incidents"):
         if report.exploitation is None or not report.exploitation.payments:
             continue
         diverted = bool(
@@ -120,6 +120,6 @@ def render(report: RevenueReport) -> str:
 
 @artifact("economics", title="Scam economics", report_order=210,
           description="scam revenue model (extortion/wire amounts)",
-          deps=("recovery_claims",))
+          deps=("recovery_claims", "reviewed_incidents"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

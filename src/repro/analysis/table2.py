@@ -41,13 +41,8 @@ def compute(ctx: ArtifactContext) -> Table2:
     email_counts = count_by(ctx.dataset("phishing_emails"),
                             key_of=review_phishing_target)
 
-    pages_by_id = {page.page_id: page for page in ctx.result.pages}
-    page_targets = [
-        pages_by_id[detection.page_id].target.value
-        for detection in ctx.dataset("detected_pages")
-        if detection.page_id in pages_by_id
-    ]
-    page_counts = count_by(page_targets, key_of=lambda target: target)
+    page_counts = count_by(ctx.dataset("detected_pages"),
+                           key_of=lambda detection: detection.target.value)
     return Table2(email_counts=email_counts, page_counts=page_counts)
 
 

@@ -71,7 +71,7 @@ def compute(ctx: ArtifactContext) -> List[CrewWorkweek]:
     """Per-crew activity fingerprints, crews resolved via incident ground
     truth (the paper had per-individual session attribution)."""
     account_to_crew: Dict[str, str] = {}
-    for report in ctx.result.incidents:
+    for report in ctx.dataset("reviewed_incidents"):
         if report.account_id is not None:
             account_to_crew.setdefault(report.account_id, report.crew_name)
 
@@ -129,6 +129,6 @@ def render(fingerprints: List[CrewWorkweek]) -> str:
 
 @artifact("section5.5", title="Section 5.5", report_order=150,
           description="Section 5.5: hijacker workweek (activity by weekday)",
-          deps=("hijacker_logins",))
+          deps=("hijacker_logins", "reviewed_incidents"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

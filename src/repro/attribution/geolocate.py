@@ -11,7 +11,7 @@ analysis reports where the *traffic* comes from.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.logs.events import LoginEvent
 from repro.logs.mapreduce import count_by
@@ -46,11 +46,3 @@ def country_shares(counts: Dict[str, int],
         key=lambda pair: (-pair[1], pair[0]),
     )
     return shares[:top] if top is not None else shares
-
-
-def dominant_countries(counts: Dict[str, int], threshold: float = 0.05,
-                       ) -> Sequence[str]:
-    """Countries holding at least ``threshold`` of the traffic."""
-    return tuple(
-        country for country, share in country_shares(counts) if share >= threshold
-    )

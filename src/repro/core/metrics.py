@@ -3,17 +3,19 @@
 The in-text numbers the paper leads with, computed from an artifact
 context: the 9-per-million-per-day incident rate, decoy response speed,
 the 3-minute assessment, the 75% password-success rate, per-IP blending,
-and recovery outcomes.  Analyses and benches reuse these so every number
-is computed exactly one way.
+and recovery outcomes.  They read datasets only (the analysts' case
+review ``reviewed_incidents``, the ``recovery_cases`` records, decoy
+first-access deltas and D5's hijacker IPs) plus the context's world
+size and config.  Analyses and benches reuse these so every number is
+computed exactly one way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.core.simulation import SimulationResult
-from repro.hijacker.incident import IncidentOutcome
+from repro.hijacker.incident import IncidentOutcome, IncidentReport
 from repro.util.clock import HOUR
 from repro.util.distributions import mean
 
@@ -37,14 +39,15 @@ class SummaryMetrics:
 
     @classmethod
     def from_context(cls, ctx: "ArtifactContext") -> "SummaryMetrics":
-        """Decoy speed from the ``decoy_access_deltas`` dataset; the
-        rest from the result."""
-        result = ctx.result
-        incidents = result.access_incidents()
-        n_actives = len(result.population)
-        days = result.config.horizon_days
+        """Every number from the context's datasets, world size and
+        config."""
+        incidents = ctx.dataset("reviewed_incidents")
+        accessed_incidents = [
+            report for report in incidents if report.outcome.gained_access]
+        n_actives = ctx.n_accounts
+        days = ctx.config.horizon_days
         rate = (
-            len(incidents) / n_actives / days * 1_000_000
+            len(accessed_incidents) / n_actives / days * 1_000_000
             if n_actives and days else 0.0
         )
 
@@ -62,30 +65,30 @@ class SummaryMetrics:
 
         assessments = [
             report.assessment.duration_minutes
-            for report in result.incidents
+            for report in incidents
             if report.assessment is not None
         ]
         mean_assessment = mean(assessments) if assessments else None
 
-        password_success = cls._password_success_rate(result)
+        password_success = cls._password_success_rate(incidents)
 
-        per_ip: List[float] = []
-        for state in result.crew_states:
-            per_ip.extend(
-                len(accounts)
-                for accounts in state.ip_pool.accounts_per_ip.values()
-                if accounts
-            )
+        # Distinct accounts each D5 address logged into: the blending the
+        # crews' IP pools enforce, read back from the logins.
+        per_ip = [len({login.account_id for login in logins})
+                  for logins in ctx.dataset("hijacker_ips").values()]
         mean_per_ip = mean(per_ip) if per_ip else None
 
-        exploited = result.exploited_incidents()
+        exploited = [report for report in incidents
+                     if report.outcome is IncidentOutcome.EXPLOITED]
         exploited_fraction = (
-            len(exploited) / len(incidents) if incidents else None
+            len(exploited) / len(accessed_incidents)
+            if accessed_incidents else None
         )
 
-        cases = result.remediation.cases
+        cases = ctx.dataset("recovery_cases")
         recovery_rate = (
-            result.remediation.recovery_rate() if cases else None
+            sum(1 for case in cases if case.recovered) / len(cases)
+            if cases else None
         )
         return cls(
             incidents_per_million_actives_per_day=rate,
@@ -100,12 +103,13 @@ class SummaryMetrics:
         )
 
     @staticmethod
-    def _password_success_rate(result: SimulationResult) -> Optional[float]:
+    def _password_success_rate(incidents: Sequence[IncidentReport],
+                               ) -> Optional[float]:
         """Fraction of processed credentials where the hijacker ended up
         with a working password, retries with trivial variants included
         (the paper's 75%)."""
         relevant = [
-            report for report in result.incidents
+            report for report in incidents
             if report.outcome is not IncidentOutcome.NO_SUCH_ACCOUNT
             and report.outcome is not IncidentOutcome.ACCOUNT_SUSPENDED
         ]

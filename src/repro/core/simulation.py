@@ -27,7 +27,7 @@ from repro.defense.challenge import ChallengeService
 from repro.defense.notifications import NotificationService
 from repro.defense.risk import IpReputationTracker, LoginRiskAnalyzer
 from repro.hijacker.automated import AutomatedHijackingBotnet, BotnetReport
-from repro.hijacker.targeted import EspionageReport, TargetedAttacker
+from repro.hijacker.targeted import TargetedAttacker
 from repro.hijacker.exploitation import ExploitationPlaybook
 from repro.hijacker.groups import HijackingCrew
 from repro.hijacker.incident import IncidentDriver, IncidentOutcome, IncidentReport
@@ -111,7 +111,6 @@ class SimulationResult:
     remediation: RemediationEngine
     mail: MailService
     botnet_report: Optional[BotnetReport] = None
-    targeted_reports: List[EspionageReport] = field(default_factory=list)
     targeted_depth_score: float = 0.0
 
     @property
@@ -343,7 +342,6 @@ class Simulation:
             with obs.trace("simulation.phase.log_retention"):
                 RetentionPolicy().enforce(self.store, now=self.clock.now)
 
-        targeted_reports: List[EspionageReport] = []
         targeted_depth = 0.0
         if self.config.include_targeted_baseline:
             with obs.trace("simulation.phase.targeted_campaign"):
@@ -355,8 +353,7 @@ class Simulation:
                     allocator=self.allocator,
                     store=self.store,
                 )
-                targeted_reports = attacker.run_campaign(
-                    self.config.targeted_victims, start=DAY)
+                attacker.run_campaign(self.config.targeted_victims, start=DAY)
                 targeted_depth = attacker.depth_score()
 
         return SimulationResult(
@@ -373,7 +370,6 @@ class Simulation:
             remediation=self.remediation,
             mail=self.mail,
             botnet_report=botnet_report,
-            targeted_reports=targeted_reports,
             targeted_depth_score=targeted_depth,
         )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.hijacker.schedule import WorkSchedule
 
@@ -126,9 +126,3 @@ def default_crews() -> Tuple[HijackingCrew, ...]:
             activity_weight=0.06,
         ),
     )
-
-
-def crews_by_weight(crews: Sequence[HijackingCrew]) -> Tuple[Tuple[HijackingCrew, float], ...]:
-    """(crew, normalized weight) pairs for volume allocation."""
-    total = sum(crew.activity_weight for crew in crews)
-    return tuple((crew, crew.activity_weight / total) for crew in crews)

@@ -132,6 +132,3 @@ class CredentialQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def next_pickup_at(self) -> Optional[int]:
-        return self._heap[0].pickup_at if self._heap else None

@@ -83,9 +83,3 @@ class WorkSchedule:
                 return probe
             probe += 1
         raise RuntimeError("no working minute found within two weeks")
-
-    def working_minutes_per_week(self) -> int:
-        """Total desk minutes in a week (for capacity planning)."""
-        day_minutes = (self.end_hour - self.start_hour - 1) * HOUR
-        days = 7 if self.works_weekends else 5
-        return day_minutes * days

@@ -10,7 +10,7 @@ typo'd username at the same provider.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 #: TLDs appearing in the Figure 4 axis, in the paper's order.
 FIGURE4_TLDS: Tuple[str, ...] = (
@@ -118,8 +118,3 @@ def _typo(rng: random.Random, word: str) -> str:
             choices.append(word[:index] + _HOMOGLYPHS[char] + word[index + 1:])
     candidates = [c for c in choices if c != word]
     return rng.choice(candidates) if candidates else word + word[-1]
-
-
-def all_provider_domains() -> Sequence[str]:
-    """Every mail-provider domain in the simulated world."""
-    return (PRIMARY_PROVIDER,) + OTHER_PROVIDERS

@@ -103,8 +103,3 @@ class HttpRequest:
             raise ValueError(f"negative timestamp: {self.timestamp}")
         if self.method is Method.GET and self.submitted_email is not None:
             raise ValueError("GET requests cannot carry a form submission")
-
-    @property
-    def is_submission(self) -> bool:
-        """True when this request is a completed form POST."""
-        return self.method is Method.POST

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 
 @dataclass(frozen=True, order=True)
@@ -140,11 +140,3 @@ def _blocks_overlap(a: IpBlock, b: IpBlock) -> bool:
     a_end = a.network.value + a.size
     b_end = b.network.value + b.size
     return a.network.value < b_end and b.network.value < a_end
-
-
-def block_of(address: IpAddress, blocks: List[IpBlock]) -> Optional[IpBlock]:
-    """The first block containing ``address``, or None."""
-    for block in blocks:
-        if address in block:
-            return block
-    return None

@@ -96,11 +96,6 @@ class CampaignResult:
     submissions: int = 0
     credentials: List[Credential] = field(default_factory=list)
 
-    @property
-    def conversion_rate(self) -> float:
-        """POST/GET rate, the Figure 5 quantity."""
-        return self.submissions / self.visits if self.visits else 0.0
-
 
 @dataclass
 class CampaignRunner:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.phishing.pages import PageHosting, PhishingPage
+from repro.phishing.templates import AccountType
 from repro.util.clock import HOUR, WEEK
 
 
@@ -29,6 +30,8 @@ class Detection:
     detected_at: int
     taken_down_at: int
     hosting: PageHosting
+    #: The account type the page imitates (Table 2's page column).
+    target: AccountType
 
     def __post_init__(self) -> None:
         if self.taken_down_at < self.detected_at:
@@ -74,6 +77,7 @@ class SafeBrowsingPipeline:
             detected_at=detected_at,
             taken_down_at=taken_down_at,
             hosting=page.hosting,
+            target=page.target,
         )
         self.detections.append(detection)
         return detection
@@ -90,6 +94,3 @@ class SafeBrowsingPipeline:
         start = week_index * WEEK
         end = start + WEEK
         return [d for d in self.detections if start <= d.detected_at < end]
-
-    def pages_detected_before(self, now: int) -> List[Detection]:
-        return [d for d in self.detections if d.detected_at <= now]

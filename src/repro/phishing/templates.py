@@ -132,21 +132,3 @@ def sample_email_template(rng: random.Random) -> PhishingEmailTemplate:
     target = sample_email_target(rng)
     has_url = rng.random() < URL_EMAIL_FRACTION
     return make_template(target, has_url)
-
-
-def review_target_of(template: PhishingEmailTemplate) -> AccountType:
-    """The 'manual reviewer': recover the target type from text alone.
-
-    Used by the Table 2 analysis so categorization depends on content,
-    not on reading the ground-truth field.
-    """
-    haystack = f"{template.subject} {template.body}".lower()
-    for target, markers in (
-        (AccountType.BANK, ("bank", "billing", "statement")),
-        (AccountType.APP_STORE, ("app store", "purchase")),
-        (AccountType.SOCIAL_NETWORK, ("friend", "profile")),
-        (AccountType.MAIL, ("mail",)),
-    ):
-        if any(marker in haystack for marker in markers):
-            return target
-    return AccountType.OTHER

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Dict, FrozenSet, List, Pattern
+from typing import Dict, List, Pattern
 
 
 class Principle(enum.Enum):
@@ -86,8 +86,3 @@ def principles_present(text: str) -> List[Principle]:
         principle for principle in Principle
         if _PATTERNS[principle].search(haystack)
     ]
-
-
-def markers_for(principle: Principle) -> FrozenSet[str]:
-    """The marker set for one principle (exposed for the classifier)."""
-    return _MARKERS[principle]

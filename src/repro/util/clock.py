@@ -104,12 +104,6 @@ class SimClock:
         self.now = t
         self._fire_watchers()
 
-    def advance_by(self, delta: int) -> None:
-        """Move the clock forward by ``delta`` minutes."""
-        if delta < 0:
-            raise ValueError(f"cannot advance by a negative delta ({delta})")
-        self.advance_to(self.now + delta)
-
     def watch(self, at: int, callback: Callable[[int], None]) -> None:
         """Register ``callback(now)`` to fire once the clock reaches ``at``."""
         if at < self.now:

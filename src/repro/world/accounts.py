@@ -68,15 +68,6 @@ class RecoveryOptions:
     has_secret_question: bool = True
     changed_by_hijacker: bool = False
 
-    def channels_available(self) -> List[str]:
-        channels = []
-        if self.phone is not None:
-            channels.append("sms")
-        if self.secondary_email is not None and not self.secondary_email_recycled:
-            channels.append("email")
-        channels.append("fallback")
-        return channels
-
 
 @dataclass(**SLOT_KWARGS)
 class Account:
@@ -101,24 +92,6 @@ class Account:
     def verify_password(self, attempt: str) -> bool:
         return attempt == self.password
 
-    def is_trivial_variant(self, attempt: str) -> bool:
-        """Whether ``attempt`` is a near-miss a human would retry from.
-
-        Models the paper's observation that hijackers reach 75% password
-        success *including retries with trivial variants*: transcription
-        slips (case of first letter, trailing digit) still identify the
-        right password.
-        """
-        if attempt == self.password:
-            return False
-        candidates = {
-            self.password.lower(),
-            self.password.capitalize(),
-            self.password + "1",
-            self.password.rstrip("0123456789"),
-        }
-        return attempt in candidates
-
     def set_password(self, new_password: str, by_hijacker: bool, now: int) -> None:
         if not new_password:
             raise ValueError("password cannot be empty")
@@ -141,10 +114,6 @@ class Account:
 
     def mark_activity(self, now: int) -> None:
         self.last_activity_at = max(self.last_activity_at, now)
-
-    def is_active_within(self, now: int, window_minutes: int) -> bool:
-        """The paper's 30-day-active definition, parameterized."""
-        return now - self.last_activity_at <= window_minutes
 
     def enable_two_factor(self, phone: PhoneNumber, by_hijacker: bool, now: int) -> None:
         self.two_factor_phone = phone

@@ -30,10 +30,6 @@ class ActivityLevel(enum.Enum):
     OCCASIONAL = "occasional"
 
     @property
-    def mean_logins_per_day(self) -> float:
-        return {"daily": 3.0, "weekly": 0.4, "occasional": 0.08}[self.value]
-
-    @property
     def mean_reaction_hours(self) -> float:
         """Mean hours until an *un-notified* user notices something wrong
         (next failed login, a confused reply from a contact, …)."""

@@ -2,6 +2,7 @@
 
 from repro.analysis import curation
 from repro.net.email_addr import EmailAddress
+from repro.phishing.templates import EMAIL_TEMPLATES
 from repro.scams.classifier import MessageCategory
 from repro.world.messages import EmailMessage
 
@@ -46,3 +47,10 @@ class TestReviewTarget:
     def test_fallback_other(self):
         assert curation.review_phishing_target(message(
             "parcel delayed")) == "Other"
+
+    def test_every_template_reviews_back_to_its_target(self):
+        for template in EMAIL_TEMPLATES:
+            delivered = message(template.subject, template.body,
+                                template.keywords())
+            assert curation.review_phishing_target(delivered) == \
+                template.target.value, f"{template.subject} / {template.body}"

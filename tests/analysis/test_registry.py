@@ -132,8 +132,8 @@ class TestSubgraphSelection:
             return (scans, counters.get("analysis.dataset.miss", 0),
                     counters.get("analysis.dataset.hit", 0))
 
-        assert walk_counts(standalone_recorder.counters) == (50, 68, 11)
-        assert walk_counts(shared_recorder.counters) == (26, 31, 34)
+        assert walk_counts(standalone_recorder.counters) == (50, 80, 16)
+        assert walk_counts(shared_recorder.counters) == (26, 35, 44)
 
     def test_composite_report_exempt_from_restriction(self, smoke_result):
         text = render_artifact("report", ArtifactContext(smoke_result))
@@ -148,20 +148,28 @@ class TestSubgraphSelection:
         assert "evolution" in render_artifact("evolution", ctx)
 
 
+def _track_builds(monkeypatch):
+    """Patch ``Datasets.get`` to keep a live stack of the builds in flight."""
+    building = []
+    resolve = Datasets.get
+
+    def tracked_get(data, name):
+        building.append(name)
+        try:
+            return resolve(data, name)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(Datasets, "get", tracked_get)
+    return building
+
+
 class TestLogReadBoundary:
     """DESIGN §6: artifacts read the log store only through datasets."""
 
     def test_every_artifact_reads_logs_through_datasets(self, smoke_result,
                                                         monkeypatch):
-        building = []
-        resolve = Datasets.get
-
-        def tracked_get(data, name):
-            building.append(name)
-            try:
-                return resolve(data, name)
-            finally:
-                building.pop()
+        building = _track_builds(monkeypatch)
 
         def guarded(read):
             def checked(store, *args, **kwargs):
@@ -171,7 +179,6 @@ class TestLogReadBoundary:
                 return read(store, *args, **kwargs)
             return checked
 
-        monkeypatch.setattr(Datasets, "get", tracked_get)
         monkeypatch.setattr(LogStore, "query", guarded(LogStore.query))
         monkeypatch.setattr(LogStore, "for_account",
                             guarded(LogStore.for_account))
@@ -185,6 +192,59 @@ class TestLogReadBoundary:
         assert len(report_keys) == 21
         assert set(registry.artifact_keys()) == report_keys | {
             "report", "metrics", "evolution"}
+
+
+#: Result attributes that hold simulator ground truth, not provider logs.
+GROUND_TRUTH = frozenset({
+    "incidents", "remediation", "pages", "campaigns", "crew_states",
+    "targeted_depth_score", "botnet_report", "access_incidents",
+    "exploited_incidents", "summary"})
+#: The datasets that stand in for a named review and may read them.
+GROUND_TRUTH_DATASETS = frozenset({
+    "reviewed_incidents", "recovery_cases", "targeted_depth", "run_summary"})
+
+
+class _GroundTruthGuard:
+    """A result proxy: ground truth is readable only inside a build of a
+    pinned ground-truth dataset; every other attribute passes through."""
+
+    def __init__(self, result, building, readers):
+        self._result = result
+        self._building = building
+        self._readers = readers
+
+    def __getattr__(self, name):
+        if name in GROUND_TRUTH:
+            if not self._building:
+                raise AssertionError(
+                    f"result.{name} read outside a dataset build")
+            reader = self._building[-1]
+            if reader not in GROUND_TRUTH_DATASETS:
+                raise AssertionError(
+                    f"dataset {reader!r} read ground truth result.{name}")
+            self._readers.add(reader)
+        return getattr(self._result, name)
+
+
+class TestGroundTruthBoundary:
+    """DESIGN §6: artifacts reach simulator ground truth only through the
+    pinned ground-truth datasets."""
+
+    def test_every_artifact_reads_ground_truth_through_pinned_datasets(
+            self, smoke_result, monkeypatch):
+        assert all(hasattr(smoke_result, name) for name in GROUND_TRUTH)
+        building = _track_builds(monkeypatch)
+        readers = set()
+        guarded = _GroundTruthGuard(smoke_result, building, readers)
+        for art in registry.artifacts():
+            earlier = guarded if art.needs_earlier_era else None
+            text = render_artifact(art.key, ArtifactContext(guarded, earlier))
+            assert "no data in this scenario" not in text
+        # Building every dataset pins the set: exactly these read it.
+        data = Datasets(guarded)
+        for name in dataset_names():
+            data.get(name)
+        assert readers == GROUND_TRUTH_DATASETS
 
 
 class TestDatasetLayer:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.attribution.geolocate import (
     country_shares,
-    dominant_countries,
     geolocate_hijack_ips,
 )
 from repro.attribution.groups import case_signature, infer_groups
@@ -68,11 +67,6 @@ class TestShares:
     def test_top_truncation(self):
         shares = country_shares({"CN": 6, "NG": 3, "ZA": 1}, top=2)
         assert len(shares) == 2
-
-    def test_dominant(self):
-        counts = {"CN": 60, "NG": 30, "ZA": 9, "US": 1}
-        assert "US" not in dominant_countries(counts, threshold=0.05)
-        assert "ZA" in dominant_countries(counts, threshold=0.05)
 
     def test_empty(self):
         assert country_shares({}) == []

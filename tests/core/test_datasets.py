@@ -322,3 +322,71 @@ class TestHijackedAccountSends:
                 if event.account_id == account_id]
         assert any(event.actor is Actor.OWNER
                    for events in sends.values() for event in events)
+
+
+class TestGroundTruthDatasets:
+    def test_d11_is_the_recovered_cases(self, data, exploitation_result):
+        recovered = sorted(
+            case.account_id
+            for case in exploitation_result.remediation.recovered_cases())
+        assert recovered
+        if len(recovered) > REQUESTED[11]:
+            recovered = random.Random(child_seed(
+                exploitation_result.config.seed, "datasets:d11")).sample(
+                    recovered, REQUESTED[11])
+        assert data.get("recovered_accounts") == sorted(recovered)
+
+    def test_hijacker_ip_countries_geolocate_d13(self, data,
+                                                 exploitation_result):
+        countries = data.get("hijacker_ip_countries")
+        assert countries
+        assert countries == geolocate_hijack_ips(
+            data.get("hijacker_logins"), exploitation_result.geoip,
+            data.get("hijack_cases"))
+
+    def test_every_detection_carries_its_page_target(self,
+                                                     exploitation_result):
+        pages = {page.page_id: page for page in exploitation_result.pages}
+        detections = exploitation_result.safebrowsing.detections
+        assert detections
+        for detection in detections:
+            assert detection.target is pages[detection.page_id].target
+
+
+def exposed_contacts(contacts, first_logins):
+    """``exposed_contacts`` of a stand-in world: each victim in
+    ``contacts`` exploited on day 0, first hijacker login at
+    ``first_logins[victim]``."""
+    store = LogStore()
+    store.extend(sorted((login(at, victim, Actor.MANUAL_HIJACKER)
+                         for victim, at in first_logins.items()),
+                        key=lambda event: event.timestamp))
+    return Datasets(SimpleNamespace(
+        store=store, config=SimpleNamespace(seed=3, horizon_days=10),
+        incidents=[SimpleNamespace(exploitation=True, account_id=victim,
+                                   pickup_at=0) for victim in contacts],
+        population=SimpleNamespace(
+            accounts={victim: victim for victim in contacts},
+            contacts_of_account=lambda victim: [
+                SimpleNamespace(account_id=account_id)
+                for account_id in contacts[victim]]),
+    )).get("exposed_contacts")
+
+
+class TestExposedContacts:
+    def test_earliest_exposure_wins_sorted_without_victims(self):
+        # acct-000003 was never logged into, so its contact is unexposed.
+        assert exposed_contacts(
+            {"acct-000001": ["acct-000009", "acct-000002", "acct-000005"],
+             "acct-000002": ["acct-000009", "acct-000007"],
+             "acct-000003": ["acct-000008"]},
+            {"acct-000001": 50, "acct-000002": 20}) == [
+            ("acct-000005", 50), ("acct-000007", 20), ("acct-000009", 20)]
+
+    def test_contact_lift_sample_when_larger_than_d9(self):
+        contacts = [f"acct-{index:06d}"
+                    for index in range(100, 100 + REQUESTED[9] + 7)]
+        expected = random.Random(child_seed(3, "contact-lift")).sample(
+            [(account_id, 30) for account_id in contacts], REQUESTED[9])
+        assert exposed_contacts({"acct-000001": contacts},
+                                {"acct-000001": 30}) == expected

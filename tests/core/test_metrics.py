@@ -1,5 +1,10 @@
+import pytest
+
+from repro import Simulation
 from repro.analysis.registry import ArtifactContext
 from repro.core.metrics import SummaryMetrics
+from repro.core.scenarios import smoke_scenario
+from repro.util.distributions import mean
 
 
 def metrics_of(result):
@@ -35,3 +40,17 @@ class TestSummaryMetrics:
                       metrics.decoy_fraction_accessed):
             if value is not None:
                 assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_accounts_per_ip_from_logs_equal_crew_pools(self, seed,
+                                                        smoke_result):
+        """D5's distinct accounts per hijacker IP re-derive the blending
+        the crews' IP pools enforced (ground truth read only here)."""
+        result = (smoke_result if seed == 7
+                  else Simulation(smoke_scenario(seed=seed)).run())
+        pooled = [len(accounts) for state in result.crew_states
+                  for accounts in state.ip_pool.accounts_per_ip.values()
+                  if accounts]
+        assert pooled
+        assert metrics_of(result).mean_accounts_per_hijacker_ip == \
+            mean(pooled)

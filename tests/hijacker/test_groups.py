@@ -3,7 +3,6 @@ import pytest
 from repro.hijacker.groups import (
     Era,
     HijackingCrew,
-    crews_by_weight,
     default_crews,
 )
 from repro.hijacker.schedule import WorkSchedule
@@ -70,12 +69,6 @@ class TestValidation:
                 ip_country_mix=(("CN", 1.0),),
                 phone_country_mix=(("CN", 1.0),),
                 uses_phone_lockout=False, activity_weight=0.0)
-
-
-class TestWeights:
-    def test_normalization(self):
-        weighted = crews_by_weight(default_crews())
-        assert sum(weight for _, weight in weighted) == pytest.approx(1.0)
 
 
 class TestEras:

@@ -95,13 +95,6 @@ class TestCredentialQueue:
         assert queue.submit(credential(0)) is None
         assert queue.abandoned == 1
 
-    def test_next_pickup_at(self, rng):
-        model = PickupModel(rng, abandon_rate=0.0)
-        queue = CredentialQueue(model, ALWAYS_ON)
-        assert queue.next_pickup_at() is None
-        pickup_at = queue.submit(credential(0))
-        assert queue.next_pickup_at() == pickup_at
-
 
 class TestResponseTimeShape:
     def test_figure7_shape(self, rng):

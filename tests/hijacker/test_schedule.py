@@ -74,9 +74,3 @@ class TestNextWorkingMinute:
         schedule = WorkSchedule(utc_offset_hours=-4)
         for t in range(0, WEEK, 131):
             assert schedule.next_working_minute(t) >= t
-
-
-class TestCapacity:
-    def test_working_minutes_per_week(self):
-        schedule = WorkSchedule()  # 9-18 minus lunch = 8h/day, 5 days
-        assert schedule.working_minutes_per_week() == 8 * HOUR * 5

@@ -3,9 +3,7 @@ import pytest
 from repro.net.domains import (
     EDU_DOMAINS,
     FIGURE4_TLDS,
-    OTHER_PROVIDERS,
     PRIMARY_PROVIDER,
-    all_provider_domains,
     edit_distance,
     is_lookalike_domain,
     lookalike_provider,
@@ -25,10 +23,6 @@ class TestTlds:
 
     def test_edu_domains_are_edu(self):
         assert all(tld_of(domain) == "edu" for domain in EDU_DOMAINS)
-
-    def test_provider_domains(self):
-        assert PRIMARY_PROVIDER in all_provider_domains()
-        assert all(p in all_provider_domains() for p in OTHER_PROVIDERS)
 
 
 class TestEditDistance:

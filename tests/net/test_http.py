@@ -50,20 +50,6 @@ class TestHttpRequest:
     def _ip(self):
         return IpAddress.parse("20.0.0.1")
 
-    def test_post_with_submission(self):
-        request = HttpRequest(
-            timestamp=10, method=Method.POST, page_id="page-000000",
-            client_ip=self._ip(), submitted_email="a@b.edu",
-        )
-        assert request.is_submission
-
-    def test_get_is_not_submission(self):
-        request = HttpRequest(
-            timestamp=10, method=Method.GET, page_id="p",
-            client_ip=self._ip(),
-        )
-        assert not request.is_submission
-
     def test_get_cannot_carry_submission(self):
         with pytest.raises(ValueError):
             HttpRequest(timestamp=10, method=Method.GET, page_id="p",

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.net.ip import IpAddress, IpAllocator, IpBlock, block_of
+from repro.net.ip import IpAddress, IpAllocator, IpBlock
 
 
 class TestIpAddress:
@@ -95,10 +95,3 @@ class TestIpAllocator:
         allocator.register_block("US", IpBlock.parse("10.0.0.0/24"))
         allocator.register_block("FR", IpBlock.parse("11.0.0.0/24"))
         assert allocator.countries() == ["FR", "US"]
-
-
-class TestBlockOf:
-    def test_finds_containing_block(self):
-        blocks = [IpBlock.parse("10.0.0.0/24"), IpBlock.parse("11.0.0.0/24")]
-        assert block_of(IpAddress.parse("11.0.0.5"), blocks) == blocks[1]
-        assert block_of(IpAddress.parse("12.0.0.1"), blocks) is None

@@ -138,12 +138,6 @@ class TestRun:
         for credential in result.credentials:
             assert credential.password == "external-secret"
 
-    def test_conversion_rate(self, runner):
-        _store, campaign_runner = runner
-        page = forms_page(taken_down_at=10**7)
-        result = campaign_runner.run(make_campaign(page, edu_targets(600)))
-        assert 0.0 < result.conversion_rate <= 1.0
-
 
 class TestOutlierProfile:
     def test_quiet_period_then_wave(self, runner):

@@ -34,11 +34,12 @@ class TestDetection:
         page = make_page()
         detection = pipeline.process_page(page)
         assert page.taken_down_at == detection.taken_down_at
+        assert detection.target is page.target
 
     def test_detection_validates_ordering(self):
         with pytest.raises(ValueError):
             Detection(page_id="p", detected_at=10, taken_down_at=5,
-                      hosting=PageHosting.WEB)
+                      hosting=PageHosting.WEB, target=AccountType.MAIL)
 
     def test_mean_lifetime_order_of_days(self, rng):
         pipeline = SafeBrowsingPipeline(rng)
@@ -65,9 +66,3 @@ class TestAggregation:
     def test_negative_week_rejected(self, rng):
         with pytest.raises(ValueError):
             SafeBrowsingPipeline(rng).detections_in_week(-1)
-
-    def test_pages_detected_before(self, rng):
-        pipeline = SafeBrowsingPipeline(rng)
-        pipeline.process_page(make_page())
-        assert pipeline.pages_detected_before(10**9)
-        assert pipeline.pages_detected_before(0) == []

@@ -6,7 +6,6 @@ from repro.phishing.templates import (
     PAGE_TARGET_WEIGHTS,
     URL_EMAIL_FRACTION,
     AccountType,
-    review_target_of,
     sample_email_target,
     sample_email_template,
     sample_page_target,
@@ -61,7 +60,3 @@ class TestTemplates:
     def test_keywords_include_bait(self):
         for template in EMAIL_TEMPLATES:
             assert "verify" in template.keywords()
-
-    def test_review_recovers_target_from_text(self):
-        for template in EMAIL_TEMPLATES:
-            assert review_target_of(template) is template.target

@@ -47,11 +47,6 @@ class TestScheduleProperties:
         assert (schedule.next_working_minute(t)
                 <= schedule.next_working_minute(t + 60))
 
-    @given(schedules)
-    @settings(max_examples=60)
-    def test_weekly_capacity_positive(self, schedule):
-        assert schedule.working_minutes_per_week() > 0
-
 
 class TestPickupProperties:
     @given(st.integers(min_value=0, max_value=2**31), timestamps)

@@ -1,4 +1,4 @@
-from repro.scams.principles import Principle, markers_for, principles_present
+from repro.scams.principles import Principle, principles_present
 
 
 class TestTaxonomy:
@@ -8,10 +8,6 @@ class TestTaxonomy:
     def test_descriptions_nonempty(self):
         for principle in Principle:
             assert principle.description
-
-    def test_markers_nonempty(self):
-        for principle in Principle:
-            assert markers_for(principle)
 
 
 class TestDetection:

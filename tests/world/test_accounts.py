@@ -34,12 +34,6 @@ class TestPasswords:
         assert account.verify_password("sunshine42")
         assert not account.verify_password("wrong")
 
-    def test_trivial_variants(self, account):
-        assert account.is_trivial_variant("Sunshine42")
-        assert account.is_trivial_variant("sunshine421")
-        assert not account.is_trivial_variant("sunshine42")  # exact ≠ variant
-        assert not account.is_trivial_variant("completely-else")
-
     def test_set_password(self, account):
         account.set_password("new-pass", by_hijacker=True, now=5)
         assert account.verify_password("new-pass")
@@ -71,11 +65,6 @@ class TestStateMachine:
         account.reactivate(now=21)
         assert account.state.can_login()
 
-    def test_activity_window(self, account):
-        account.mark_activity(100)
-        assert account.is_active_within(now=200, window_minutes=150)
-        assert not account.is_active_within(now=1000, window_minutes=100)
-
     def test_activity_never_regresses(self, account):
         account.mark_activity(100)
         account.mark_activity(50)
@@ -104,25 +93,6 @@ class TestHijackerSettings:
 
     def test_clear_is_noop_when_clean(self, account):
         assert account.clear_hijacker_settings(now=10) == 0
-
-
-class TestRecoveryOptions:
-    def test_channels_with_everything(self):
-        options = RecoveryOptions(
-            phone=PhoneNumber("+14155551234"),
-            secondary_email=EmailAddress("me", "inboxly.net"),
-        )
-        assert options.channels_available() == ["sms", "email", "fallback"]
-
-    def test_recycled_email_not_offered(self):
-        options = RecoveryOptions(
-            secondary_email=EmailAddress("me", "inboxly.net"),
-            secondary_email_recycled=True,
-        )
-        assert options.channels_available() == ["fallback"]
-
-    def test_fallback_always_present(self):
-        assert RecoveryOptions().channels_available() == ["fallback"]
 
 
 class TestCredential:

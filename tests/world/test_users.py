@@ -22,11 +22,6 @@ def make_user(**overrides):
 
 
 class TestActivityLevel:
-    def test_login_rates_ordered(self):
-        assert (ActivityLevel.DAILY.mean_logins_per_day
-                > ActivityLevel.WEEKLY.mean_logins_per_day
-                > ActivityLevel.OCCASIONAL.mean_logins_per_day)
-
     def test_reaction_times_ordered(self):
         assert (ActivityLevel.DAILY.mean_reaction_hours
                 < ActivityLevel.WEEKLY.mean_reaction_hours
