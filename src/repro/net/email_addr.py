@@ -70,12 +70,40 @@ class EmailAddress:
         return f"{self.username}@{self.domain}"
 
 
+#: Sizes of the username draws and the bits of one ``getrandbits`` try.
+#: CPython's ``choice(seq)``/``randrange(a, b)`` draw ``getrandbits(k)``
+#: with ``k = n.bit_length()`` until the value is below ``n``; the loops
+#: below make exactly those calls without the two Python frames per draw,
+#: so every username, and the stream state after it, is unchanged.
+_N_FIRST = len(_USERNAME_FIRST)
+_N_LAST = len(_USERNAME_LAST)
+_N_NUMBER = 90  # randrange(10, 100)
+_N_SUFFIX = 1000  # randrange(1000)
+_FIRST_BITS = _N_FIRST.bit_length()
+_LAST_BITS = _N_LAST.bit_length()
+_NUMBER_BITS = _N_NUMBER.bit_length()
+_SUFFIX_BITS = _N_SUFFIX.bit_length()
+
+
 def generate_username(rng: random.Random) -> str:
-    """A plausible personal username (``first.last`` or ``firstNN``)."""
-    first = rng.choice(_USERNAME_FIRST)
+    """A plausible personal username (``first.last`` or ``firstNN``).
+
+    Draws what ``choice(_USERNAME_FIRST)``, ``random()`` and then
+    ``choice(_USERNAME_LAST)`` or ``randrange(10, 100)`` would.
+    """
+    getrandbits = rng.getrandbits
+    first = getrandbits(_FIRST_BITS)
+    while first >= _N_FIRST:
+        first = getrandbits(_FIRST_BITS)
     if rng.random() < 0.6:
-        return f"{first}.{rng.choice(_USERNAME_LAST)}"
-    return f"{first}{rng.randrange(10, 100)}"
+        last = getrandbits(_LAST_BITS)
+        while last >= _N_LAST:
+            last = getrandbits(_LAST_BITS)
+        return f"{_USERNAME_FIRST[first]}.{_USERNAME_LAST[last]}"
+    number = getrandbits(_NUMBER_BITS)
+    while number >= _N_NUMBER:
+        number = getrandbits(_NUMBER_BITS)
+    return f"{_USERNAME_FIRST[first]}{number + 10}"
 
 
 def generate_address(rng: random.Random, domain: str,
@@ -87,13 +115,18 @@ def generate_address(rng: random.Random, domain: str,
     to keep this O(1) per call.  Rejected attempts are plain strings; the
     one :class:`EmailAddress` built per call is the accepted one.  The first
     eleven attempts draw bare ``first.last``/``firstNN`` names; later ones
-    append a ``0``–``999`` suffix, which is how every address gets issued
-    once that 2,860-name space is full.
+    append a ``0``–``999`` suffix (the draw ``randrange(1000)`` makes),
+    which is how every address gets issued once that 2,860-name space is
+    full.
     """
+    getrandbits = rng.getrandbits
     for attempt in range(1000):
         username = generate_username(rng)
         if attempt > 10:
-            username = f"{username}{rng.randrange(1000)}"
+            suffix = getrandbits(_SUFFIX_BITS)
+            while suffix >= _N_SUFFIX:
+                suffix = getrandbits(_SUFFIX_BITS)
+            username = f"{username}{suffix}"
         if username not in taken:
             return EmailAddress(username, domain)
     raise RuntimeError(f"username space exhausted on {domain!r}")

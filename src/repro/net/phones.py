@@ -109,14 +109,25 @@ class PhoneNumberPlan:
         self._issued: Set[str] = set()
 
     def mint(self, country: str) -> PhoneNumber:
-        """Mint a fresh number in ``country``; raises KeyError if unknown."""
+        """Mint a fresh number in ``country``; raises KeyError if unknown.
+
+        The leading national digit is ``randrange(1, 10)`` and the rest
+        ``randrange(10)`` each; both draw ``getrandbits(4)`` until the
+        value is below 9 or 10, which the loop does directly.
+        """
         prefix = f"+{_CODE_BY_COUNTRY[country]}"
-        rest_length = _NSN_LENGTH[country] - 1
-        randrange = self._rng.randrange
+        length = _NSN_LENGTH[country]
+        getrandbits = self._rng.getrandbits
         for _ in range(1000):
             # Leading national digit is non-zero to keep lengths canonical.
-            digits = [_DIGITS[randrange(1, 10)]]
-            digits += [_DIGITS[randrange(10)] for _ in range(rest_length)]
+            lead = getrandbits(4)
+            while lead >= 9:
+                lead = getrandbits(4)
+            digits = [_DIGITS[lead + 1]]
+            while len(digits) < length:
+                digit = getrandbits(4)
+                if digit < 10:
+                    digits.append(_DIGITS[digit])
             e164 = prefix + "".join(digits)
             if e164 not in self._issued:
                 self._issued.add(e164)

@@ -10,9 +10,10 @@ Scale notes: the graph is array-backed — user ids are mapped to dense
 integer indices once, adjacency is a list of small int lists, and
 :meth:`ContactGraph.contacts_of` serves from a per-node cache of sorted
 id lists (invalidated on mutation).  A million-user lattice builds in
-one pass over indices with no per-edge dict churn, and the steady-state
-cost of the hot ``contacts_of`` call (campaign targeting, the contact
-lift analysis) is a cache hit.
+one pass over indices, straight into those lists and with one shared
+int object per index, so there is no per-edge dict or set churn; the
+steady-state cost of the hot ``contacts_of`` call (campaign targeting,
+the contact lift analysis) is a cache hit.
 """
 
 from __future__ import annotations
@@ -40,15 +41,19 @@ class ContactGraph:
 
     @classmethod
     def _from_indexed(cls, user_ids: Sequence[str],
-                      adjacency: Sequence[Iterable[int]]) -> "ContactGraph":
-        """Bulk constructor: adopt an index-space adjacency in one pass."""
+                      adjacency: List[List[int]]) -> "ContactGraph":
+        """Bulk constructor: adopt an index-space adjacency in one pass.
+
+        The neighbor lists are taken over, not copied; the caller hands
+        them off and must not touch them again.
+        """
         graph = cls()
         graph._ids = list(user_ids)
         graph._index_of = {user_id: index
                            for index, user_id in enumerate(graph._ids)}
         if len(graph._index_of) != len(graph._ids):
             raise ValueError("duplicate user ids in bulk adjacency")
-        graph._neighbors = [list(neighbors) for neighbors in adjacency]
+        graph._neighbors = adjacency
         graph._sorted_cache = [None] * len(graph._ids)
         return graph
 
@@ -134,10 +139,13 @@ def build_small_world(user_ids: Sequence[str], rng: random.Random,
     clustering means a hijacked account's contacts know each other — the
     substrate for semi-personalized scams spreading through communities.
 
-    Construction runs entirely over integer indices (sets of ints during
-    the pass, frozen into the array-backed graph at the end), which keeps
-    the build O(n·degree) with small constants at 10⁵–10⁶ users.  The RNG
-    draw sequence matches the historical per-edge implementation, so
+    Construction runs entirely over integer indices, straight into the
+    graph's own neighbor lists: every entry is an int object from one
+    shared ``list(range(n))``, so an edge costs two list slots and no
+    fresh ints, and there is no per-node set to build and throw away.
+    Membership checks scan a list of ~``mean_degree`` ints.  This keeps
+    the build O(n·degree) with small constants at 10⁵–10⁶ users.  The
+    RNG draw sequence matches the historical per-edge implementation, so
     graphs are unchanged for a fixed (user_ids, rng state).
     """
     if mean_degree % 2:
@@ -145,12 +153,12 @@ def build_small_world(user_ids: Sequence[str], rng: random.Random,
     if not 0.0 <= rewire_probability <= 1.0:
         raise ValueError(f"rewire probability out of range: {rewire_probability}")
     n = len(user_ids)
+    adjacency: List[List[int]] = [[] for _ in range(n)]
     if n <= 1:
-        adjacency: List[Set[int]] = [set() for _ in range(n)]
         return ContactGraph._from_indexed(user_ids, adjacency)
-    adjacency = [set() for _ in range(n)]
+    indices = list(range(n))
     half_degree = min(mean_degree // 2, max(1, (n - 1) // 2))
-    for index in range(n):
+    for index in indices:
         connected = adjacency[index]
         for offset in range(1, half_degree + 1):
             neighbor_index = (index + offset) % n
@@ -164,6 +172,6 @@ def build_small_world(user_ids: Sequence[str], rng: random.Random,
             if neighbor_index == index:
                 continue
             if neighbor_index not in connected:
-                connected.add(neighbor_index)
-                adjacency[neighbor_index].add(index)
+                connected.append(indices[neighbor_index])
+                adjacency[neighbor_index].append(index)
     return ContactGraph._from_indexed(user_ids, adjacency)

@@ -7,9 +7,9 @@ remission phase (Section 6.4) restores it from a snapshot, so snapshotting
 is a first-class operation here.
 
 Scale notes: a mailbox can defer its pre-simulation history.  The
-population builder hands it a *seeder* callback (closed over a
-per-account child seed) via :meth:`Mailbox.defer_seed`; the first
-operation that reads messages — search, folder views, snapshots, the
+population builder hands it a *seeder* callback (which derives the
+account's child seed when it runs) via :meth:`Mailbox.defer_seed`; the
+first operation that reads messages — search, folder views, snapshots, the
 correspondent list — or installs a filter runs the seeder before doing
 its work, so history exists exactly when something first looks, and an
 untouched account costs nothing.  Delivery is not a read: mail arriving
@@ -20,7 +20,9 @@ all along.  :meth:`Mailbox.get` serves a queued message without
 materializing.  Because the seeder draws only from its own private RNG,
 materialization order cannot perturb any other stream: a world is
 bit-identical however many of its mailboxes get touched, and in
-whatever order.
+whatever order.  The search postings and the correspondent map follow
+the same pattern: neither exists until the first search or contact
+read builds it from arrival order, and delivery keeps it up after that.
 """
 
 from __future__ import annotations
@@ -68,33 +70,34 @@ class Mailbox:
     """All messages and filters of one account."""
 
     __slots__ = (
-        "owner", "_messages", "_order", "_positions", "_postings",
+        "owner", "_messages", "_positions", "_postings",
         "filters", "on_forward", "_seeder", "_correspondents",
         "_contacts_sorted",
     )
 
     def __init__(self, owner: EmailAddress):
         self.owner = owner
+        #: message id -> message; insertion order is arrival order.
         self._messages: Dict[str, EmailMessage] = {}
-        self._order: List[str] = []          # insertion order = arrival order
-        self._positions: Dict[str, int] = {}  # message id -> arrival index
         #: Inverted index: haystack token -> message ids, built from
         #: arrival order on the first search (most mailboxes are never
-        #: searched) and maintained on delivery after that.  Message
+        #: searched) and maintained on delivery after that, together
+        #: with ``_positions`` (message id -> arrival index).  Message
         #: content is immutable after delivery, so postings never go
         #: stale; only placement (folder/starred/deleted) changes and
         #: search re-checks it per candidate.
         self._postings: Optional[Dict[str, Set[str]]] = None
+        self._positions: Optional[Dict[str, int]] = None
         self.filters: List[MailFilter] = []
         #: Callback invoked when a filter forwards a message elsewhere.
         self.on_forward: Optional[Callable[[EmailMessage, EmailAddress], None]] = None
         #: Deferred history seeder; run (once) by the first message read.
-        #: While it is pending, ``_messages``/``_order`` hold only queued
-        #: arrivals.
+        #: While it is pending, ``_messages`` holds only queued arrivals.
         self._seeder: Optional[Callable[["Mailbox"], None]] = None
-        #: Distinct correspondents, maintained incrementally on delivery
-        #: (content is append-only, so this never goes stale).
-        self._correspondents: Dict[str, EmailAddress] = {}
+        #: Distinct correspondents, built on the first contact read and
+        #: maintained on delivery after that (content is append-only, so
+        #: this never goes stale).
+        self._correspondents: Optional[Dict[str, EmailAddress]] = None
         self._contacts_sorted: Optional[List[EmailAddress]] = None
 
     # -- lazy history ------------------------------------------------------
@@ -114,9 +117,8 @@ class Mailbox:
         """Seed the history, then replay queued arrivals after it."""
         seeder, self._seeder = self._seeder, None
         obs.count("population.build.history_materialized")
-        queued = [self._messages[message_id] for message_id in self._order]
+        queued = list(self._messages.values())
         self._messages.clear()
-        self._order.clear()
         seeder(self)
         for message in queued:
             self.deliver(message, message.folder)
@@ -136,7 +138,6 @@ class Mailbox:
         if self._seeder is not None:
             obs.count("mailbox.deliver.queued")
             self._messages[message.message_id] = message
-            self._order.append(message.message_id)
             return
         for mail_filter in self.filters:
             if not mail_filter.applies_to(message):
@@ -146,19 +147,10 @@ class Mailbox:
             if mail_filter.forward_to is not None and self.on_forward is not None:
                 self.on_forward(message, mail_filter.forward_to)
         self._messages[message.message_id] = message
-        self._positions[message.message_id] = len(self._order)
-        self._order.append(message.message_id)
         if self._postings is not None:
-            for token in message.search_tokens():
-                self._postings.setdefault(token, set()).add(message.message_id)
-        correspondents = self._correspondents
-        owner = self.owner
-        for address in (message.sender,) + message.recipients:
-            if address != owner:
-                key = str(address)
-                if key not in correspondents:
-                    correspondents[key] = address
-                    self._contacts_sorted = None
+            self._index(message)
+        if self._correspondents is not None:
+            self._note_correspondents(message)
 
     def file_sent(self, message: EmailMessage) -> None:
         """Record an outgoing message in Sent Mail."""
@@ -200,8 +192,7 @@ class Mailbox:
         if self._seeder is not None:
             self._materialize()
         result = []
-        for message_id in self._order:
-            message = self._messages[message_id]
+        for message in self._messages.values():
             if message.deleted and not include_deleted:
                 continue
             if folder is not None and message.folder is not folder:
@@ -252,12 +243,13 @@ class Mailbox:
         haystack must appear inside a single token, so the union of
         postings for tokens containing the probe is an exact superset.
         """
+        postings = self._token_postings()
         parts = term.split()
         if not parts:
-            return set(self._positions)
+            return set(self._messages)
         probe = max(parts, key=len)
         candidates: Set[str] = set()
-        for token, posting in self._token_postings().items():
+        for token, posting in postings.items():
             if probe in token:
                 candidates |= posting
         return candidates
@@ -266,19 +258,30 @@ class Mailbox:
         """The inverted index, built from arrival order on first use."""
         if self._postings is None:
             obs.count("mailbox.postings.built")
-            postings: Dict[str, Set[str]] = {}
-            for message_id in self._order:
-                for token in self._messages[message_id].search_tokens():
-                    postings.setdefault(token, set()).add(message_id)
-            self._postings = postings
+            self._postings = {}
+            self._positions = {}
+            for message in self._messages.values():
+                self._index(message)
         return self._postings
+
+    def _index(self, message: EmailMessage) -> None:
+        """Add one arrival to the postings and give it the next position."""
+        message_id = message.message_id
+        self._positions[message_id] = len(self._positions)
+        postings = self._postings
+        for token in message.search_tokens():
+            postings.setdefault(token, set()).add(message_id)
 
     def _verify_candidates(self, candidate_ids: Set[str],
                            query: str) -> List[EmailMessage]:
         """Run the exact match predicate over candidates in arrival order."""
         obs.observe("mailbox.search.candidates", len(candidate_ids))
+        # Candidates come out of the postings, so ``_positions`` exists
+        # whenever there is one to order.
+        ordered = (sorted(candidate_ids, key=self._positions.__getitem__)
+                   if candidate_ids else ())
         result = []
-        for message_id in sorted(candidate_ids, key=self._positions.__getitem__):
+        for message_id in ordered:
             message = self._messages[message_id]
             if message.deleted:
                 continue
@@ -290,14 +293,13 @@ class Mailbox:
     def contact_addresses(self) -> List[EmailAddress]:
         """Distinct correspondents, the hijacker's next victim list.
 
-        Served from the incrementally maintained correspondent map (a
-        full-mailbox scan at 10⁵ messages would dominate profiling);
-        the sorted order is cached until the next new correspondent.
+        Served from the correspondent map, which one scan builds on the
+        first contact read and delivery maintains after that (a scan per
+        call at 10⁵ messages would dominate profiling); the sorted order
+        is cached until the next new correspondent.
         """
-        if self._seeder is not None:
-            self._materialize()
+        correspondents = self._correspondent_map()
         if self._contacts_sorted is None:
-            correspondents = self._correspondents
             self._contacts_sorted = [
                 correspondents[key] for key in sorted(correspondents)
             ]
@@ -305,9 +307,27 @@ class Mailbox:
 
     def contact_count(self) -> int:
         """Number of distinct correspondents (no list materialization)."""
+        return len(self._correspondent_map())
+
+    def _correspondent_map(self) -> Dict[str, EmailAddress]:
+        """Correspondent key -> address, built in arrival order on first use."""
         if self._seeder is not None:
             self._materialize()
-        return len(self._correspondents)
+        if self._correspondents is None:
+            self._correspondents = {}
+            for message in self._messages.values():
+                self._note_correspondents(message)
+        return self._correspondents
+
+    def _note_correspondents(self, message: EmailMessage) -> None:
+        correspondents = self._correspondents
+        owner = self.owner
+        for address in (message.sender,) + message.recipients:
+            if address != owner:
+                key = str(address)
+                if key not in correspondents:
+                    correspondents[key] = address
+                    self._contacts_sorted = None
 
     def __len__(self) -> int:
         if self._seeder is not None:

@@ -15,10 +15,10 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
 
 * **Lazy mailbox history.**  Building a world no longer pays for ~30
   history messages per account up front.  The ``population.history``
-  stream is consumed exactly once (a 64-bit master draw); each account
-  then owns a child seed derived from ``(master, account_id)``, and its
-  history materializes from a private ``random.Random(child_seed)`` the
-  first time anything reads the mailbox; mail delivered before that is
+  stream is consumed exactly once (a 64-bit master draw); each account's
+  history materializes from a private ``random.Random(child_seed)``,
+  derived from ``(master, account_id)`` at that moment, the first time
+  anything reads the mailbox; mail delivered before that is
   queued and filed after the history (see :mod:`repro.world.mailbox`),
   so receiving mail costs no history.  The derivation is
   order-independent, so a world is **bit-identical** to the same world
@@ -31,11 +31,19 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   and indexes the pool, so a campaign materializes only the victims it
   picks.  (``rng.sample(pool, k)`` would not: CPython copies a Sequence
   population with ``list()`` whenever k is large against it.)
-* **Array-backed contact graph** — see :mod:`repro.world.contacts`.
+* **Array-backed contact graph** — built straight into int lists; see
+  :mod:`repro.world.contacts`.
+* **One collection per build.**  A build allocates millions of objects
+  that all survive, so CPython's automatic collector would sweep the
+  growing heap again and again for nothing.  :func:`build_population`
+  pauses it, restores the caller's setting on the way out, and ends
+  with one ``gc.collect(1)``: the new world is swept once, young
+  generations only, and that sweep is paid inside the build.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -65,6 +73,10 @@ _PASSWORD_WORDS = (
     "sunshine", "dragon", "monkey", "shadow", "winter", "coffee", "guitar",
     "purple", "silver", "rocket", "tiger", "ocean", "maple", "falcon",
 )
+_N_WORDS = len(_PASSWORD_WORDS)
+_N_NUMBERS = 10_000 - 10  # randrange(10, 10_000)
+_WORD_BITS = _N_WORDS.bit_length()
+_NUMBER_BITS = _N_NUMBERS.bit_length()
 
 _ORGANIC_SUBJECTS = (
     "lunch tomorrow?", "re: weekend plans", "photos from the trip",
@@ -254,9 +266,19 @@ class Population:
 
 
 def generate_password(rng: random.Random) -> str:
-    """A realistic weak password: word + 2–4 digits."""
-    word = rng.choice(_PASSWORD_WORDS)
-    return f"{word}{rng.randrange(10, 10_000)}"
+    """A realistic weak password: word + 2–4 digits.
+
+    Draws what ``choice(_PASSWORD_WORDS)`` and ``randrange(10, 10_000)``
+    would: ``getrandbits(k)`` until the value is below the draw's size.
+    """
+    getrandbits = rng.getrandbits
+    word = getrandbits(_WORD_BITS)
+    while word >= _N_WORDS:
+        word = getrandbits(_WORD_BITS)
+    number = getrandbits(_NUMBER_BITS)
+    while number >= _N_NUMBERS:
+        number = getrandbits(_NUMBER_BITS)
+    return f"{_PASSWORD_WORDS[word]}{number + 10}"
 
 
 def build_population(config: PopulationConfig, rngs: RngRegistry,
@@ -268,7 +290,23 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
     History and the external pool are derived via per-entity child seeds
     (order-independent): each mailbox's history materializes on first
     read, and *when* that happens never changes *what* it is.
+
+    Automatic garbage collection is paused for the build and the
+    caller's setting restored afterwards, even if the build raises; a
+    finished build ends with one generation-1 collection (the
+    ``population.build.gc`` span).
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_population(config, rngs, minter, phone_plan)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build_population(config: PopulationConfig, rngs: RngRegistry,
+                      minter: IdMinter, phone_plan: PhoneNumberPlan) -> Population:
     user_rng = rngs.stream("population.users")
     history_rng = rngs.stream("population.history")
     graph_rng = rngs.stream("population.graph")
@@ -350,9 +388,10 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
         with obs.trace("population.build.history"):
             for account in accounts.values():
                 account.mailbox.defer_seed(HistorySeeder(
-                    population, config, account,
-                    child_seed(history_master, account.account_id),
-                ))
+                    population, config, account, history_master))
+
+        with obs.trace("population.build.gc"):
+            gc.collect(1)
     return population
 
 
@@ -365,25 +404,27 @@ class HistorySeeder:
     Section 5.3's fan-out numbers — a hijacker blasting "the contact
     list" reaches every correspondent, not just provider users.
 
-    All randomness comes from a private ``random.Random(seed)`` and all
+    All randomness comes from a private
+    ``random.Random(child_seed(master, account_id))``, derived when the
+    seeder runs rather than stored per account, and all
     message ids from a per-account namespace, so running this at build
     time, mid-simulation, or never produces the same world.  A class
     (not a closure) so pending mailboxes survive pickling — the parallel
     runner ships whole worlds across process boundaries.
     """
 
-    __slots__ = ("_population", "_config", "_account", "_seed")
+    __slots__ = ("_population", "_config", "_account", "_master")
 
     def __init__(self, population: Population, config: PopulationConfig,
-                 account: Account, seed: int):
+                 account: Account, master: int):
         self._population = population
         self._config = config
         self._account = account
-        self._seed = seed
+        self._master = master
 
     def __call__(self, mailbox: Mailbox) -> None:
-        rng = random.Random(self._seed)
         account = self._account
+        rng = random.Random(child_seed(self._master, account.account_id))
         user = account.owner
         contacts = self._population.contacts_of_account(account)
         if not contacts:

@@ -224,3 +224,68 @@ class TestSnapshots:
         mailbox.deliver(make_message("msg-000000"))
         snapshot = mailbox.snapshot(now=500)
         assert mailbox.restore_from(snapshot) == 0
+
+
+class TestFirstReadTiming:
+    """The arrival order, search postings and correspondent map are
+    built from ``_messages`` on first read and kept up by delivery after
+    that; when a mailbox is first read must not change what it shows."""
+
+    QUERIES = ("bank", "statement", "filename:(passport or invoice)",
+               "is:starred", "lunch")
+
+    @staticmethod
+    def arrivals():
+        """Fresh messages (delivery sets their folder) from 8 senders."""
+        rand = random.Random(5)
+        subjects = ("bank statement", "lunch friday", "passport scan",
+                    "invoice attached", "re: bank", "photos")
+        return [
+            make_message(f"msg-{index:06d}", sender=f"peer{index % 8}",
+                         folder_time=1_000 - index,
+                         subject=rand.choice(subjects),
+                         recipients=(OWNER, EmailAddress(f"cc{index % 3}",
+                                                         "other.org")),
+                         starred=index % 5 == 0)
+            for index in range(24)
+        ]
+
+    def views(self, mailbox):
+        return (
+            [m.message_id for m in mailbox.messages()],
+            [[m.message_id for m in mailbox.search(q)] for q in self.QUERIES],
+            mailbox.contact_addresses(),
+            mailbox.contact_count(),
+        )
+
+    def delivered(self, messages, mailbox=None):
+        if mailbox is None:  # not ``or``: ``len`` would materialize
+            mailbox = Mailbox(OWNER)
+        for message in messages:
+            mailbox.deliver(message)
+        return mailbox
+
+    @pytest.mark.parametrize("split", [0, 1, 7, 23, 24])
+    def test_read_before_later_deliveries(self, split):
+        expected = self.views(self.delivered(self.arrivals()))
+        arrivals = self.arrivals()
+        mailbox = self.delivered(arrivals[:split])
+        self.views(mailbox)
+        self.delivered(arrivals[split:], mailbox)
+        assert self.views(mailbox) == expected
+
+    @pytest.mark.parametrize("split", [0, 9, 24])
+    def test_queued_delivery_replay(self, split):
+        """History from a seeder, mail queued behind it, a first read in
+        the middle of the later deliveries: same as delivering in order."""
+        expected = self.views(self.delivered(self.arrivals()))
+        arrivals = self.arrivals()
+        history, later = arrivals[:8], arrivals[8:]
+        mailbox = Mailbox(OWNER)
+        mailbox.defer_seed(lambda box: self.delivered(history, box))
+        self.delivered(later[:split], mailbox)
+        assert mailbox.history_pending
+        self.views(mailbox)
+        assert not mailbox.history_pending
+        self.delivered(later[split:], mailbox)
+        assert self.views(mailbox) == expected

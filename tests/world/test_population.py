@@ -1,5 +1,11 @@
+import gc
+import random
+import tracemalloc
+from contextlib import contextmanager
+
 import pytest
 
+from repro import obs
 from repro.net.domains import PRIMARY_PROVIDER
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
@@ -99,6 +105,97 @@ class TestBuildPopulation:
                     == second.accounts[account_id].password)
             assert (len(first.accounts[account_id].mailbox)
                     == len(second.accounts[account_id].mailbox))
+
+
+def _build(n_users, phone_plan=None, **config):
+    rngs = RngRegistry(3)
+    return build_population(
+        PopulationConfig(n_users=n_users, n_external_edu=10,
+                         n_external_other=5, **config),
+        rngs, IdMinter(), phone_plan or PhoneNumberPlan(rngs.stream("phones")),
+    )
+
+
+@contextmanager
+def _gc_set(enabled):
+    """Run the block with automatic GC ``enabled``, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@contextmanager
+def _collections():
+    """The generation of every collection started inside the block."""
+    generations = []
+
+    def callback(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(callback)
+    try:
+        yield generations
+    finally:
+        gc.callbacks.remove(callback)
+
+
+class _NoNumbersLeft(PhoneNumberPlan):
+    def mint(self, country):
+        raise RuntimeError("no numbers left")
+
+
+class TestGarbageCollection:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_one_young_collection_and_caller_setting_kept(self, enabled):
+        """2,000 users allocate far past the generation-0 threshold, so
+        any automatic collection would show up next to the closing
+        ``gc.collect(1)``."""
+        with _gc_set(enabled):
+            with _collections() as generations:
+                population = _build(2_000)
+            assert gc.isenabled() is enabled
+        assert len(population) == 2_000
+        assert generations == [1]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_caller_setting_kept_when_the_build_raises(self, enabled):
+        with _gc_set(enabled):
+            with pytest.raises(RuntimeError, match="no numbers left"):
+                _build(50, phone_plan=_NoNumbersLeft(random.Random(0)),
+                       phone_on_file_rate=1.0)
+            assert gc.isenabled() is enabled
+
+    def test_closing_collection_is_a_span_under_the_build(self):
+        with obs.recording() as recorder:
+            _build(50)
+        spans = {span.name: span for span in recorder.spans}
+        build, sweep = spans["population.build"], spans["population.build.gc"]
+        assert sweep.depth == build.depth + 1
+        assert build.start_s <= sweep.start_s
+        assert (sweep.start_s + sweep.duration_s
+                <= build.start_s + build.duration_s)
+
+
+class TestBuildMemory:
+    def test_peak_stays_near_the_finished_world(self):
+        """The contact graph is built straight into its final int lists,
+        so the build leaves no transient structure behind: the traced
+        peak stays within 10% of what the finished world holds.  A
+        per-user adjacency set built first and then copied puts it at
+        1.27x."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            population = _build(3_000)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(population) == 3_000
+        assert peak <= 1.1 * live
 
 
 class TestSaturatedWorldIdentity:
