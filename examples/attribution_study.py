@@ -14,7 +14,6 @@ import time
 from repro import Simulation
 from repro.analysis import figure11, figure12, workweek
 from repro.analysis.registry import ArtifactContext
-from repro.attribution.groups import infer_groups
 from repro.core.scenarios import attribution_study
 
 
@@ -33,9 +32,7 @@ def main() -> None:
           "(they never used the phone-lockout tactic)\n")
 
     cases = ctx.dataset("hijack_cases")
-    clusters = infer_groups(ctx.dataset("hijacker_logins"),
-                            ctx.dataset("hijacker_searches"), result.geoip,
-                            cases)
+    clusters = ctx.dataset("hijacker_groups")
     print(f"inferred {len(clusters)} distinct groups from "
           f"{len(cases)} cases:")
     for (country, language), members in sorted(

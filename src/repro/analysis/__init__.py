@@ -6,8 +6,9 @@ Every analysis is a function of one
 datasets (the 14 of Table 1 and the actor-attributed event streams,
 registered in :mod:`repro.analysis.datasets`) through ``ctx.dataset(...)``
 — its only path to the log store — and returns plain data plus an ASCII
-rendering, so benches can print the rows the paper reports and tests
-can assert on the numbers.
+rendering, so the report prints the rows the paper reports and the
+calibration table (:mod:`repro.analysis.calibration`, deliberately not
+imported here: it is no artifact) checks the numbers.
 
 Importing this package populates the artifact registry: the dataset
 layer and registry come first, then every artifact module in a fixed

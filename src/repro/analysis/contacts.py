@@ -18,7 +18,6 @@ from typing import Dict, Iterable, Optional
 
 from repro.analysis.curation import review_message
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.simulation import SimulationResult
 from repro.util.clock import DAY
 
 #: Contacts (and matched random users) count as hijacked when it
@@ -160,7 +159,7 @@ def contact_lift(ctx: ArtifactContext) -> ContactLift:
     )
 
 
-def pooled_contact_lift(results: Iterable[SimulationResult]) -> ContactLift:
+def pooled_contact_lift(contexts: Iterable[ArtifactContext]) -> ContactLift:
     """Pool the Dataset 9 experiment over several independent worlds.
 
     A single world of our size yields single-digit hijack counts in the
@@ -170,8 +169,8 @@ def pooled_contact_lift(results: Iterable[SimulationResult]) -> ContactLift:
     """
     totals = dict(contact_cohort_size=0, random_cohort_size=0,
                   contact_hijacked=0, random_hijacked=0)
-    for result in results:
-        lift = contact_lift(ArtifactContext(result))
+    for ctx in contexts:
+        lift = contact_lift(ctx)
         totals["contact_cohort_size"] += lift.contact_cohort_size
         totals["random_cohort_size"] += lift.random_cohort_size
         totals["contact_hijacked"] += lift.contact_hijacked

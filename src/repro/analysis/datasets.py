@@ -55,6 +55,7 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
 from repro import obs
 from repro.analysis.curation import review_message
 from repro.attribution.geolocate import geolocate_hijack_ips
+from repro.attribution.groups import infer_groups
 from repro.core.simulation import SimulationResult
 from repro.hijacker.groups import Era
 from repro.hijacker.incident import IncidentOutcome, IncidentReport
@@ -656,6 +657,15 @@ def _hijacker_ip_countries(data: Datasets) -> Dict[str, int]:
     """Figure 11: country → distinct hijacker IPs behind the D13 cases."""
     return geolocate_hijack_ips(data.get("hijacker_logins"),
                                 data.result.geoip, data.get("hijack_cases"))
+
+
+@dataset("hijacker_groups",
+         deps=("hijacker_logins", "hijacker_searches", "hijack_cases"))
+def _hijacker_groups(data: Datasets) -> Dict[Tuple, List[str]]:
+    """Section 7: the D13 cases clustered by (country, language)."""
+    return infer_groups(data.get("hijacker_logins"),
+                        data.get("hijacker_searches"), data.result.geoip,
+                        data.get("hijack_cases"))
 
 
 @dataset("hijacker_phones", deps=("hijacker_phone_pool",))

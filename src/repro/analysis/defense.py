@@ -11,11 +11,12 @@ several risk-aggressiveness settings to trace the trade-off curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation, SimulationResult
+from repro.logs.events import LoginEvent
 from repro.util.render import ascii_table, format_percent
 
 
@@ -34,17 +35,21 @@ class DefensePoint:
     n_hijacker_logins: int
 
 
+def stop_rate(logins: Iterable[LoginEvent]) -> float:
+    """Correct-password logins stopped at the front door: blocked, or
+    challenged and not passed."""
+    correct = [e for e in logins if e.password_correct]
+    stopped = sum(
+        1 for e in correct if e.blocked or (e.challenged and not e.succeeded))
+    return stopped / len(correct) if correct else 0.0
+
+
 def evaluate(ctx: ArtifactContext) -> DefensePoint:
     owner_logins = ctx.dataset("owner_logins")
     owner_challenged = sum(1 for e in owner_logins if e.challenged or e.blocked)
     owner_rate = owner_challenged / len(owner_logins) if owner_logins else 0.0
 
-    hijacker_logins = [e for e in ctx.dataset("hijacker_logins")
-                       if e.password_correct]
-    stopped = sum(
-        1 for e in hijacker_logins
-        if e.blocked or (e.challenged and not e.succeeded))
-    hijacker_rate = stopped / len(hijacker_logins) if hijacker_logins else 0.0
+    hijacker_logins = ctx.dataset("hijacker_logins")
 
     flags = [e for e in ctx.dataset("hijack_flags")
              if e.source == "behavioral"]
@@ -61,9 +66,10 @@ def evaluate(ctx: ArtifactContext) -> DefensePoint:
     return DefensePoint(
         aggressiveness=ctx.config.risk_aggressiveness,
         owner_challenge_rate=owner_rate,
-        hijacker_stop_rate=hijacker_rate,
+        hijacker_stop_rate=stop_rate(hijacker_logins),
         behavioral_too_late_rate=too_late,
-        n_hijacker_logins=len(hijacker_logins),
+        n_hijacker_logins=sum(
+            1 for e in hijacker_logins if e.password_correct),
     )
 
 

@@ -169,9 +169,6 @@ class OrganicActivityModel:
                 actor=Actor.OWNER,
             )
 
-    def materialized_days(self) -> int:
-        return len(self._done)
-
 
 def _poisson(rng: random.Random, mean: float) -> int:
     """Knuth's method; means here are small so this is fast."""

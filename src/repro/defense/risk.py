@@ -11,7 +11,8 @@ day to blend in), and recent security-sensitive account changes.
 The analyzer returns a score in [0, 1]; the auth service compares it to
 challenge/block thresholds.  ``aggressiveness`` scales the score and is
 the knob the Section 8.1 false-positive/false-negative trade-off sweep
-(``benchmarks/bench_defense.py``) turns.
+(:func:`repro.analysis.defense.sweep_aggressiveness` and the
+``sec8.*_gain_with_aggressiveness`` calibration rows) turns.
 """
 
 from __future__ import annotations

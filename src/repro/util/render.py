@@ -1,7 +1,7 @@
 """ASCII rendering of tables and figure series.
 
-The benchmark harness prints the same rows/series the paper's tables and
-figures report.  These helpers keep that output aligned, diff-friendly,
+The report prints the same rows/series the paper's tables and figures
+report.  These helpers keep that output aligned, diff-friendly,
 and dependency-free.
 """
 
@@ -78,7 +78,7 @@ def series_table(series: Sequence[Tuple[float, float]], x_label: str,
 
 
 def sparkline(values: Sequence[float]) -> str:
-    """A compact one-line trend rendering used in benchmark summaries."""
+    """A compact one-line trend rendering of a series."""
     if not values:
         return ""
     glyphs = " .:-=+*#%@"

@@ -23,7 +23,7 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   so receiving mail costs no history.  The derivation is
   order-independent, so a world is **bit-identical** to the same world
   with every mailbox touched right after the build
-  (:func:`repro.world.equivalence.materialize_histories`), no matter
+  (``tests/world/equivalence.py`` fingerprints both), no matter
   which mailboxes get touched, in what order, or never.
 * **Streamed external victims.**  The external pool is a lazy sequence:
   victim *i* is derived from ``(external master, i)`` on first index.

@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.analysis import registry
+from repro.analysis.calibration import ROWS, WORLDS, evaluate
 from repro.analysis.datasets import (
     Datasets,
     UndeclaredDatasetError,
@@ -164,24 +165,35 @@ def _track_builds(monkeypatch):
     return building
 
 
+def _guard_log_reads(monkeypatch):
+    """Fail any ``LogStore`` read made outside a dataset build."""
+    building = _track_builds(monkeypatch)
+
+    def guarded(read):
+        def checked(store, *args, **kwargs):
+            if not building:
+                raise AssertionError(
+                    f"LogStore.{read.__name__} outside a dataset build")
+            return read(store, *args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(LogStore, "query", guarded(LogStore.query))
+    monkeypatch.setattr(LogStore, "for_account",
+                        guarded(LogStore.for_account))
+
+
+def _calibration_contexts(row, result):
+    """Contexts in the shape of the row's world, every one over ``result``."""
+    world = WORLDS[row.worlds[0]]
+    return world.contexts([result] * len(world.specs))
+
+
 class TestLogReadBoundary:
     """DESIGN §6: artifacts read the log store only through datasets."""
 
     def test_every_artifact_reads_logs_through_datasets(self, smoke_result,
                                                         monkeypatch):
-        building = _track_builds(monkeypatch)
-
-        def guarded(read):
-            def checked(store, *args, **kwargs):
-                if not building:
-                    raise AssertionError(
-                        f"LogStore.{read.__name__} outside a dataset build")
-                return read(store, *args, **kwargs)
-            return checked
-
-        monkeypatch.setattr(LogStore, "query", guarded(LogStore.query))
-        monkeypatch.setattr(LogStore, "for_account",
-                            guarded(LogStore.for_account))
+        _guard_log_reads(monkeypatch)
         for art in registry.artifacts():
             earlier = smoke_result if art.needs_earlier_era else None
             text = render_artifact(
@@ -192,6 +204,12 @@ class TestLogReadBoundary:
         assert len(report_keys) == 21
         assert set(registry.artifact_keys()) == report_keys | {
             "report", "metrics", "evolution"}
+
+    def test_every_calibration_row_reads_logs_through_datasets(
+            self, smoke_result, monkeypatch):
+        _guard_log_reads(monkeypatch)
+        for row in ROWS:
+            evaluate(row, _calibration_contexts(row, smoke_result))
 
 
 #: Result attributes that hold simulator ground truth, not provider logs.
@@ -245,6 +263,15 @@ class TestGroundTruthBoundary:
         for name in dataset_names():
             data.get(name)
         assert readers == GROUND_TRUTH_DATASETS
+
+    def test_every_calibration_row_reads_ground_truth_through_pinned_datasets(
+            self, smoke_result, monkeypatch):
+        building = _track_builds(monkeypatch)
+        readers = set()
+        guarded = _GroundTruthGuard(smoke_result, building, readers)
+        for row in ROWS:
+            evaluate(row, _calibration_contexts(row, guarded))
+        assert readers and readers <= GROUND_TRUTH_DATASETS
 
 
 class TestDatasetLayer:

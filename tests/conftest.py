@@ -12,12 +12,7 @@ import random
 import pytest
 
 from repro import Simulation
-from repro.core.scenarios import (
-    decoy_study,
-    exploitation_study,
-    recovery_study,
-    smoke_scenario,
-)
+from repro.analysis.calibration import WORLDS
 from repro.net.ip import IpAllocator
 from repro.net.geoip import build_default_internet
 from repro.util.ids import IdMinter
@@ -50,36 +45,32 @@ def internet(allocator):
     return allocator, build_default_internet(allocator)
 
 
+def _run_world(name: str):
+    """Run a single-config calibration world, as the calibration table
+    specifies it."""
+    (config,) = WORLDS[name].configs()
+    return Simulation(config).run()
+
+
 @pytest.fixture(scope="session")
 def smoke_result():
     """A small but complete end-to-end run (every subsystem exercised)."""
-    return Simulation(smoke_scenario(seed=7)).run()
+    return _run_world("smoke/7")
 
 
 @pytest.fixture(scope="session")
 def exploitation_result():
     """The Section 5 workload: many incidents (a few seconds to build)."""
-    # Seed chosen so every realized small-sample statistic lands on the
-    # paper's side of its assertion (Table 2 page ordering, Figure 12
-    # phone counts, scam/phishing split) — the underlying weights are
-    # close enough that an unlucky seed can tie or invert them.
-    return Simulation(exploitation_study(seed=23)).run()
+    return _run_world("exploitation/23")
 
 
 @pytest.fixture(scope="session")
 def decoy_result():
     """The Figure 7 workload: ~200 decoy credentials."""
-    # Seed centered in Figure 7's calibration ranges (~200 decoys is a
-    # small sample for the 30-min/7-hour access fractions).
-    return Simulation(decoy_study(seed=13)).run()
+    return _run_world("decoy/13")
 
 
 @pytest.fixture(scope="session")
 def recovery_result():
-    """The Figures 9–10 workload: hundreds of recovery claims.
-
-    Seed chosen so realized per-channel success rates sit near the
-    channel models' true rates (~100 claims is small enough that an
-    unlucky seed can invert the SMS/email gap by sampling noise).
-    """
-    return Simulation(recovery_study(seed=11)).run()
+    """The Figures 9–10 workload: hundreds of recovery claims."""
+    return _run_world("recovery/11")

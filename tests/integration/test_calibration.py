@@ -1,118 +1,111 @@
-"""Calibration against the paper's published numbers.
+"""Calibration against the paper's published numbers, on tier-1's worlds.
 
-Each test names the paper statistic it guards and asserts our measured
-value stays in a band around it.  Bands are generous where our smaller
-scale adds variance, tight where the behavior is structural.
+Each test names the paper statistic it guards and checks its rows of
+the calibration table (:mod:`repro.analysis.calibration`) on every world
+this suite already builds; ``python -m repro.analysis.calibration``
+checks the rest.  An ``n/a`` verdict skips.
 """
 
 import pytest
 
-from repro.analysis import contacts, exploitation, figure7, figure8, figure10
-from repro.analysis.registry import ArtifactContext
-from repro.core.metrics import SummaryMetrics
+from repro.analysis.calibration import ROWS, WORLDS, evaluate
+
+ROWS_BY_KEY = {row.key: row for row in ROWS}
+
+#: The session fixture holding each calibration world tier-1 builds.
+FIXTURES = {
+    "exploitation/23": "exploitation_result",
+    "decoy/13": "decoy_result",
+    "recovery/11": "recovery_result",
+    "smoke/7": "smoke_result",
+}
+
+
+def check(request, *keys):
+    for key in keys:
+        row = ROWS_BY_KEY[key]
+        worlds = [world for world in row.worlds if world in FIXTURES]
+        assert worlds, f"{key} is on no tier-1 world"
+        for world in worlds:
+            result = request.getfixturevalue(FIXTURES[world])
+            value, verdict = evaluate(row, WORLDS[world].contexts([result]))
+            if verdict == "n/a":
+                pytest.skip(f"{key} is n/a at {world}")
+            assert verdict == "pass", (
+                f"{key} at {world}: {value} outside {row.band}")
 
 
 class TestFigure7Calibration:
     """Paper: 20% of decoys accessed within 30 min, 50% within 7 h."""
 
-    def test_within_30_minutes(self, decoy_result):
-        figure = figure7.compute(ArtifactContext(decoy_result))
-        assert 0.12 <= figure.fraction_within(30) <= 0.32
+    def test_within_30_minutes(self, request):
+        check(request, "fig7.within_30min")
 
-    def test_within_7_hours(self, decoy_result):
-        figure = figure7.compute(ArtifactContext(decoy_result))
-        assert 0.38 <= figure.fraction_within(7 * 60) <= 0.62
+    def test_within_7_hours(self, request):
+        check(request, "fig7.within_7h")
 
-    def test_plateau_below_full_access(self, decoy_result):
-        figure = figure7.compute(ArtifactContext(decoy_result))
-        assert 0.70 <= figure.fraction_accessed <= 0.95
+    def test_plateau_below_full_access(self, request):
+        check(request, "fig7.plateau")
 
 
 class TestSection51Calibration:
     """Paper: ~9.6 accounts/IP, consistently under 10/day; 75% password
     success including trivial-variant retries."""
 
-    def test_accounts_per_ip(self, exploitation_result):
-        figure = figure8.compute(ArtifactContext(exploitation_result))
-        assert 8.0 <= figure.mean_accounts_per_ip <= 10.0
+    def test_accounts_per_ip(self, request):
+        check(request, "fig8.accounts_per_ip")
 
-    def test_per_day_guideline_never_broken(self, exploitation_result):
-        figure = figure8.compute(ArtifactContext(exploitation_result))
-        assert figure.max_accounts_per_ip_day <= 10
+    def test_per_day_guideline_never_broken(self, request):
+        check(request, "fig8.max_accounts_per_ip_day")
 
-    def test_password_success(self, exploitation_result):
-        figure = figure8.compute(ArtifactContext(exploitation_result))
-        assert 0.68 <= figure.password_success_rate <= 0.84
+    def test_password_success(self, request):
+        check(request, "fig8.password_success")
 
 
 class TestSection52Calibration:
     """Paper: ~3-minute value assessment; Starred 16% / Drafts 11% /
     Sent 5% / Trash <1% folder-open rates."""
 
-    def test_assessment_minutes(self, exploitation_result):
-        stats = exploitation.compute(ArtifactContext(exploitation_result))
-        assert 2.0 <= stats.mean_assessment_minutes <= 4.5
+    def test_assessment_minutes(self, request):
+        check(request, "sec52.assessment_minutes")
 
-    def test_folder_rates(self, exploitation_result):
-        stats = exploitation.compute(ArtifactContext(exploitation_result))
-        assert 0.10 <= stats.folder_open_rates.get("Starred", 0) <= 0.30
-        assert 0.05 <= stats.folder_open_rates.get("Drafts", 0) <= 0.20
-        assert 0.02 <= stats.folder_open_rates.get("Sent Mail", 0) <= 0.12
-        assert stats.folder_open_rates.get("Trash", 0) <= 0.04
+    def test_folder_rates(self, request):
+        check(request, "sec52.starred", "sec52.drafts", "sec52.sent",
+              "sec52.trash")
 
 
 class TestSection53Calibration:
     """Paper: +25% volume, +630% distinct recipients, scam:phish 65:35."""
 
-    def test_volume_delta_modest(self, exploitation_result):
-        deltas = contacts.hijack_day_deltas(
-            ArtifactContext(exploitation_result))
-        assert 1.05 <= deltas.volume_ratio <= 2.2
+    def test_volume_delta_modest(self, request):
+        check(request, "sec53.volume_ratio")
 
-    def test_recipient_delta_dramatic(self, exploitation_result):
-        deltas = contacts.hijack_day_deltas(
-            ArtifactContext(exploitation_result))
-        assert deltas.distinct_recipient_ratio >= 3.0
+    def test_recipient_delta_dramatic(self, request):
+        check(request, "sec53.recipient_ratio")
 
-    def test_scam_majority(self, exploitation_result):
-        split = contacts.scam_phishing_split(
-            ArtifactContext(exploitation_result))
-        if not split:
-            pytest.skip("too few reported hijack messages at this scale")
-        scam = split.get("scam", 0)
-        phishing = split.get("phishing", 0)
-        assert scam > phishing
+    def test_scam_majority(self, request):
+        check(request, "sec53.scam_minus_phishing")
 
 
 class TestFigure10Calibration:
     """Paper: SMS 80.91%, email 74.57%, fallback 14.20%."""
 
-    def test_sms(self, recovery_result):
-        figure = figure10.compute(ArtifactContext(recovery_result))
-        assert 0.70 <= figure.success_rate("sms") <= 0.92
+    def test_sms(self, request):
+        check(request, "fig10.sms")
 
-    def test_email(self, recovery_result):
+    def test_email(self, request):
         # n is in the dozens here; the channel model itself is pinned to
         # ~75% by tests/recovery/test_channels.py with n=2500.
-        assert 0.55 <= figure10.compute(ArtifactContext(recovery_result)) \
-            .success_rate("email") <= 0.90
+        check(request, "fig10.email")
 
-    def test_fallback(self, recovery_result):
-        figure = figure10.compute(ArtifactContext(recovery_result))
-        assert 0.05 <= figure.success_rate("fallback") <= 0.26
+    def test_fallback(self, request):
+        check(request, "fig10.fallback")
 
 
 class TestHeadlineMetrics:
-    def test_exploited_fraction_selective(self, exploitation_result):
+    def test_exploited_fraction_selective(self, request):
         """Hijackers skip accounts they deem not valuable (Section 5.2)."""
-        metrics = SummaryMetrics.from_context(
-            ArtifactContext(exploitation_result))
-        assert 0.30 <= metrics.exploited_fraction_of_accessed <= 0.80
+        check(request, "sec52.exploited_fraction")
 
-    def test_incident_rate_scales_with_intensity(self, exploitation_result,
-                                                 smoke_result):
-        heavy = SummaryMetrics.from_context(
-            ArtifactContext(exploitation_result))
-        light = SummaryMetrics.from_context(ArtifactContext(smoke_result))
-        assert heavy.incidents_per_million_actives_per_day > 0
-        assert light.incidents_per_million_actives_per_day > 0
+    def test_incident_rate_scales_with_intensity(self, request):
+        check(request, "sec3.incident_rate_nonzero")

@@ -10,17 +10,18 @@ import pytest
 
 from repro import Simulation
 from repro.analysis import contacts
+from repro.analysis.registry import ArtifactContext
 from repro.core.scenarios import contact_lift_study
 
 
 @pytest.fixture(scope="module")
 def lift():
-    results = []
+    contexts = []
     for seed in (7, 11):
         config = contact_lift_study(seed).with_overrides(
             horizon_days=35, n_users=18_000, campaigns_per_week=10)
-        results.append(Simulation(config).run())
-    return contacts.pooled_contact_lift(results)
+        contexts.append(ArtifactContext(Simulation(config).run()))
+    return contacts.pooled_contact_lift(contexts)
 
 
 class TestContactLift:

@@ -21,13 +21,13 @@ from repro.net.email_addr import EmailAddress
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
-from repro.world.equivalence import (
-    materialize_histories,
-    population_fingerprint,
-)
 from repro.world.mailbox import MailFilter
 from repro.world.messages import EmailMessage, Folder
 from repro.world.population import PopulationConfig, build_population
+from tests.world.equivalence import (
+    materialize_histories,
+    population_fingerprint,
+)
 
 _SLOW = settings(max_examples=8, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])

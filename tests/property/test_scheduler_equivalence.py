@@ -19,8 +19,8 @@ from repro.analysis.report import full_report
 from repro.core.config import SimulationConfig
 from repro.core.scenarios import smoke_scenario
 from repro.core.simulation import Simulation
-from repro.world.equivalence import population_fingerprint
 from tests.property.rescan_oracle import RescanSimulation
+from tests.world.equivalence import population_fingerprint
 
 _SLOW = settings(max_examples=6, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])

@@ -29,7 +29,7 @@ from repro.phishing.lure import LureModel
 from repro.phishing.templates import AccountType, make_template
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
-from repro.world.equivalence import (
+from tests.world.equivalence import (
     account_fingerprint,
     mailbox_fingerprint,
     materialize_histories,

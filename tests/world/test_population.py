@@ -10,7 +10,6 @@ from repro.net.domains import PRIMARY_PROVIDER
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
-from repro.world.equivalence import population_fingerprint
 from repro.world.messages import MessageKind
 from repro.world.population import (
     Population,
@@ -18,6 +17,7 @@ from repro.world.population import (
     build_population,
     generate_password,
 )
+from tests.world.equivalence import population_fingerprint
 
 
 @pytest.fixture(scope="module")
