@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro import obs
 from repro.core.config import SimulationConfig
 from repro.core.organic import OrganicActivityModel
-from repro.core.scheduler import EventKind, EventWheel
 from repro.defense.abuse import AbuseResponse
 from repro.defense.auth import AuthService
 from repro.defense.behavioral import BehavioralRiskAnalyzer
@@ -233,22 +232,11 @@ class Simulation:
         self.pages: List[PhishingPage] = []
         self._decoys_injected = 0
         self._cases_opened: Set[str] = set()
-        #: Accounts a hijacker ever got into — the abuse sweep's probe
-        #: set, intersected with the dirty marks at each sweep.
+        #: Accounts a hijacker ever got into — the abuse sweep probes
+        #: every one of them at the end of each day.
         self._watch_members: Set[str] = set()
         self._campaign_schedule = self._build_campaign_schedule()
         self._open_rng = self.rngs.stream("remediation.open")
-
-        #: Event-wheel state.  Work is scheduled the moment it becomes
-        #: known — including abuse probes of accounts watched before
-        #: :meth:`run` — and :meth:`_run_days` drains it.
-        self._wheel = EventWheel()
-        self._current_day = 0
-        self._current_kind: Optional[EventKind] = None
-        self._dirty_abuse: Set[str] = set()
-        self._incident_days: Set[int] = set()
-        self._flush_days: Set[int] = set()
-        self._sweep_days: Set[int] = set()
 
     # -- construction ------------------------------------------------------
 
@@ -374,147 +362,29 @@ class Simulation:
         )
 
     def _run_days(self) -> None:
-        """Drain the event wheel: O(scheduled work), not O(world × days).
+        """Run every phase of every day, in a fixed order.
 
-        Equivalence contract with the per-day rescan loop the
-        :class:`EventKind` order is written against (bit-identical
-        results, same RNG stream consumption order):
-
-        * Campaign launches are enqueued up front from the same
-          pre-built schedule, in the same per-day order.
-        * Standalone-page creation draws from its private
-          ``phishing.standalone`` stream once per day, so it stays a
-          per-day event; when the weekly rate is zero the daily draw
-          reaches no other stream and creates nothing, so nothing is
-          scheduled at all.
-        * Credential pickups, report flushes, and abuse probes are
-          scheduled at the moment they become known — by the queue
-          submit, the mail-service hook, and the abuse/behavioral hooks
-          — for the day a daily rescan would have discovered them.
-        * Incident drains reuse :meth:`_process_incidents_until`, so the
-          batch semantics (all-due pops, ``(pickup_at, crew,
-          address)`` sort, next-batch placement of newly submitted
-          credentials) are shared, not re-implemented.
-        * Abuse sweeps probe only *dirty* watched accounts.  This is
-          lossless because ``should_suspend`` is monotone between probes
-          (behavioral flags are sticky, report counts only grow) and
-          every input change marks the account dirty — including
-          post-recovery reactivation, which a rescan would catch by
-          brute force the next day.
+        The order within a day is the RNG contract: standalone pages,
+        the day's campaign launches, every credential pickup due by the
+        day's end, the report flush, then an abuse probe of the whole
+        watchlist.  All of a day's launches run before any of its
+        pickups, whatever minute each would "happen" at.
         """
-        horizon = self.config.horizon_days
-        wheel = self._wheel
-        self.mail.on_report_scheduled = self._note_report_due
-        self.abuse.on_user_report = self._note_abuse_signal
-        self.behavioral.on_flag = self._note_abuse_signal
-
-        if self.config.standalone_pages_per_week > 0:
-            for day in range(horizon):
-                wheel.schedule(day, EventKind.STANDALONE_PAGES)
-        for day in range(horizon):
-            for crew, is_outlier in self._campaign_schedule.get(day, ()):
-                wheel.schedule(day, EventKind.CAMPAIGN_LAUNCH,
-                               (crew, is_outlier))
-
-        day_span = None
-        try:
-            while True:
-                entry = wheel.pop()
-                if entry is None:
-                    break
-                day, kind, payload = entry
-                if day_span is None or day != self._current_day:
-                    if day_span is not None:
-                        day_span.__exit__(None, None, None)
-                    self._current_day = day
-                    self.clock.advance_to(day * DAY)
-                    day_span = obs.trace("simulation.day", day=day)
-                    day_span.__enter__()
-                self._current_kind = kind
-                self._dispatch_event(day, kind, payload)
-        finally:
-            if day_span is not None:
-                day_span.__exit__(None, None, None)
-            self._current_kind = None
-            # The hooks hold bound methods; results must stay picklable
-            # for the parallel runner, so unhook before returning.
-            self.mail.on_report_scheduled = None
-            self.abuse.on_user_report = None
-            self.behavioral.on_flag = None
-        self.clock.advance_to(horizon * DAY)
-
-    def _dispatch_event(self, day: int, kind: EventKind, payload) -> None:
-        day_end = (day + 1) * DAY
-        if kind is EventKind.STANDALONE_PAGES:
-            with obs.trace("simulation.sched.standalone_pages", day=day):
-                self._create_standalone_pages(day)
-        elif kind is EventKind.CAMPAIGN_LAUNCH:
-            crew, is_outlier = payload
-            with obs.trace("simulation.sched.campaign_launch", day=day):
-                self._launch_campaign(crew, day, is_outlier)
-        elif kind is EventKind.INCIDENT_DRAIN:
-            with obs.trace("simulation.sched.incident_drain", day=day):
-                self._process_incidents_until(day_end)
-        elif kind is EventKind.MAIL_FLUSH:
-            with obs.trace("simulation.sched.mail_flush", day=day):
-                self.mail.flush_reports(day_end)
-        elif kind is EventKind.ABUSE_SWEEP:
-            with obs.trace("simulation.sched.abuse_sweep", day=day):
-                self._sweep_dirty(day_end)
-
-    # -- scheduling hooks --------------------------------------------------
-
-    def _note_pickup(self, pickup_at: Optional[int]) -> None:
-        """Schedule the incident drain for the day a pickup lands on.
-
-        Each day drains queues up to ``(day+1)*DAY``, so a pickup due
-        exactly at a day boundary belongs to the *earlier*
-        day — hence ``(t - 1) // DAY``.  A pickup in the past (possible
-        when a drain submits follow-on credentials with earlier capture
-        times) drains in the current day's batch, never retroactively.
-        """
-        if pickup_at is None:
-            return
-        day = max(self._current_day, (max(pickup_at, 1) - 1) // DAY)
-        if day >= self.config.horizon_days or day in self._incident_days:
-            return
-        self._incident_days.add(day)
-        self._wheel.schedule(day, EventKind.INCIDENT_DRAIN)
-
-    def _note_report_due(self, due_at: int) -> None:
-        """Mail-service hook: a user report was queued for ``due_at``."""
-        day = max(self._current_day, (max(due_at, 1) - 1) // DAY)
-        if day >= self.config.horizon_days or day in self._flush_days:
-            return
-        self._flush_days.add(day)
-        self._wheel.schedule(day, EventKind.MAIL_FLUSH)
-
-    def _note_abuse_signal(self, account_id: str) -> None:
-        """A suspension input changed: mark dirty, schedule a probe.
-
-        If the current day's sweep already ran (we are *in* or past the
-        ABUSE_SWEEP phase), a daily rescan would only re-probe it
-        tomorrow, so the make-up sweep lands on ``day + 1``.
-        """
-        self._dirty_abuse.add(account_id)
-        day = self._current_day
-        if (self._current_kind is not None
-                and self._current_kind >= EventKind.ABUSE_SWEEP):
-            day += 1
-        self._schedule_sweep(day)
-
-    def _schedule_sweep(self, day: int) -> None:
-        if day >= self.config.horizon_days or day in self._sweep_days:
-            return
-        self._sweep_days.add(day)
-        self._wheel.schedule(day, EventKind.ABUSE_SWEEP)
-
-    def _watch(self, account_id: str) -> None:
-        """Add an account to the abuse watchlist (idempotent)."""
-        if account_id in self._watch_members:
-            return
-        self._watch_members.add(account_id)
-        self._note_abuse_signal(account_id)
+        for day in range(self.config.horizon_days):
+            day_end = (day + 1) * DAY
+            with obs.trace("simulation.day", day=day):
+                with obs.trace("simulation.day.standalone_pages"):
+                    self._create_standalone_pages(day)
+                with obs.trace("simulation.day.campaign_launch"):
+                    for crew, is_outlier in self._campaign_schedule.get(day, ()):
+                        self._launch_campaign(crew, day, is_outlier)
+                with obs.trace("simulation.day.incident_drain"):
+                    self._process_incidents_until(day_end)
+                with obs.trace("simulation.day.mail_flush"):
+                    self.mail.flush_reports(day_end)
+                with obs.trace("simulation.day.abuse_sweep"):
+                    self._sweep_watchlist(day_end)
+            self.clock.advance_to(day_end)
 
     # -- campaigns ---------------------------------------------------------
 
@@ -639,10 +509,9 @@ class Simulation:
         self._decoys_injected += 1
         crew_state = self._crew_by_name[page.operator]
         decoy_credential = page.harvested[-1]
-        pickup_at = crew_state.queue.submit(decoy_credential)
         # Decoys skip the remission/organic side effects of
-        # _submit_credential, but their pickup still needs a drain.
-        self._note_pickup(pickup_at)
+        # _submit_credential.
+        crew_state.queue.submit(decoy_credential)
         # Decoy honey accounts never file recovery claims.
         self._cases_opened.add(record.account_id)
 
@@ -655,7 +524,6 @@ class Simulation:
             return  # external victim: exploited outside our provider
         obs.count("simulation.credentials_submitted")
         pickup_at = state.queue.submit(credential)
-        self._note_pickup(pickup_at)
         self.remission.snapshot(account, credential.captured_at)
         if pickup_at is not None:
             self.organic.materialize_window(
@@ -707,7 +575,7 @@ class Simulation:
                 account, "suspicious_login_blocked", report.first_attempt_at,
             )
         if report.outcome.gained_access:
-            self._watch(account.account_id)
+            self._watch_members.add(account.account_id)
             self._open_remediation(account, report)
 
     # -- remediation ---------------------------------------------------------
@@ -739,10 +607,6 @@ class Simulation:
         case = self.remediation.open_case(account, flagged_at, notified)
         if case is not None:
             self.remediation.run_case(case, account)
-            if account.state.can_login():
-                # Recovered while possibly still flag-eligible: re-probe
-                # it at the next daily sweep.
-                self._note_abuse_signal(account.account_id)
 
     def _was_notified(self, account_id: str, start: int, end: int) -> bool:
         events = self.store.query(
@@ -750,31 +614,20 @@ class Simulation:
         )
         return bool(events)
 
-    def _sweep_dirty(self, now: int) -> None:
-        """Probe only dirty watched accounts.
+    def _sweep_watchlist(self, now: int) -> None:
+        """Probe every watched account; open a case for each new suspension.
 
         Newly suspended accounts are exactly the tail of
-        ``suspended_accounts`` appended by this sweep — equivalent to a
-        full sweep's before/after set difference, because a re-suspended
-        account (recovered earlier, suspended again) necessarily went
-        through a case already and is filtered by ``_cases_opened``.
+        ``suspended_accounts`` this sweep appended.  A re-suspended
+        account (recovered earlier, suspended again) already went through
+        a case and is filtered by ``_cases_opened``.
         """
-        dirty, self._dirty_abuse = self._dirty_abuse, set()
-        batch = sorted(
-            account_id for account_id in dirty
-            if account_id in self._watch_members
-        )
-        obs.count("simulation.sched.dirty_accounts", len(batch))
-        if not batch:
-            return
-        accounts = [self.population.accounts[account_id]
-                    for account_id in batch]
         n_before = len(self.abuse.suspended_accounts)
-        self.abuse.sweep(accounts, now)
+        self.abuse.sweep([self.population.accounts[account_id]
+                          for account_id in sorted(self._watch_members)], now)
         for account_id in self.abuse.suspended_accounts[n_before:]:
-            if account_id in self._cases_opened:
-                continue
-            self._open_sweep_case(account_id, now)
+            if account_id not in self._cases_opened:
+                self._open_sweep_case(account_id, now)
 
     def _open_sweep_case(self, account_id: str, now: int) -> None:
         """A sweep suspension always reaches the owner: open the case."""
@@ -784,8 +637,6 @@ class Simulation:
         case = self.remediation.open_case(account, flagged_at, True)
         if case is not None:
             self.remediation.run_case(case, account)
-            if account.state.can_login():
-                self._note_abuse_signal(account_id)
 
     # -- baselines ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ a notification, and starts the remediation clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.defense.behavioral import BehavioralRiskAnalyzer
 from repro.defense.notifications import NotificationService
@@ -31,9 +31,6 @@ class AbuseResponse:
     report_quorum: int = 3
     _report_counts: Dict[str, int] = field(default_factory=dict)
     suspended_accounts: List[str] = field(default_factory=list)
-    #: Scheduler hook: called with the account id whenever its report
-    #: count changes, so the event wheel can mark it dirty for a probe.
-    on_user_report: Optional[Callable[[str], None]] = None
 
     def note_user_report(self, sender_account_id: Optional[str]) -> None:
         if sender_account_id is None:
@@ -41,8 +38,6 @@ class AbuseResponse:
         self._report_counts[sender_account_id] = (
             self._report_counts.get(sender_account_id, 0) + 1
         )
-        if self.on_user_report is not None:
-            self.on_user_report(sender_account_id)
 
     def should_suspend(self, account: Account) -> bool:
         if not account.state.can_login():

@@ -17,7 +17,7 @@ threshold must balance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.logs.events import HijackFlagEvent
 from repro.logs.store import LogStore
@@ -49,9 +49,6 @@ class BehavioralRiskAnalyzer:
     #: score per (account_id) for the current session window.
     _scores: Dict[str, float] = field(default_factory=dict)
     _flagged: Dict[str, int] = field(default_factory=dict)
-    #: Scheduler hook: called with the account id when a flag is raised,
-    #: so the event wheel can mark the account dirty for an abuse probe.
-    on_flag: Optional[Callable[[str], None]] = None
 
     def begin_session(self, account_id: str) -> None:
         self._scores[account_id] = 0.0
@@ -90,5 +87,3 @@ class BehavioralRiskAnalyzer:
             self.store.append(HijackFlagEvent(
                 timestamp=now, account_id=account_id, source="behavioral",
             ))
-            if self.on_flag is not None:
-                self.on_flag(account_id)

@@ -74,9 +74,6 @@ class CrewIpPool:
         """Every address this pool ever handed out."""
         return list(self.accounts_per_ip)
 
-    def distinct_ips_used(self) -> int:
-        return len(self.accounts_per_ip)
-
     def mean_accounts_per_ip(self) -> float:
         """Average distinct accounts per allocated address."""
         if not self.accounts_per_ip:

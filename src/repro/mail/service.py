@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.logs.events import Actor, MailReportedEvent, MailSentEvent
@@ -63,9 +63,6 @@ class MailService:
     #: pops only what is due instead of rebuilding the whole list.
     pending_reports: List[Tuple[int, int, MailReportedEvent]] = field(default_factory=list)
     _report_seq: int = 0
-    #: Scheduler hook: called with ``due_at`` whenever a report is
-    #: queued, so the event wheel can plan the flush for that day.
-    on_report_scheduled: Optional[Callable[[int], None]] = None
 
     def send(self, sender_account, recipients: Sequence[EmailAddress], subject: str,
              now: int, kind: MessageKind = MessageKind.ORGANIC,
@@ -164,11 +161,9 @@ class MailService:
 
     def pending_reports_push(self, due_at: int,
                              event: MailReportedEvent) -> None:
-        """Queue one future report and tell the scheduler about its day."""
+        """Queue one future report; the day loop flushes it once due."""
         heapq.heappush(self.pending_reports, (due_at, self._report_seq, event))
         self._report_seq += 1
-        if self.on_report_scheduled is not None:
-            self.on_report_scheduled(due_at)
 
     def flush_reports(self, now: int) -> int:
         """Move due reports into the log store; returns how many landed.

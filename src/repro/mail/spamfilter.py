@@ -38,10 +38,6 @@ class SpamVerdict(enum.Enum):
     INBOX = "inbox"
     SPAM = "spam"
 
-    @property
-    def delivered_to_inbox(self) -> bool:
-        return self is SpamVerdict.INBOX
-
 
 @dataclass
 class SpamFilter:

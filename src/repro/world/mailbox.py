@@ -349,9 +349,6 @@ class Mailbox:
         self.filters = [f for f in self.filters if not f.created_by_hijacker]
         return before - len(self.filters)
 
-    def has_hijacker_filter(self) -> bool:
-        return any(f.created_by_hijacker for f in self.filters)
-
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self, now: int) -> MailboxSnapshot:

@@ -219,6 +219,10 @@ class PopulationConfig:
             raise ValueError(f"need at least one user, got {self.n_users}")
         if self.mean_contacts % 2:
             raise ValueError("mean_contacts must be even (ring-lattice constraint)")
+        if self.mean_history_messages <= 0:
+            raise ValueError(
+                f"mean_history_messages must be positive, "
+                f"got {self.mean_history_messages}")
 
 
 @dataclass

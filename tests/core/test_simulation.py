@@ -1,4 +1,7 @@
+import pytest
+
 from repro import Simulation
+from repro.core.config import SimulationConfig
 from repro.core.scenarios import smoke_scenario, taxonomy_study
 from repro.hijacker.incident import IncidentOutcome
 from repro.logs.events import (
@@ -68,6 +71,15 @@ class TestSmokeRun:
     def test_summary_renders(self, smoke_result):
         text = smoke_result.summary()
         assert "credentials processed" in text
+
+
+class TestConfigRejection:
+    def test_zero_history_mean_rejected_at_construction(self):
+        """Raised before the run, not as a mid-run ZeroDivisionError."""
+        with pytest.raises(ValueError, match="mean_history_messages"):
+            Simulation(SimulationConfig(
+                mean_history_messages=0, n_users=40, n_external_edu=10,
+                n_external_other=5, horizon_days=2))
 
 
 class TestDeterminism:

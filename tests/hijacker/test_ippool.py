@@ -30,7 +30,7 @@ class TestBlendInGuideline:
         crew_pool, _ = pool
         for _ in range(50):
             crew_pool.ip_for(0, "acct-000000", now=0)
-        assert crew_pool.distinct_ips_used() == 1
+        assert len(crew_pool.allocated) == 1
 
     def test_cap_never_exceeded(self, pool):
         crew_pool, _ = pool

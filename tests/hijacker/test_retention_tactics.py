@@ -127,6 +127,6 @@ class TestSideEffects:
             report = playbook.apply(account, harness.crew, now=1000 + index)
             if report.installed_filter:
                 assert looks_like(report.doppelganger.address, account.address)
-                assert account.mailbox.has_hijacker_filter()
+                assert any(f.created_by_hijacker for f in account.mailbox.filters)
                 return
         pytest.fail("no filter installed across many applications")

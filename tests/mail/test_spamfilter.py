@@ -84,7 +84,7 @@ class TestClassification:
         spam_filter = SpamFilter(rng)
         verdicts = [spam_filter.classify(make_message(), False)
                     for _ in range(300)]
-        inbox = sum(1 for v in verdicts if v.delivered_to_inbox) / 300
+        inbox = sum(1 for v in verdicts if v is SpamVerdict.INBOX) / 300
         assert inbox > 0.97
 
     def test_contact_phish_usually_delivered(self, rng):
@@ -98,5 +98,5 @@ class TestClassification:
             spam_filter.classify(message, sender_is_contact=True)
             for _ in range(300)
         ]
-        delivered = sum(1 for v in from_friend if v.delivered_to_inbox) / 300
+        delivered = sum(1 for v in from_friend if v is SpamVerdict.INBOX) / 300
         assert delivered > 0.75

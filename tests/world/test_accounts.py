@@ -89,7 +89,7 @@ class TestHijackerSettings:
         assert account.two_factor_phone is None
         assert account.hijacker_reply_to is None
         assert not account.recovery.changed_by_hijacker
-        assert not account.mailbox.has_hijacker_filter()
+        assert not any(f.created_by_hijacker for f in account.mailbox.filters)
 
     def test_clear_is_noop_when_clean(self, account):
         assert account.clear_hijacker_settings(now=10) == 0

@@ -95,9 +95,9 @@ class TestFilters:
     def test_remove_hijacker_filters(self, mailbox):
         mailbox.add_filter(MailFilter("filter-000000", 0, True))
         mailbox.add_filter(MailFilter("filter-000001", 0, False))
-        assert mailbox.has_hijacker_filter()
+        assert any(f.created_by_hijacker for f in mailbox.filters)
         assert mailbox.remove_hijacker_filters() == 1
-        assert not mailbox.has_hijacker_filter()
+        assert not any(f.created_by_hijacker for f in mailbox.filters)
         assert len(mailbox.filters) == 1
 
 
