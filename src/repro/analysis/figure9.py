@@ -81,24 +81,6 @@ def latency_by_notification(ctx: ArtifactContext
     return tuple(notified), tuple(unnotified)
 
 
-def render_notification_split(ctx: ArtifactContext) -> str:
-    """One-line summary of the §6.2 notification effect."""
-    notified, unnotified = latency_by_notification(ctx)
-
-    def median(values):
-        if not values:
-            return None
-        return EmpiricalCdf(list(values)).quantile(0.5)
-
-    def fmt(value):
-        return "n/a" if value is None else f"{value / 60:.1f} h"
-
-    return (f"  notified victims ({len(notified)}) median flag->claim "
-            f"{fmt(median(notified))}; un-notified ({len(unnotified)}) "
-            f"{fmt(median(unnotified))} "
-            "(paper: fastest recoveries explained by proactive notifications)")
-
-
 def render(figure: Figure9) -> str:
     histogram = figure.histogram()
     lines = [

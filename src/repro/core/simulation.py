@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.config import SimulationConfig
@@ -461,36 +462,34 @@ class Simulation:
                 self._submit_credential(self._crew_by_name[crew.name], credential)
 
     def _pick_targets(self, rng: random.Random,
-                      is_outlier: bool) -> List[LureTarget]:
-        """Batch-sample a campaign's target list from the frozen pools."""
+                      is_outlier: bool) -> Iterator[LureTarget]:
+        """Batch-sample a campaign's targets from the frozen pools.
+
+        Both samples are drawn here; the targets themselves are built as
+        the campaign reads them.  A campaign-sized list of them would
+        survive young GC passes and be promoted: on ``exploitation``
+        world 21 that costs a third of the run's young collections and
+        one of its two full ones.
+        """
         count = self.config.campaign_target_count * (3 if is_outlier else 1)
         n_provider = int(count * self.config.provider_target_fraction)
         n_external = count - n_provider
         provider_block = self._provider_filter_block
         pool = self._provider_pool
-        targets: List[LureTarget] = [
-            LureTarget(
-                address=account.address,
-                filter_block_probability=provider_block,
-                gullibility=account.owner.gullibility,
-                account=account,
-            )
-            for account in rng.sample(pool, min(n_provider, len(pool)))
-        ]
+        accounts = rng.sample(pool, min(n_provider, len(pool)))
         # Sample indices, not the lazy pool: ``random.sample`` copies a
         # Sequence with ``list()`` (materializing every victim) when k is
         # large against it.  Same RNG draws, same picks.
         externals = self.population.external_victims
         picks = rng.sample(range(len(externals)), min(n_external, len(externals)))
-        targets.extend(
-            LureTarget(
-                address=victim.address,
-                filter_block_probability=victim.spam_filter_strength,
-                gullibility=victim.gullibility,
-            )
-            for victim in map(externals.__getitem__, picks)
+        return chain(
+            (LureTarget(account.address, provider_block,
+                        account.owner.gullibility, account)
+             for account in accounts),
+            (LureTarget(victim.address, victim.spam_filter_strength,
+                        victim.gullibility)
+             for victim in externals.victims_at(picks)),
         )
-        return targets
 
     def _maybe_inject_decoy(self, page: PhishingPage) -> None:
         """The researchers' decoy experiment rides SafeBrowsing detections."""

@@ -178,12 +178,6 @@ class LogStore:
         column = self._by_type.get(event_type)
         return 0 if column is None else len(column)
 
-    def event_types(self) -> List[type]:
-        return sorted(self._by_type, key=lambda t: t.__name__)
-
-    def accounts_seen(self) -> List[str]:
-        return sorted(self._by_account)
-
     def __len__(self) -> int:
         return self._count
 

@@ -132,9 +132,6 @@ class IpAllocator:
                 return address
         raise RuntimeError(f"address space for {country!r} exhausted")
 
-    def allocated_count(self) -> int:
-        return len(self._allocated)
-
 
 def _blocks_overlap(a: IpBlock, b: IpBlock) -> bool:
     a_end = a.network.value + a.size

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.logs.events import MailReportedEvent
 from repro.logs.store import LogStore
@@ -34,14 +34,18 @@ from repro.world.accounts import Account, Credential
 from repro.world.messages import EmailMessage, Folder, MessageKind
 
 
-@dataclass(frozen=True)
-class LureTarget:
+#: The sender every delivered lure copy shows.
+_LURE_SENDER = EmailAddress("security-alert", "important-notice.net")
+
+
+class LureTarget(NamedTuple):
     """One address a campaign mails.
 
     ``account`` is set when the address belongs to the primary provider
     (so a submission yields a usable credential and the lure lands in a
     mailbox we simulate); external victims carry only filter strength
-    and gullibility.
+    and gullibility.  A plain tuple: a campaign builds one per pick and
+    unpacks it once.
     """
 
     address: EmailAddress
@@ -75,7 +79,8 @@ class PhishingCampaign:
     template: PhishingEmailTemplate
     page: Optional[PhishingPage]       # None for reply-with-credentials lures
     launch_at: int
-    targets: Sequence[LureTarget]
+    #: Read once, by :meth:`CampaignRunner.run`.
+    targets: Iterable[LureTarget]
     profile: CampaignProfile = STANDARD_PROFILE
 
     def __post_init__(self) -> None:
@@ -117,27 +122,27 @@ class CampaignRunner:
         result = CampaignResult(campaign_id=campaign.campaign_id)
         page = campaign.page
         wave_start = campaign.launch_at + campaign.profile.quiet_period
+        forms = page is not None and page.hosting is PageHosting.FORMS
 
-        if page is not None and page.hosting is PageHosting.FORMS:
+        if forms:
             self._record_attacker_tests(campaign, page)
 
+        decide = self.lure_model.decide
+        page_quality = page.quality if page is not None else None
+        keywords = campaign.template.keywords()
         # Adjust the click-delay mean for this campaign's profile.
         original_delay = self.lure_model.mean_click_delay
         self.lure_model.mean_click_delay = campaign.profile.mean_click_delay
         try:
-            for target in campaign.targets:
+            for address, block_probability, gullibility, account in campaign.targets:
                 result.mailed += 1
-                outcome = self.lure_model.decide(
-                    launch_at=wave_start,
-                    filter_block_probability=target.filter_block_probability,
-                    gullibility=target.gullibility,
-                    page_quality=page.quality if page is not None else None,
-                )
+                outcome = decide(wave_start, block_probability, gullibility,
+                                 page_quality)
                 if not outcome.delivered:
                     continue
                 result.delivered += 1
-                if target.account is not None:
-                    self._deliver_lure_copy(campaign, target.account, wave_start)
+                if account is not None:
+                    self._deliver_lure_copy(campaign, account, wave_start, keywords)
                 if not outcome.clicked:
                     continue
                 assert outcome.click_at is not None
@@ -145,13 +150,14 @@ class CampaignRunner:
                     if not page.is_up(outcome.click_at):
                         continue
                     result.visits += 1
-                    if page.hosting is PageHosting.FORMS:
+                    if forms:
                         self.forms_log.record_view(page, outcome.click_at, outcome.referrer)
                 if outcome.submitted:
                     assert outcome.submit_at is not None
                     if page is not None and not page.is_up(outcome.submit_at):
                         continue
-                    credential = self._capture(campaign, target, outcome.submit_at)
+                    credential = self._capture(campaign, address, account,
+                                               outcome.submit_at)
                     result.submissions += 1
                     result.credentials.append(credential)
         finally:
@@ -166,8 +172,8 @@ class CampaignRunner:
             at = campaign.launch_at + (index * span) // max(1, campaign.profile.test_views)
             self.forms_log.record_view(page, at, referrer=None)
 
-    def _capture(self, campaign: PhishingCampaign, target: LureTarget,
-                 at: int) -> Credential:
+    def _capture(self, campaign: PhishingCampaign, address: EmailAddress,
+                 account: Optional[Account], at: int) -> Credential:
         """A victim hands over credentials (possibly imperfect ones).
 
         Password accuracy mix is calibrated so hijackers end up with the
@@ -181,9 +187,9 @@ class CampaignRunner:
         secrets that never appear in the provider's login logs.
         """
         phishes_mail_credential = campaign.template.target is AccountType.MAIL
-        if target.account is not None and phishes_mail_credential:
+        if account is not None and phishes_mail_credential:
             roll = self.rng.random()
-            true_password = target.account.password
+            true_password = account.password
             if roll < 0.68:
                 password = true_password
             elif roll < 0.80:
@@ -195,7 +201,7 @@ class CampaignRunner:
         else:
             password = "external-secret"
         credential = Credential(
-            address=target.address,
+            address=address,
             password=password,
             captured_at=at,
             source_page_id=campaign.page.page_id if campaign.page else None,
@@ -204,13 +210,13 @@ class CampaignRunner:
             campaign.page.capture(credential)
             if campaign.page.hosting is PageHosting.FORMS:
                 self.forms_log.record_submission(
-                    campaign.page, at, submitted_email=str(target.address),
+                    campaign.page, at, submitted_email=str(address),
                     referrer=None,
                 )
         return credential
 
     def _deliver_lure_copy(self, campaign: PhishingCampaign, account: Account,
-                           at: int) -> None:
+                           at: int, keywords: Tuple[str, ...]) -> None:
         """File the lure into a provider user's mailbox; maybe reported.
 
         Lure senders are external, so no MailSentEvent appears in the
@@ -218,13 +224,13 @@ class CampaignRunner:
         """
         copy = EmailMessage(
             message_id=self.minter.mint("msg"),
-            sender=EmailAddress("security-alert", "important-notice.net"),
+            sender=_LURE_SENDER,
             recipients=(account.address,),
             subject=campaign.template.subject,
             sent_at=at,
             body=campaign.template.body,
             kind=MessageKind.PHISHING,
-            keywords=campaign.template.keywords(),
+            keywords=keywords,
             contains_url=campaign.template.has_url,
         )
         account.mailbox.deliver(copy, folder=Folder.INBOX)

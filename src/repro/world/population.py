@@ -46,7 +46,7 @@ from __future__ import annotations
 import gc
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.net import domains
@@ -165,6 +165,20 @@ class ExternalVictimPool(Sequence):
 
     def __iter__(self) -> Iterator[ExternalVictim]:
         return (self[i] for i in range(len(self)))
+
+    def victims_at(self, indices: Iterable[int]) -> List[ExternalVictim]:
+        """``[self[i] for i in indices]``, checking only the indices it
+        must materialize (a cached index is in range by construction)."""
+        cache = self._cache
+        victims = []
+        for index in indices:
+            victim = cache.get(index)
+            if victim is None:
+                if not 0 <= index < len(self):
+                    raise IndexError(f"victim index out of range: {index}")
+                victim = cache[index] = self._materialize(index)
+            victims.append(victim)
+        return victims
 
     def _materialize(self, index: int) -> ExternalVictim:
         obs.count("population.build.external_materialized")

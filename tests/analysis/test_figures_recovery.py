@@ -35,9 +35,11 @@ class TestFigure9:
         median = lambda values: sorted(values)[len(values) // 2]
         assert median(notified) < median(unnotified) / 2
 
-    def test_notification_split_renders(self, recovery_result):
-        assert "notified" in figure9.render_notification_split(
-            ArtifactContext(recovery_result))
+    def test_notification_split_partitions_recoveries(self, recovery_result):
+        ctx = ArtifactContext(recovery_result)
+        notified, unnotified = figure9.latency_by_notification(ctx)
+        assert sorted(notified + unnotified) == sorted(
+            figure9.compute(ctx).latencies)
 
 
 class TestFigure10:

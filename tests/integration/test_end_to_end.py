@@ -116,10 +116,10 @@ class TestCrossChecks:
 
 class TestLogConsistency:
     def test_every_incident_account_logged(self, exploitation_result):
-        logged = set(exploitation_result.store.accounts_seen())
+        store = exploitation_result.store
         for report in exploitation_result.incidents:
             if report.account_id and report.login_attempts:
-                assert report.account_id in logged
+                assert store.for_account(report.account_id)
 
     def test_no_success_without_correct_password(self, exploitation_result):
         for event in exploitation_result.store.query(LoginEvent):

@@ -86,9 +86,10 @@ class TestIpAllocator:
 
     def test_allocated_count(self, rng):
         allocator = IpAllocator(rng)
-        allocator.register_block("US", IpBlock.parse("10.0.0.0/24"))
-        allocator.allocate("US")
-        assert allocator.allocated_count() == 1
+        allocator.register_block("US", IpBlock.parse("10.0.0.0/30"))
+        assert len({allocator.allocate("US") for _ in range(4)}) == 4
+        with pytest.raises(RuntimeError):
+            allocator.allocate("US")
 
     def test_countries_sorted(self, rng):
         allocator = IpAllocator(rng)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from repro.logs.events import HttpRequestEvent, MailReportedEvent
@@ -162,3 +164,53 @@ class TestOutlierProfile:
                 if e.request.method is Method.GET]
         early = [t for t in gets if t < OUTLIER_PROFILE.quiet_period]
         assert len(early) >= OUTLIER_PROFILE.test_views - 1
+
+
+#: ``(mailed, delivered, visits, submissions)`` of each campaign of the
+#: smoke/7 world, in launch order.  Reply-style lures have no page, so
+#: they submit without a visit.
+SMOKE_FUNNELS = [
+    (420, 129, 23, 3), (420, 142, 0, 25), (420, 136, 0, 22),
+    (420, 149, 18, 1), (420, 122, 23, 3), (420, 129, 0, 23),
+    (420, 128, 23, 5), (420, 137, 24, 9), (420, 125, 0, 27),
+    (420, 146, 18, 3), (1260, 387, 71, 9), (420, 131, 25, 3),
+    (420, 129, 3, 0), (420, 143, 24, 3), (420, 122, 22, 2),
+    (420, 134, 20, 4), (420, 122, 16, 3), (420, 133, 1, 0),
+    (420, 124, 12, 5), (1260, 389, 41, 6), (420, 111, 0, 18),
+    (420, 124, 21, 4), (420, 132, 0, 23), (420, 136, 28, 8),
+    (420, 126, 0, 21), (420, 134, 0, 30), (420, 125, 0, 18),
+    (420, 137, 27, 9), (420, 121, 0, 15), (420, 137, 23, 3),
+    (420, 130, 0, 24), (420, 141, 26, 1),
+]
+
+#: sha256 of every captured credential of the smoke/7 world, one
+#: ``"<campaign> <address> <password> <captured_at>"`` line each.
+SMOKE_CREDENTIALS_SHA256 = (
+    "2354baf70c9b89fc5dc39133f510ce846debd4da16f5fdb4d32e60b386975401"
+)
+
+
+class TestSmokeFunnel:
+    """Every lure draw of a seeded world, pinned without the report.
+
+    A reordered or extra RNG draw in target sampling or lure resolution
+    moves a count or a credential here before it reaches any artifact.
+    """
+
+    def test_funnel_counts(self, smoke_result):
+        assert [(c.mailed, c.delivered, c.visits, c.submissions)
+                for c in smoke_result.campaigns] == SMOKE_FUNNELS
+
+    def test_credentials(self, smoke_result):
+        lines = [f"{campaign.campaign_id} {credential.address} "
+                 f"{credential.password} {credential.captured_at}"
+                 for campaign in smoke_result.campaigns
+                 for credential in campaign.credentials]
+        assert len(lines) == 330
+        assert lines[:3] == [
+            "camp-000000 paula61@primarymail.com purple2737 496",
+            "camp-000000 student000203@cs.stateu.edu external-secret 251",
+            "camp-000000 student000339@techinst.edu external-secret 750",
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == SMOKE_CREDENTIALS_SHA256

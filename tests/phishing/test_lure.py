@@ -1,7 +1,15 @@
+import dataclasses
+
 import pytest
 
 from repro.net.http import ReferrerClass, classify_referrer
-from repro.phishing.lure import BLANK_REFERRER_RATE, LureModel, LureOutcome
+from repro.phishing.lure import (
+    BLANK_REFERRER_RATE,
+    BLOCKED,
+    IGNORED,
+    LureModel,
+    LureOutcome,
+)
 from repro.util.clock import HOUR
 
 
@@ -18,6 +26,25 @@ class TestOutcomeInvariants:
     def test_submit_requires_click(self):
         with pytest.raises(ValueError):
             LureOutcome(delivered=True, clicked=False, submitted=True)
+
+
+class TestSharedOutcomes:
+    def test_blocked_and_ignored_are_the_shared_constants(self, model):
+        assert model.decide(0, 1.0, 0.9, 0.9) is BLOCKED
+        assert model.decide(0, 0.0, 0.0, 0.9) is IGNORED
+        assert BLOCKED == LureOutcome(delivered=False)
+        assert IGNORED == LureOutcome(delivered=True)
+
+    def test_shared_outcomes_stay_frozen(self):
+        for outcome in (BLOCKED, IGNORED):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.clicked = True
+
+    def test_clicked_outcomes_are_fresh(self, model):
+        clicked = [model.decide(0, 0.0, 1.0, 0.9) for _ in range(20)]
+        clicked = [outcome for outcome in clicked if outcome.clicked]
+        assert len(clicked) >= 10
+        assert len({id(outcome) for outcome in clicked}) == len(clicked)
 
 
 class TestDecide:

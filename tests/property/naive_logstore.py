@@ -79,12 +79,6 @@ class NaiveLogStore:
             return self._count
         return len(self._by_type.get(event_type, []))
 
-    def event_types(self) -> List[type]:
-        return sorted(self._by_type, key=lambda t: t.__name__)
-
-    def accounts_seen(self) -> List[str]:
-        return sorted(self._by_account)
-
     def __len__(self) -> int:
         return self._count
 

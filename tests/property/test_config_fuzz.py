@@ -19,6 +19,7 @@ from repro.analysis.datasets import Datasets
 from repro.analysis.report import full_report
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
+from repro.logs.events import Event
 
 
 @st.composite
@@ -51,7 +52,9 @@ def edge_configs(draw):
 def test_edge_worlds_run_report_and_keep_log_invariants(config):
     result = Simulation(config).run()
     assert isinstance(full_report(result), str)
-    for event_type in result.store.event_types():
+    families = Event.__subclasses__()
+    assert sum(map(result.store.count, families)) == len(result.store)
+    for event_type in families:
         stamps = [event.timestamp for event in result.store.query(event_type)]
         assert all(stamp >= 0 for stamp in stamps), event_type.__name__
         assert stamps == sorted(stamps), event_type.__name__

@@ -350,3 +350,25 @@ class TestExternalVictimPool:
         assert pool[-1].address == pool[2].address
         with pytest.raises(IndexError):
             pool[3]
+
+    def test_victims_at_matches_indexing_and_materializes_only_those(self):
+        def make():
+            return ExternalVictimPool(5, n_edu=50, n_other=30,
+                                      edu_strength=0.3, other_strength=0.97)
+
+        batch_pool, indexed_pool = make(), make()
+        indices = [71, 3, 49, 50, 3, 0, 79]
+        batch = batch_pool.victims_at(indices)
+        assert batch_pool.materialized_count() == 6  # 3 is asked twice
+        assert batch[1] is batch[4]
+        assert batch == [indexed_pool[i] for i in indices]
+        assert batch_pool.victims_at([49, 0]) == [batch[2], batch[5]]
+        assert batch_pool.materialized_count() == 6
+
+    def test_victims_at_rejects_out_of_range(self):
+        pool = ExternalVictimPool(3, n_edu=2, n_other=1,
+                                  edu_strength=0.3, other_strength=0.97)
+        for index in (3, -1):
+            with pytest.raises(IndexError):
+                pool.victims_at([index])
+        assert pool.materialized_count() == 0
