@@ -8,6 +8,9 @@ generated *sparsely*: full-fidelity login/send/search telemetry is
 materialized only in windows around accounts that matter to a study
 (victims near their incident, plus control cohorts), deterministically
 per (account, day) so overlapping requests never double-materialize.
+The set of materialized (account, day) pairs is the only memo: a window
+request probes it once per day, and a repeated window (a repeat victim)
+costs those few set probes and nothing else.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 from repro import obs
 from repro.defense.auth import AuthService
@@ -50,11 +53,6 @@ class OrganicActivityModel:
     allocator: IpAllocator
     #: (account_id, day) pairs already materialized.
     _done: Set[tuple] = field(default_factory=set)
-    #: Per-account merged [first, last] day intervals already fully
-    #: materialized — lets a repeated or overlapping window request skip
-    #: the per-day ``_done`` probes entirely.  Victims of repeat
-    #: incidents request near-identical windows over and over.
-    _covered: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
     _home_ips: Dict[str, IpAddress] = field(default_factory=dict)
 
     def materialize_window(self, account: Account, center_day: int,
@@ -66,33 +64,11 @@ class OrganicActivityModel:
         obs.count("organic.window.requests")
         first = max(0, center_day - back)
         last = min(horizon_days - 1, center_day + forward)
-        if last < first:
-            return 0
-        intervals = self._covered.setdefault(account.account_id, [])
-        if any(lo <= first and last <= hi for lo, hi in intervals):
-            obs.count("organic.window.covered_skip")
-            return 0
         created = 0
         for day in range(first, last + 1):
             if self.materialize_day(account, day):
                 created += 1
-        self._note_covered(intervals, first, last)
         return created
-
-    @staticmethod
-    def _note_covered(intervals: List[Tuple[int, int]], first: int,
-                      last: int) -> None:
-        """Insert [first, last] and merge adjacent/overlapping intervals."""
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in intervals:
-            if hi < first - 1 or lo > last + 1:
-                merged.append((lo, hi))
-            else:
-                first = min(first, lo)
-                last = max(last, hi)
-        merged.append((first, last))
-        merged.sort()
-        intervals[:] = merged
 
     def materialize_day(self, account: Account, day: int) -> bool:
         """Materialize one account-day (idempotent)."""
@@ -109,7 +85,7 @@ class OrganicActivityModel:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _home_ip(self, account: Account, rng: random.Random) -> IpAddress:
+    def _home_ip(self, account: Account) -> IpAddress:
         ip = self._home_ips.get(account.account_id)
         if ip is None:
             ip = self.allocator.allocate(account.owner.country)
@@ -119,7 +95,7 @@ class OrganicActivityModel:
     def _logins(self, account: Account, day: int, rng: random.Random) -> None:
         mean = _LOGINS_PER_DAY[account.owner.activity.value]
         count = _poisson(rng, mean)
-        ip = self._home_ip(account, rng)
+        ip = self._home_ip(account)
         for _ in range(count):
             at = day * DAY + _daytime_minute(rng)
             if account.state is AccountState.SUSPENDED:

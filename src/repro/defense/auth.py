@@ -30,10 +30,6 @@ class LoginOutcome(enum.Enum):
     BLOCKED = "blocked"
     ACCOUNT_SUSPENDED = "account_suspended"
 
-    @property
-    def granted(self) -> bool:
-        return self is LoginOutcome.SUCCESS
-
 
 @dataclass
 class AuthService:

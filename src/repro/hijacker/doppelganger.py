@@ -13,12 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.net.domains import (
-    edit_distance,
-    is_lookalike_domain,
-    lookalike_provider,
-    username_typo,
-)
+from repro.net.domains import lookalike_provider, username_typo
 from repro.net.email_addr import EmailAddress
 
 
@@ -55,18 +50,3 @@ def make_doppelganger(rng: random.Random, victim: EmailAddress) -> Doppelganger:
         style="lookalike_provider",
     )
 
-
-def looks_like(candidate: EmailAddress, victim: EmailAddress) -> bool:
-    """Detector view: would a recipient plausibly confuse the two?
-
-    Used by remission review and tests: every generated doppelganger must
-    satisfy this, or the tactic would not work on real contacts.
-    """
-    if candidate == victim:
-        return False
-    if candidate.domain == victim.domain:
-        return edit_distance(candidate.username, victim.username) <= 2
-    return (
-        candidate.username == victim.username
-        and is_lookalike_domain(candidate.domain, victim.domain)
-    ) or is_lookalike_domain(candidate.domain, victim.domain)

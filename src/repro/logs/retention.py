@@ -8,7 +8,7 @@ and enforcing the policy erases (or would erase) anything older.
 
 The measurement implication — reproduced here — is that analyses must be
 run against *recent* windows; an analysis asking for data older than the
-family's window raises, exactly the wall the authors hit.
+family's window finds it erased, exactly the wall the authors hit.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from repro.logs.events import (
 )
 from repro.logs.store import LogStore
 from repro.util.clock import DAY
-
-
-class RetentionError(RuntimeError):
-    """Raised when an analysis asks for data outside its retention window."""
 
 
 #: Default windows (minutes).  Authentication and activity logs are short-
@@ -56,15 +52,6 @@ class RetentionPolicy:
     def horizon(self, event_type: type, now: int) -> int:
         """Earliest timestamp still retained for ``event_type`` at ``now``."""
         return max(0, now - self.window_for(event_type))
-
-    def check_queryable(self, event_type: type, since: int, now: int) -> None:
-        """Raise :class:`RetentionError` if ``since`` predates retention."""
-        horizon = self.horizon(event_type, now)
-        if since < horizon:
-            raise RetentionError(
-                f"{event_type.__name__} logs are erased before t={horizon} "
-                f"(requested since={since}); shrink the analysis window"
-            )
 
     def enforce(self, store: LogStore, now: int) -> Dict[str, int]:
         """Erase expired events from ``store``; returns per-family counts."""

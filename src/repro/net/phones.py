@@ -133,6 +133,3 @@ class PhoneNumberPlan:
                 self._issued.add(e164)
                 return PhoneNumber(e164)
         raise RuntimeError(f"phone number space for {country!r} exhausted")
-
-    def issued_count(self) -> int:
-        return len(self._issued)

@@ -40,9 +40,6 @@ class RemissionService:
         if account.account_id not in self._snapshots:
             self._snapshots[account.account_id] = account.mailbox.snapshot(now)
 
-    def has_snapshot(self, account: Account) -> bool:
-        return account.account_id in self._snapshots
-
     def remit(self, account: Account, now: int) -> RemissionEvent:
         """Run remission after a successful recovery."""
         settings_reverted = account.clear_hijacker_settings(now)

@@ -7,19 +7,18 @@ We build a clustered small-world graph (ring lattice plus random rewiring,
 Watts–Strogatz style) so contact neighborhoods are meaningful.
 
 Scale notes: the graph is array-backed — user ids are mapped to dense
-integer indices once, adjacency is a list of small int lists, and
-:meth:`ContactGraph.contacts_of` serves from a per-node cache of sorted
-id lists (invalidated on mutation).  A million-user lattice builds in
-one pass over indices, straight into those lists and with one shared
-int object per index, so there is no per-edge dict or set churn; the
-steady-state cost of the hot ``contacts_of`` call (campaign targeting,
-the contact lift analysis) is a cache hit.
+integer indices once and adjacency is a list of small int lists.  A
+million-user lattice builds in one pass over indices, straight into
+those lists and with one shared int object per index, so there is no
+per-edge dict or set churn.  :meth:`ContactGraph.contacts_of` sorts a
+node's ~``mean_degree`` neighbour ids on each call; a run makes a few
+hundred of those calls, too few for a cache to pay.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set
 
 
 class ContactGraph:
@@ -29,15 +28,12 @@ class ContactGraph:
     is ``List[List[int]]``.  The public API is id-based and unchanged.
     """
 
-    __slots__ = ("_index_of", "_ids", "_neighbors", "_sorted_cache")
+    __slots__ = ("_index_of", "_ids", "_neighbors")
 
     def __init__(self) -> None:
         self._index_of: Dict[str, int] = {}
         self._ids: List[str] = []
         self._neighbors: List[List[int]] = []
-        #: Per-node cache of the sorted contact-id list; ``None`` when
-        #: stale (node mutated since last read).
-        self._sorted_cache: List[Optional[List[str]]] = []
 
     @classmethod
     def _from_indexed(cls, user_ids: Sequence[str],
@@ -54,53 +50,22 @@ class ContactGraph:
         if len(graph._index_of) != len(graph._ids):
             raise ValueError("duplicate user ids in bulk adjacency")
         graph._neighbors = adjacency
-        graph._sorted_cache = [None] * len(graph._ids)
         return graph
 
-    def _intern(self, user_id: str) -> int:
-        index = self._index_of.get(user_id)
-        if index is None:
-            index = len(self._ids)
-            self._index_of[user_id] = index
+    def add_user(self, user_id: str) -> None:
+        """Add a user with no contacts (a no-op for a known user)."""
+        if user_id not in self._index_of:
+            self._index_of[user_id] = len(self._ids)
             self._ids.append(user_id)
             self._neighbors.append([])
-            self._sorted_cache.append(None)
-        return index
-
-    def add_user(self, user_id: str) -> None:
-        self._intern(user_id)
-
-    def connect(self, a: str, b: str) -> None:
-        if a == b:
-            raise ValueError(f"user {a!r} cannot be their own contact")
-        index_a = self._intern(a)
-        index_b = self._intern(b)
-        if index_b in self._neighbors[index_a]:
-            return  # set semantics: duplicate edges are no-ops
-        self._neighbors[index_a].append(index_b)
-        self._neighbors[index_b].append(index_a)
-        self._sorted_cache[index_a] = None
-        self._sorted_cache[index_b] = None
 
     def contacts_of(self, user_id: str) -> List[str]:
-        """Sorted contact list (sorted for determinism).
-
-        Served from a per-node cache; a copy is returned so callers can
-        never corrupt the cache.
-        """
+        """Sorted contact list (sorted for determinism)."""
         index = self._index_of.get(user_id)
         if index is None:
             return []
-        cached = self._sorted_cache[index]
-        if cached is None:
-            ids = self._ids
-            cached = sorted(ids[neighbor] for neighbor in self._neighbors[index])
-            self._sorted_cache[index] = cached
-        return list(cached)
-
-    def degree(self, user_id: str) -> int:
-        index = self._index_of.get(user_id)
-        return len(self._neighbors[index]) if index is not None else 0
+        ids = self._ids
+        return sorted(ids[neighbor] for neighbor in self._neighbors[index])
 
     def are_connected(self, a: str, b: str) -> bool:
         index_a = self._index_of.get(a)
@@ -109,14 +74,8 @@ class ContactGraph:
             return False
         return index_b in self._neighbors[index_a]
 
-    def users(self) -> List[str]:
-        return sorted(self._index_of)
-
     def __len__(self) -> int:
         return len(self._ids)
-
-    def edge_count(self) -> int:
-        return sum(len(neighbors) for neighbors in self._neighbors) // 2
 
     def neighborhood(self, user_ids: Iterable[str]) -> Set[str]:
         """Union of contacts of the given users, excluding the users."""

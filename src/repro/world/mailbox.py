@@ -20,15 +20,17 @@ all along.  :meth:`Mailbox.get` serves a queued message without
 materializing.  Because the seeder draws only from its own private RNG,
 materialization order cannot perturb any other stream: a world is
 bit-identical however many of its mailboxes get touched, and in
-whatever order.  The search postings and the correspondent map follow
-the same pattern: neither exists until the first search or contact
-read builds it from arrival order, and delivery keeps it up after that.
+whatever order.  The correspondent map follows the same pattern: it does
+not exist until the first contact read builds it from arrival order, and
+delivery keeps it up after that.  Search keeps no index: it scans the
+mailbox in arrival order (a run makes a few searches per searched
+mailbox, over tens to hundreds of messages each).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.net.email_addr import EmailAddress
@@ -70,24 +72,14 @@ class Mailbox:
     """All messages and filters of one account."""
 
     __slots__ = (
-        "owner", "_messages", "_positions", "_postings",
-        "filters", "on_forward", "_seeder", "_correspondents",
-        "_contacts_sorted",
+        "owner", "_messages", "filters", "on_forward", "_seeder",
+        "_correspondents",
     )
 
     def __init__(self, owner: EmailAddress):
         self.owner = owner
         #: message id -> message; insertion order is arrival order.
         self._messages: Dict[str, EmailMessage] = {}
-        #: Inverted index: haystack token -> message ids, built from
-        #: arrival order on the first search (most mailboxes are never
-        #: searched) and maintained on delivery after that, together
-        #: with ``_positions`` (message id -> arrival index).  Message
-        #: content is immutable after delivery, so postings never go
-        #: stale; only placement (folder/starred/deleted) changes and
-        #: search re-checks it per candidate.
-        self._postings: Optional[Dict[str, Set[str]]] = None
-        self._positions: Optional[Dict[str, int]] = None
         self.filters: List[MailFilter] = []
         #: Callback invoked when a filter forwards a message elsewhere.
         self.on_forward: Optional[Callable[[EmailMessage, EmailAddress], None]] = None
@@ -98,7 +90,6 @@ class Mailbox:
         #: maintained on delivery after that (content is append-only, so
         #: this never goes stale).
         self._correspondents: Optional[Dict[str, EmailAddress]] = None
-        self._contacts_sorted: Optional[List[EmailAddress]] = None
 
     # -- lazy history ------------------------------------------------------
 
@@ -147,8 +138,6 @@ class Mailbox:
             if mail_filter.forward_to is not None and self.on_forward is not None:
                 self.on_forward(message, mail_filter.forward_to)
         self._messages[message.message_id] = message
-        if self._postings is not None:
-            self._index(message)
         if self._correspondents is not None:
             self._note_correspondents(message)
 
@@ -204,106 +193,20 @@ class Mailbox:
         return [m for m in self.messages() if m.starred]
 
     def search(self, query: str) -> List[EmailMessage]:
-        """Full-mailbox search (the feature hijackers abuse, Section 5.2).
-
-        Keyword queries run off the token index: the query's most
-        selective term narrows the scan to candidate messages, which are
-        then verified with the exact :meth:`EmailMessage.matches`
-        predicate — so results are identical to a full scan.  A term with
-        no whitespace can only match *inside* one haystack token, which
-        makes the candidate set a true superset.  Operator queries that
-        the index cannot help with (``is:starred``) fall back to the
-        scan.
-        """
-        if self._seeder is not None:
-            self._materialize()
+        """Full-mailbox search (the feature hijackers abuse, Section 5.2):
+        the non-deleted messages matching ``query``, in arrival order."""
         obs.count("mailbox.search.calls")
-        normalized = query.strip().lower()
-        if normalized == "is:starred":
-            obs.count("mailbox.search.scan_fallback")
-            return [m for m in self.messages() if m.matches(query)]
-        if normalized.startswith("filename:"):
-            body = normalized[len("filename:"):].strip("() ")
-            terms = [term.strip() for term in body.split(" or ") if term.strip()]
-            candidates: Set[str] = set()
-            for term in terms:
-                candidates |= self._candidates_for_term(term)
-            return self._verify_candidates(candidates, query)
-        terms = normalized.split()
-        if not terms:
-            obs.count("mailbox.search.scan_fallback")
-            return [m for m in self.messages() if m.matches(query)]
-        probe = max(terms, key=len)
-        return self._verify_candidates(self._candidates_for_term(probe), query)
-
-    def _candidates_for_term(self, term: str) -> Set[str]:
-        """Message ids whose haystack could contain ``term``.
-
-        Substring semantics: a space-free probe appearing anywhere in the
-        haystack must appear inside a single token, so the union of
-        postings for tokens containing the probe is an exact superset.
-        """
-        postings = self._token_postings()
-        parts = term.split()
-        if not parts:
-            return set(self._messages)
-        probe = max(parts, key=len)
-        candidates: Set[str] = set()
-        for token, posting in postings.items():
-            if probe in token:
-                candidates |= posting
-        return candidates
-
-    def _token_postings(self) -> Dict[str, Set[str]]:
-        """The inverted index, built from arrival order on first use."""
-        if self._postings is None:
-            obs.count("mailbox.postings.built")
-            self._postings = {}
-            self._positions = {}
-            for message in self._messages.values():
-                self._index(message)
-        return self._postings
-
-    def _index(self, message: EmailMessage) -> None:
-        """Add one arrival to the postings and give it the next position."""
-        message_id = message.message_id
-        self._positions[message_id] = len(self._positions)
-        postings = self._postings
-        for token in message.search_tokens():
-            postings.setdefault(token, set()).add(message_id)
-
-    def _verify_candidates(self, candidate_ids: Set[str],
-                           query: str) -> List[EmailMessage]:
-        """Run the exact match predicate over candidates in arrival order."""
-        obs.observe("mailbox.search.candidates", len(candidate_ids))
-        # Candidates come out of the postings, so ``_positions`` exists
-        # whenever there is one to order.
-        ordered = (sorted(candidate_ids, key=self._positions.__getitem__)
-                   if candidate_ids else ())
-        result = []
-        for message_id in ordered:
-            message = self._messages[message_id]
-            if message.deleted:
-                continue
-            if message.matches(query):
-                result.append(message)
-        obs.observe("mailbox.search.verified_hits", len(result))
-        return result
+        return [m for m in self.messages() if m.matches(query)]
 
     def contact_addresses(self) -> List[EmailAddress]:
         """Distinct correspondents, the hijacker's next victim list.
 
-        Served from the correspondent map, which one scan builds on the
+        Sorted from the correspondent map, which one scan builds on the
         first contact read and delivery maintains after that (a scan per
-        call at 10⁵ messages would dominate profiling); the sorted order
-        is cached until the next new correspondent.
+        call at 10⁵ messages would dominate profiling).
         """
         correspondents = self._correspondent_map()
-        if self._contacts_sorted is None:
-            self._contacts_sorted = [
-                correspondents[key] for key in sorted(correspondents)
-            ]
-        return list(self._contacts_sorted)
+        return [correspondents[key] for key in sorted(correspondents)]
 
     def contact_count(self) -> int:
         """Number of distinct correspondents (no list materialization)."""
@@ -327,7 +230,6 @@ class Mailbox:
                 key = str(address)
                 if key not in correspondents:
                     correspondents[key] = address
-                    self._contacts_sorted = None
 
     def __len__(self) -> int:
         if self._seeder is not None:

@@ -92,24 +92,16 @@ class EmailMessage:
         query = query.strip().lower()
         if query == "is:starred":
             return self.starred
+        haystack = self._haystack()
         if query.startswith("filename:"):
             body = query[len("filename:"):].strip("() ")
             terms = [term.strip() for term in body.split(" or ")]
-            return any(term in self._haystack() for term in terms if term)
-        return query in self._haystack()
+            return any(term in haystack for term in terms if term)
+        return query in haystack
 
     def _haystack(self) -> str:
         parts = (self.subject.lower(), self.body.lower())
         return " ".join(parts + tuple(k.lower() for k in self.keywords))
-
-    def search_tokens(self) -> frozenset:
-        """The whitespace-separated words of this message's search haystack.
-
-        Content fields (subject/body/keywords) never change after
-        delivery — only placement does — so mailboxes may index these
-        tokens once at delivery time.
-        """
-        return frozenset(self._haystack().split())
 
     @property
     def recipient_count(self) -> int:

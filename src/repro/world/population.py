@@ -197,10 +197,6 @@ class ExternalVictimPool(Sequence):
             gullibility=sample_gullibility(rng),
         )
 
-    def materialized_count(self) -> int:
-        """How many victims have been constructed so far."""
-        return len(self._cache)
-
 
 @dataclass
 class PopulationConfig:
@@ -271,13 +267,6 @@ class Population:
             self.account_of_user(user_id)
             for user_id in self.contact_graph.contacts_of(account.owner.user_id)
         ]
-
-    def pending_history_count(self) -> int:
-        """Accounts whose mailbox history has not materialized yet."""
-        return sum(
-            1 for account in self.accounts.values()
-            if account.mailbox.history_pending
-        )
 
     def __len__(self) -> int:
         return len(self.accounts)

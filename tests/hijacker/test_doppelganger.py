@@ -1,7 +1,8 @@
 import pytest
 
-from repro.hijacker.doppelganger import Doppelganger, looks_like, make_doppelganger
+from repro.hijacker.doppelganger import Doppelganger, make_doppelganger
 from repro.net.email_addr import EmailAddress
+from tests.net.lookalike import looks_like
 
 VICTIM = EmailAddress("alex.smith", "primarymail.com")
 

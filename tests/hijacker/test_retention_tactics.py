@@ -1,11 +1,11 @@
 import pytest
 
-from repro.hijacker.doppelganger import looks_like
 from repro.hijacker.groups import Era
 from repro.hijacker.retention import ERA_PROFILES
 from repro.logs.events import Actor, SettingsChangeEvent
 
 from tests.hijacker.harness import build_harness, richest_account
+from tests.net.lookalike import looks_like
 
 
 class TestEraProfiles:

@@ -7,7 +7,7 @@ from repro import Simulation
 from repro.analysis.datasets import Datasets
 from repro.core.scenarios import smoke_scenario
 from repro.logs.events import LoginEvent, RecoveryClaimEvent, SearchEvent
-from repro.logs.retention import DEFAULT_WINDOWS, RetentionError, RetentionPolicy
+from repro.logs.retention import DEFAULT_WINDOWS, RetentionPolicy
 from repro.util.clock import DAY
 
 
@@ -51,12 +51,13 @@ class TestEnforcedRun:
         assert recent == all_logins  # everything older was erased
 
     def test_queryability_guard(self, enforced_result):
-        policy = RetentionPolicy()
+        """Logins older than the retention horizon are gone; a window of
+        the last ten days lies wholly inside what is kept."""
         horizon = enforced_result.horizon_minutes
-        with pytest.raises(RetentionError):
-            policy.check_queryable(LoginEvent, since=0, now=horizon)
-        policy.check_queryable(
-            LoginEvent, since=horizon - 10 * DAY, now=horizon)
+        retained_from = RetentionPolicy().horizon(LoginEvent, now=horizon)
+        assert 0 < retained_from <= horizon - 10 * DAY
+        assert enforced_result.store.query(
+            LoginEvent, until=retained_from - 1) == []
 
 
 class TestDefaultOff:

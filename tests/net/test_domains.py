@@ -4,12 +4,11 @@ from repro.net.domains import (
     EDU_DOMAINS,
     FIGURE4_TLDS,
     PRIMARY_PROVIDER,
-    edit_distance,
-    is_lookalike_domain,
     lookalike_provider,
     tld_of,
     username_typo,
 )
+from tests.net.lookalike import edit_distance, is_lookalike_domain
 
 
 class TestTlds:

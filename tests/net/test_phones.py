@@ -61,13 +61,11 @@ class TestPhoneNumberPlan:
         plan = PhoneNumberPlan(rng)
         numbers = [plan.mint("NG") for _ in range(100)]
         assert len(set(numbers)) == 100
-        assert plan.issued_count() == 100
 
     def test_large_batch_distinct(self, rng):
         plan = PhoneNumberPlan(rng)
         numbers = [plan.mint("NG") for _ in range(20_000)]
         assert len({number.e164 for number in numbers}) == 20_000
-        assert plan.issued_count() == 20_000
         assert all(number.country() == "NG" and len(number.digits) == 13
                    for number in numbers)
 

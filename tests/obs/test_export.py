@@ -20,8 +20,8 @@ def recorder():
         with obs.trace("simulation.run", seed=7):
             with obs.trace("simulation.day", day=0):
                 obs.count("logstore.appends", 120)
-                obs.observe("mailbox.search.candidates", 14)
-                obs.observe("mailbox.search.candidates", 6)
+                obs.observe("logstore.query.window_events", 14)
+                obs.observe("logstore.query.window_events", 6)
                 obs.gauge("run_worlds.worker_utilization", 0.5)
     return active
 
@@ -32,7 +32,7 @@ class TestMetricsSnapshot:
         round_tripped = json.loads(json.dumps(snapshot))
         assert round_tripped["counters"]["logstore.appends"] == 120
         assert round_tripped["gauges"]["run_worlds.worker_utilization"] == 0.5
-        histogram = round_tripped["histograms"]["mailbox.search.candidates"]
+        histogram = round_tripped["histograms"]["logstore.query.window_events"]
         assert histogram == {"count": 2, "total": 20.0, "min": 6.0,
                              "max": 14.0, "mean": 10.0}
         assert round_tripped["spans"]["simulation.day"]["count"] == 1
@@ -48,7 +48,7 @@ class TestFormatSummary:
         text = obs.format_summary(recorder)
         assert "simulation.run" in text
         assert "logstore.appends" in text
-        assert "mailbox.search.candidates" in text
+        assert "logstore.query.window_events" in text
         assert "run_worlds.worker_utilization" in text
 
     def test_empty_recorder_renders_placeholder(self):

@@ -5,10 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hijacker.doppelganger import looks_like, make_doppelganger
+from repro.hijacker.doppelganger import make_doppelganger
 from repro.net.email_addr import EmailAddress
 from repro.world.mailbox import Mailbox
 from repro.world.messages import EmailMessage, Folder
+from tests.net.lookalike import looks_like
 
 OWNER = EmailAddress("owner", "primarymail.com")
 

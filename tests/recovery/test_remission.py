@@ -45,11 +45,15 @@ class TestSnapshotting:
         assert event.messages_restored == 4
 
     def test_has_snapshot(self, service):
+        """Remit restores content only from a snapshot taken before it."""
         _store, remission = service
         account = make_account()
-        assert not remission.has_snapshot(account)
-        remission.snapshot(account, now=100)
-        assert remission.has_snapshot(account)
+        account.mailbox.delete("msg-000000")
+        assert remission.remit(account, now=150).messages_restored == 0
+        account.mailbox.restore("msg-000000")
+        remission.snapshot(account, now=200)
+        account.mailbox.delete("msg-000000")
+        assert remission.remit(account, now=300).messages_restored == 1
 
 
 class TestRemit:
@@ -92,4 +96,5 @@ class TestRemit:
         account = make_account()
         remission.snapshot(account, now=100)
         remission.remit(account, now=300)
-        assert not remission.has_snapshot(account)
+        account.mailbox.delete_all()
+        assert remission.remit(account, now=400).messages_restored == 0
