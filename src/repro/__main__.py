@@ -7,17 +7,17 @@ byte-identical (telemetry goes to stderr / the trace file), so
 observability never contaminates the measurement.
 
 Everything artifact-shaped is derived from the registry
-(:mod:`repro.analysis.registry`): the ``--artifact`` choices, the
-``--list-artifacts`` descriptions, and the ``--artifacts`` subgraph
-selection, which renders several artifacts off one shared dataset cache
-and computes only their declared dependency closure.
+(:mod:`repro.analysis.registry`): the keys ``--artifact`` accepts and
+the ``--list-artifacts`` descriptions.  ``--artifact`` takes one key or
+a comma-separated list; several keys render off one shared dataset
+cache, which computes only their declared dependency closure.
 
 Examples::
 
     python -m repro --scenario smoke --seed 7
     python -m repro --scenario exploitation --artifact figure8
     python -m repro --scenario decoy --artifact figure7 --seed 13
-    python -m repro --scenario smoke --artifacts figure5,table2
+    python -m repro --scenario smoke --artifact figure5,table2
     python -m repro --scenario smoke --metrics --trace /tmp/trace.json
     python -m repro --scenario smoke --n-users 50000 --artifact metrics
     python -m repro --list-scenarios
@@ -78,14 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the scenario's population size "
                              "(lazy world construction scales this to "
                              "hundreds of thousands of accounts)")
-    parser.add_argument("--artifact", default="report",
-                        choices=registry.artifact_keys(),
-                        help="what to print after the run (default: report)")
-    parser.add_argument("--artifacts", metavar="KEY[,KEY...]", default=None,
-                        type=_parse_artifact_list,
-                        help="render several artifacts off one shared "
+    parser.add_argument("--artifact", metavar="KEY[,KEY...]",
+                        default=["report"], type=_parse_artifact_list,
+                        help="what to print after the run (default: "
+                             "report); several keys render off one shared "
                              "dataset cache, computing only their declared "
-                             "dependency subgraph (overrides --artifact)")
+                             "dependency subgraph")
     parser.add_argument("--list-scenarios", action="store_true",
                         help="list scenario presets and exit")
     parser.add_argument("--list-artifacts", action="store_true",
@@ -126,7 +124,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         ctx = ArtifactContext(result)
         rendered = []
-        for key in args.artifacts or [args.artifact]:
+        for key in args.artifact:
             with obs.trace(f"artifact.{key}"):
                 rendered.append(render_artifact(key, ctx))
         print("\n".join(rendered))

@@ -35,7 +35,7 @@ Contract:
 * **Declared.**  A builder may only resolve datasets named in its
   ``deps`` — undeclared access raises :class:`UndeclaredDatasetError`.
   This keeps the dependency graph honest, so subgraph selection
-  (``--artifacts figure5``) provably computes only what is declared.
+  (``--artifact figure5``) provably computes only what is declared.
 * **Observable.**  Every build runs under an ``analysis.dataset.build``
   span and bumps ``analysis.dataset.build.<name>``; cache hits bump
   ``analysis.dataset.hit`` — tests assert sharing on these counters.

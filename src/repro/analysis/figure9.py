@@ -42,45 +42,6 @@ def compute(ctx: ArtifactContext) -> Figure9:
     return Figure9(latencies=tuple(ctx.dataset("recovery_latencies")))
 
 
-def latency_by_notification(ctx: ArtifactContext
-                            ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """(notified latencies, un-notified latencies).
-
-    Section 6.2: "The fastest recoveries are best explained by the
-    proactive notifications we send."  A victim counts as notified when
-    a notification event precedes their first recovery claim.
-    """
-    first_claim: dict = {}
-    recovered: set = set()
-    for claim in ctx.dataset("recovery_claims"):
-        first_claim.setdefault(claim.account_id, claim.timestamp)
-        if claim.succeeded:
-            recovered.add(claim.account_id)
-
-    notified_accounts = set()
-    for notification in ctx.dataset("notifications"):
-        claim_at = first_claim.get(notification.account_id)
-        if claim_at is not None and notification.timestamp <= claim_at:
-            notified_accounts.add(notification.account_id)
-
-    first_flag: dict = {}
-    for flag in ctx.dataset("hijack_flags"):
-        first_flag.setdefault(flag.account_id, flag.timestamp)
-
-    notified, unnotified = [], []
-    for account_id in sorted(recovered):
-        claim_at = first_claim.get(account_id)
-        flag_at = first_flag.get(account_id)
-        if claim_at is None or flag_at is None:
-            continue
-        latency = max(0, claim_at - flag_at)
-        if account_id in notified_accounts:
-            notified.append(latency)
-        else:
-            unnotified.append(latency)
-    return tuple(notified), tuple(unnotified)
-
-
 def render(figure: Figure9) -> str:
     histogram = figure.histogram()
     lines = [

@@ -6,7 +6,7 @@ its artifacts here with a key, the report section title, a one-line
 description, a render function, and the **datasets** it depends on
 (:mod:`repro.analysis.datasets`).  Everything downstream is derived from
 this registry — the full report is a walk over :func:`report_sequence`,
-``--list-artifacts`` prints :func:`descriptions`, and ``--artifacts``
+``--list-artifacts`` prints :func:`descriptions`, and ``--artifact``
 selection resolves exactly the declared dependency subgraph.
 
 Registration happens at import time of :mod:`repro.analysis` and is

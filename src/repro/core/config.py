@@ -1,9 +1,11 @@
 """Simulation configuration.
 
-One dataclass holds every knob.  The defaults define a balanced mid-size
-world good for interactive use and tests; :mod:`repro.core.scenarios`
-derives per-experiment presets from it (the paper, too, used differently
-shaped datasets per analysis — Table 1).
+One dataclass holds every knob, and each knob is declared once: the
+population builder (:func:`repro.world.population.build_population`)
+reads its fields straight off this config.  The defaults define a
+balanced mid-size world good for interactive use and tests;
+:mod:`repro.core.scenarios` derives per-experiment presets from it (the
+paper, too, used differently shaped datasets per analysis — Table 1).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.hijacker.groups import Era, HijackingCrew, default_crews
-from repro.world.population import PopulationConfig
 
 
 @dataclass
@@ -29,9 +30,14 @@ class SimulationConfig:
     n_external_other: int = 1_200
     mean_contacts: int = 10
     mean_history_messages: float = 30.0
+    #: Fractions with each recovery option on file (Section 6.3 context).
     phone_on_file_rate: float = 0.55
     secondary_email_rate: float = 0.70
+    #: Paper: ~7% of secondary recovery emails have been recycled.
     recycled_secondary_rate: float = 0.07
+    #: Owners who enrolled a second factor themselves (Section 8.2's
+    #: "best client-side defense").  2014-era adoption was low; the
+    #: defense ablation sweeps this.
     owner_two_factor_adoption: float = 0.0
 
     # -- phishing ecosystem --------------------------------------------------
@@ -93,20 +99,14 @@ class SimulationConfig:
             raise ValueError("campaign cadence cannot be negative")
         if not self.crews:
             raise ValueError("need at least one crew")
-
-    def population_config(self) -> PopulationConfig:
-        """The population-builder slice of this config."""
-        return PopulationConfig(
-            n_users=self.n_users,
-            n_external_edu=self.n_external_edu,
-            n_external_other=self.n_external_other,
-            mean_contacts=self.mean_contacts,
-            mean_history_messages=self.mean_history_messages,
-            phone_on_file_rate=self.phone_on_file_rate,
-            secondary_email_rate=self.secondary_email_rate,
-            recycled_secondary_rate=self.recycled_secondary_rate,
-            owner_two_factor_adoption=self.owner_two_factor_adoption,
-        )
+        if self.n_users < 1:
+            raise ValueError(f"need at least one user, got {self.n_users}")
+        if self.mean_contacts % 2:
+            raise ValueError("mean_contacts must be even (ring-lattice constraint)")
+        if self.mean_history_messages <= 0:
+            raise ValueError(
+                f"mean_history_messages must be positive, "
+                f"got {self.mean_history_messages}")
 
     def with_overrides(self, **overrides) -> "SimulationConfig":
         """A copy with the given fields replaced."""

@@ -89,7 +89,6 @@ def contact_lift_study(seed: int = 7) -> SimulationConfig:
         campaigns_per_week=12,
         campaign_target_count=700,
         provider_target_fraction=0.35,
-        mean_contacts=10,
         n_decoys=0,
     )
 
@@ -114,23 +113,14 @@ def recovery_study(seed: int = 7) -> SimulationConfig:
 
 
 def retention_study(era: Era, seed: int = 7) -> SimulationConfig:
-    """Section 5.4's longitudinal comparison: run once per era."""
-    return SimulationConfig(
-        seed=seed,
-        era=era,
-        horizon_days=35,
-        n_users=9_000,
-        n_external_edu=2_500,
-        n_external_other=1_000,
-        campaigns_per_week=22,
-        campaign_target_count=900,
-        provider_target_fraction=0.45,
-        n_decoys=0,
-    )
+    """Section 5.4's longitudinal comparison: the exploitation world,
+    run once per era."""
+    return exploitation_study(seed).with_overrides(era=era)
 
 
 def attribution_study(seed: int = 7) -> SimulationConfig:
-    """Figures 11–12: era 2012 (the phone tactic's window), all crews.
+    """Figures 11–12: the default era 2012 (the phone tactic's window),
+    all crews.
 
     Phone attribution needs enough *African-crew* incidents (only those
     crews used the two-factor lockout), and those crews carry a minority
@@ -138,7 +128,6 @@ def attribution_study(seed: int = 7) -> SimulationConfig:
     """
     return SimulationConfig(
         seed=seed,
-        era=Era.Y2012,
         horizon_days=42,
         n_users=16_000,
         n_external_edu=2_500,

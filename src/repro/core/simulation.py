@@ -72,7 +72,12 @@ from repro.util.clock import DAY, SimClock
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry, weighted_choice
 from repro.world.accounts import Account, AccountState, Credential
-from repro.world.population import Population, build_population, generate_password
+from repro.world.population import (
+    PROVIDER_FILTER_STRENGTH,
+    Population,
+    build_population,
+    generate_password,
+)
 
 #: Days of owner activity materialized before and after each pickup day.
 ORGANIC_BACKFILL_DAYS = 3
@@ -155,7 +160,7 @@ class Simulation:
         self.geoip = build_default_internet(self.allocator)
         self.phone_plan = PhoneNumberPlan(self.rngs.stream("net.phones"))
         self.population = build_population(
-            config.population_config(), self.rngs, self.minter, self.phone_plan,
+            config, self.rngs, self.minter, self.phone_plan,
         )
 
         self.store = LogStore()
@@ -221,12 +226,10 @@ class Simulation:
 
         #: Frozen target pools for campaign sampling.  Rebuilding a list
         #: of every account per campaign is O(n_users) each launch — at
-        #: 10⁶ users that dwarfs the campaign itself — so both pools and
-        #: the provider filter strength are resolved once here.
+        #: 10⁶ users that dwarfs the campaign itself — so the provider
+        #: pool is resolved once here.
         self._provider_pool: Tuple[Account, ...] = tuple(
             self.population.accounts.values())
-        self._provider_filter_block = (
-            config.population_config().provider_filter_strength)
 
         self.incidents: List[IncidentReport] = []
         self.campaigns: List[CampaignResult] = []
@@ -474,7 +477,6 @@ class Simulation:
         count = self.config.campaign_target_count * (3 if is_outlier else 1)
         n_provider = int(count * self.config.provider_target_fraction)
         n_external = count - n_provider
-        provider_block = self._provider_filter_block
         pool = self._provider_pool
         accounts = rng.sample(pool, min(n_provider, len(pool)))
         # Sample indices, not the lazy pool: ``random.sample`` copies a
@@ -483,7 +485,7 @@ class Simulation:
         externals = self.population.external_victims
         picks = rng.sample(range(len(externals)), min(n_external, len(externals)))
         return chain(
-            (LureTarget(account.address, provider_block,
+            (LureTarget(account.address, PROVIDER_FILTER_STRENGTH,
                         account.owner.gullibility, account)
              for account in accounts),
             (LureTarget(victim.address, victim.spam_filter_strength,

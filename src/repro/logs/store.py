@@ -16,11 +16,12 @@ Indexing strategy (the hot-path contract every analysis relies on):
   append order, no matter how reads and writes interleave.
 * Time windows are answered with ``bisect`` over a parallel timestamp
   column instead of scanning and re-filtering the whole list.
-* ``query`` takes first-class ``account_id=`` and ``actor=`` filters
-  backed by ``(type, account)`` and ``(type, actor)`` secondary indexes,
-  so the common "this account's logins" / "hijacker-attributed sends"
-  lookups touch only the relevant events rather than paying a
-  ``where=lambda`` full scan.
+* ``query`` takes first-class ``account_id=`` and ``actor=`` filters.
+  An account query windows that account's column (every event type) and
+  keeps the requested type; an actor query uses the ``(type, actor)``
+  index.  Either way the common "this account's logins" /
+  "hijacker-attributed sends" lookups touch only the relevant events
+  rather than paying a ``where=lambda`` full scan of the type family.
 * ``remove_where`` (retention only) rebuilds just the buckets the erased
   events actually lived in — the affected accounts and actors — instead
   of every account list in the store.
@@ -99,7 +100,6 @@ class LogStore:
     def __init__(self) -> None:
         self._by_type: Dict[type, _EventColumn] = {}
         self._by_account: Dict[str, _EventColumn] = {}
-        self._by_type_account: Dict[Tuple[type, str], _EventColumn] = {}
         self._by_type_actor: Dict[Tuple[type, Actor], _EventColumn] = {}
         self._count = 0
 
@@ -117,8 +117,6 @@ class LogStore:
         account_id = getattr(event, "account_id", None)
         if account_id:
             self._column(self._by_account, account_id).append(event)
-            self._column(
-                self._by_type_account, (event_type, account_id)).append(event)
         actor = getattr(event, "actor", None)
         if actor is not None:
             self._column(self._by_type_actor, (event_type, actor)).append(event)
@@ -138,14 +136,15 @@ class LogStore:
 
         ``account_id`` and ``actor`` are indexed filters — prefer them to
         an equivalent ``where=lambda``, which must scan the whole type
-        family.  ``where`` filters after the time window and the indexed
-        filters.  Subclass matching is not performed — each event class
-        is its own log family, as it would be in a real log system where
-        each service writes its own table.
+        family.  An account query walks that account's window of every
+        type and keeps ``event_type``; ``where`` filters after the time
+        window and the indexed filters.  Subclass matching is not
+        performed — each event class is its own log family, as it would
+        be in a real log system where each service writes its own table.
         """
         if account_id is not None:
             obs.count("logstore.query.account_index")
-            column = self._by_type_account.get((event_type, account_id))
+            column = self._by_account.get(account_id)
         elif actor is not None:
             obs.count("logstore.query.actor_index")
             column = self._by_type_actor.get((event_type, actor))
@@ -155,11 +154,14 @@ class LogStore:
         if column is None:
             return []
         selected = column.window(since, until)
-        if account_id is not None and actor is not None:
-            selected = [
-                event for event in selected
-                if getattr(event, "actor", None) == actor
-            ]
+        if account_id is not None:
+            selected = [event for event in selected
+                        if type(event) is event_type]
+            if actor is not None:
+                selected = [
+                    event for event in selected
+                    if getattr(event, "actor", None) == actor
+                ]
         if where is not None:
             selected = [event for event in selected if where(event)]
         return selected  # type: ignore[return-value]
@@ -212,10 +214,6 @@ class LogStore:
                 event for event in account_column.events
                 if not (type(event) is event_type and predicate(event))
             ])
-            pair_column = self._by_type_account[(event_type, account_id)]
-            pair_column.replace([
-                event for event in pair_column.events if not predicate(event)
-            ])
         actors = {
             actor for actor in (getattr(e, "actor", None) for e in removed)
             if actor is not None
@@ -229,5 +227,5 @@ class LogStore:
         obs.count("logstore.remove_where.calls")
         obs.count("logstore.remove_where.removed", len(removed))
         obs.observe("logstore.remove_where.rebuilt_columns",
-                    1 + 2 * len(accounts) + len(actors))
+                    1 + len(accounts) + len(actors))
         return len(removed)

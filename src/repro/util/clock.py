@@ -58,11 +58,6 @@ def minute_of_day(t: int) -> int:
     return t % DAY
 
 
-def is_weekend(t: int) -> bool:
-    """True when ``t`` falls on a Saturday or Sunday."""
-    return weekday_of(t) >= 5
-
-
 def format_time(t: int) -> str:
     """Render a timestamp as ``dayN Mon 13:05`` for logs and reports."""
     day_index = t // DAY

@@ -45,18 +45,3 @@ class IdMinter:
     def __repr__(self) -> str:
         return f"IdMinter({dict(sorted(self._counters.items()))!r})"
 
-
-def id_prefix(entity_id: str) -> str:
-    """The prefix part of a minted id (``'acct'`` for ``'acct-000042'``)."""
-    prefix, separator, _ = entity_id.rpartition("-")
-    if not separator or not prefix:
-        raise ValueError(f"not a minted id: {entity_id!r}")
-    return prefix
-
-
-def id_number(entity_id: str) -> int:
-    """The numeric part of a minted id (42 for ``'acct-000042'``)."""
-    _, separator, digits = entity_id.rpartition("-")
-    if not separator or not digits.isdigit():
-        raise ValueError(f"not a minted id: {entity_id!r}")
-    return int(digits)

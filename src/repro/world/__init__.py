@@ -11,7 +11,7 @@ from repro.world.accounts import Account, AccountState, Credential, RecoveryOpti
 from repro.world.messages import EmailMessage, MessageKind, Folder
 from repro.world.mailbox import Mailbox, MailFilter
 from repro.world.contacts import ContactGraph
-from repro.world.population import Population, PopulationConfig, build_population
+from repro.world.population import Population, build_population
 
 __all__ = [
     "User",
@@ -27,6 +27,5 @@ __all__ = [
     "MailFilter",
     "ContactGraph",
     "Population",
-    "PopulationConfig",
     "build_population",
 ]

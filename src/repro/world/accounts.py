@@ -9,7 +9,6 @@ detection) suspended → (recovery claim verified) restored.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -46,11 +45,6 @@ class Credential:
     captured_at: int
     source_page_id: Optional[str] = None
     is_decoy: bool = False
-
-
-def password_digest(password: str, salt: str) -> str:
-    """Stable digest used for verification (not security — determinism)."""
-    return hashlib.sha256(f"{salt}:{password}".encode("utf-8")).hexdigest()
 
 
 @dataclass(**SLOT_KWARGS)

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.net.email_addr import EmailAddress
-from repro.world.messages import EmailMessage, Folder
+from repro.world.messages import EmailMessage, Folder, query_predicate
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,6 @@ class Mailbox:
         if self._seeder is not None:
             raise ValueError(f"mailbox {self.owner} already has a pending seeder")
         self._seeder = seeder
-
-    @property
-    def history_pending(self) -> bool:
-        """Is a deferred history seeder still waiting to run?"""
-        return self._seeder is not None
 
     def _materialize(self) -> None:
         """Seed the history, then replay queued arrivals after it."""
@@ -196,7 +191,8 @@ class Mailbox:
         """Full-mailbox search (the feature hijackers abuse, Section 5.2):
         the non-deleted messages matching ``query``, in arrival order."""
         obs.count("mailbox.search.calls")
-        return [m for m in self.messages() if m.matches(query)]
+        matches = query_predicate(query)
+        return [m for m in self.messages() if matches(m)]
 
     def contact_addresses(self) -> List[EmailAddress]:
         """Distinct correspondents, the hijacker's next victim list.

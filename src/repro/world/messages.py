@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.net.email_addr import EmailAddress
 from repro.util.compat import SLOT_KWARGS
@@ -83,21 +83,9 @@ class EmailMessage:
             raise ValueError(f"message {self.message_id} sent before the epoch")
 
     def matches(self, query: str) -> bool:
-        """Case-insensitive match of a search query against this message.
-
-        Supports the two operator forms seen in Table 3's hijacker
-        queries: ``is:starred`` and ``filename:(a or b)`` — the latter is
-        treated as an any-of keyword match.
-        """
-        query = query.strip().lower()
-        if query == "is:starred":
-            return self.starred
-        haystack = self._haystack()
-        if query.startswith("filename:"):
-            body = query[len("filename:"):].strip("() ")
-            terms = [term.strip() for term in body.split(" or ")]
-            return any(term in haystack for term in terms if term)
-        return query in haystack
+        """Case-insensitive match of a search query against this message
+        (see :func:`query_predicate`)."""
+        return query_predicate(query)(self)
 
     def _haystack(self) -> str:
         parts = (self.subject.lower(), self.body.lower())
@@ -110,3 +98,28 @@ class EmailMessage:
     def is_abusive(self) -> bool:
         """Ground truth: was this message sent with malicious intent?"""
         return self.kind in (MessageKind.PHISHING, MessageKind.SCAM, MessageKind.BULK_SPAM)
+
+
+def query_predicate(query: str) -> Callable[[EmailMessage], bool]:
+    """Parse a search query once into a per-message match test.
+
+    Matching is case-insensitive and supports the two operator forms
+    seen in Table 3's hijacker queries: ``is:starred`` and
+    ``filename:(a or b)`` — the latter is treated as an any-of keyword
+    match.  Anything else is a plain substring of the subject, body or
+    keywords.
+    """
+    query = query.strip().lower()
+    if query == "is:starred":
+        return lambda message: message.starred
+    if query.startswith("filename:"):
+        body = query[len("filename:"):].strip("() ")
+        terms = [term for term in (t.strip() for t in body.split(" or "))
+                 if term]
+
+        def any_term(message: EmailMessage) -> bool:
+            haystack = message._haystack()
+            return any(term in haystack for term in terms)
+
+        return any_term
+    return lambda message: query in message._haystack()

@@ -46,7 +46,8 @@ from __future__ import annotations
 import gc
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Union)
 
 from repro import obs
 from repro.net import domains
@@ -68,6 +69,9 @@ from repro.world.users import (
     sample_home_country,
     sample_traits,
 )
+
+if TYPE_CHECKING:
+    from repro.core.config import SimulationConfig
 
 _PASSWORD_WORDS = (
     "sunshine", "dragon", "monkey", "shadow", "winter", "coffee", "guitar",
@@ -104,6 +108,14 @@ _MEDIA_KEYWORDS = ("jpg", "mov", "mp4", "3gp", "passport", "sex", "jpeg", "png",
 #: External correspondents seen in organic history threads.
 _HISTORY_EXTERNAL_DOMAINS = domains.OTHER_PROVIDERS + ("corp-mail.example.com",)
 
+#: Block probability of commodity (.edu self-hosted) filtering vs the
+#: primary provider vs other major mail providers.  The ~10× delivery
+#: gap (Kanich et al., echoed in Section 4.2) is what makes Figure 4
+#: come out overwhelmingly .edu.
+EDU_FILTER_STRENGTH = 0.30
+PROVIDER_FILTER_STRENGTH = 0.85
+OTHER_PROVIDER_FILTER_STRENGTH = 0.97
+
 
 @dataclass(**SLOT_KWARGS)
 class ExternalVictim:
@@ -125,23 +137,20 @@ class ExternalVictim:
 class ExternalVictimPool(Sequence):
     """A lazily materialized, deterministic sequence of external victims.
 
-    Victim *i* is a pure function of ``(master seed, i, config)``, so
+    Victim *i* is a pure function of ``(master seed, i, pool sizes)``, so
     indexing is order-independent and two pools built from the same seed
     agree element-wise.  Only indexed victims are ever constructed.  To
     sample, draw indices and index the pool: ``random.sample(pool, k)``
     copies the whole pool with ``list()`` unless k is small against it.
     """
 
-    __slots__ = ("_master_seed", "_n_edu", "_n_other", "_edu_strength",
-                 "_other_strength", "_other_domains", "_cache")
+    __slots__ = ("_master_seed", "_n_edu", "_n_other", "_other_domains",
+                 "_cache")
 
-    def __init__(self, master_seed: int, n_edu: int, n_other: int,
-                 edu_strength: float, other_strength: float):
+    def __init__(self, master_seed: int, n_edu: int, n_other: int):
         self._master_seed = master_seed
         self._n_edu = n_edu
         self._n_other = n_other
-        self._edu_strength = edu_strength
-        self._other_strength = other_strength
         self._other_domains = tuple(
             f"mailhost.{tld}" for tld in domains.FIGURE4_TLDS if tld != "edu"
         )
@@ -187,52 +196,15 @@ class ExternalVictimPool(Sequence):
             domain = rng.choice(domains.EDU_DOMAINS)
             return ExternalVictim(
                 address=EmailAddress(f"student{index:06d}", domain),
-                spam_filter_strength=self._edu_strength,
+                spam_filter_strength=EDU_FILTER_STRENGTH,
                 gullibility=sample_gullibility(rng),
             )
         domain = rng.choice(self._other_domains)
         return ExternalVictim(
             address=EmailAddress(f"user{index - self._n_edu:06d}", domain),
-            spam_filter_strength=self._other_strength,
+            spam_filter_strength=OTHER_PROVIDER_FILTER_STRENGTH,
             gullibility=sample_gullibility(rng),
         )
-
-
-@dataclass
-class PopulationConfig:
-    """Size and composition knobs for :func:`build_population`."""
-
-    n_users: int = 10_000
-    n_external_edu: int = 4_000
-    n_external_other: int = 2_000
-    mean_contacts: int = 8
-    mean_history_messages: float = 30.0
-    #: Fractions with each recovery option on file (Section 6.3 context).
-    phone_on_file_rate: float = 0.55
-    secondary_email_rate: float = 0.70
-    #: Paper: ~7% of secondary recovery emails have been recycled.
-    recycled_secondary_rate: float = 0.07
-    #: Owners who enrolled a second factor themselves (Section 8.2's
-    #: "best client-side defense").  2014-era adoption was low; the
-    #: defense ablation sweeps this.
-    owner_two_factor_adoption: float = 0.0
-    #: Block probability of commodity (.edu self-hosted) filtering vs the
-    #: primary provider vs other major mail providers.  The ~10× delivery
-    #: gap (Kanich et al., echoed in Section 4.2) is what makes Figure 4
-    #: come out overwhelmingly .edu.
-    edu_filter_strength: float = 0.30
-    provider_filter_strength: float = 0.85
-    other_provider_filter_strength: float = 0.97
-
-    def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise ValueError(f"need at least one user, got {self.n_users}")
-        if self.mean_contacts % 2:
-            raise ValueError("mean_contacts must be even (ring-lattice constraint)")
-        if self.mean_history_messages <= 0:
-            raise ValueError(
-                f"mean_history_messages must be positive, "
-                f"got {self.mean_history_messages}")
 
 
 @dataclass
@@ -288,7 +260,7 @@ def generate_password(rng: random.Random) -> str:
     return f"{_PASSWORD_WORDS[word]}{number + 10}"
 
 
-def build_population(config: PopulationConfig, rngs: RngRegistry,
+def build_population(config: SimulationConfig, rngs: RngRegistry,
                      minter: IdMinter, phone_plan: PhoneNumberPlan) -> Population:
     """Construct the full simulated population.
 
@@ -312,7 +284,7 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
             gc.enable()
 
 
-def _build_population(config: PopulationConfig, rngs: RngRegistry,
+def _build_population(config: SimulationConfig, rngs: RngRegistry,
                       minter: IdMinter, phone_plan: PhoneNumberPlan) -> Population:
     user_rng = rngs.stream("population.users")
     history_rng = rngs.stream("population.history")
@@ -387,8 +359,6 @@ def _build_population(config: PopulationConfig, rngs: RngRegistry,
                 external_master,
                 n_edu=config.n_external_edu,
                 n_other=config.n_external_other,
-                edu_strength=config.edu_filter_strength,
-                other_strength=config.other_provider_filter_strength,
             ),
         )
 
@@ -422,7 +392,7 @@ class HistorySeeder:
 
     __slots__ = ("_population", "_config", "_account", "_master")
 
-    def __init__(self, population: Population, config: PopulationConfig,
+    def __init__(self, population: Population, config: SimulationConfig,
                  account: Account, master: int):
         self._population = population
         self._config = config

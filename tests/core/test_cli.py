@@ -14,7 +14,7 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args([])
         assert args.scenario == "smoke"
-        assert args.artifact == "report"
+        assert args.artifact == ["report"]
         assert args.seed == 7
 
     def test_unknown_scenario_rejected(self):
@@ -27,11 +27,11 @@ class TestParser:
 
     def test_unknown_artifacts_list_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--artifacts", "figure5,figure99"])
+            build_parser().parse_args(["--artifact", "figure5,figure99"])
 
     def test_empty_artifacts_list_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--artifacts", " , "])
+            build_parser().parse_args(["--artifact", " , "])
 
 
 class TestRegistries:
@@ -83,7 +83,7 @@ class TestExecution:
 
     def test_artifacts_subgraph_selection(self, capsys):
         assert main(["--scenario", "smoke", "--seed", "3",
-                     "--artifacts", "table3,figure5"]) == 0
+                     "--artifact", "table3,figure5"]) == 0
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert "Figure 5" in out

@@ -28,14 +28,6 @@ class TestValidation:
 
 
 class TestDerivation:
-    def test_population_config_mirrors_fields(self):
-        config = SimulationConfig(n_users=1234, mean_contacts=6,
-                                  recycled_secondary_rate=0.11)
-        population_config = config.population_config()
-        assert population_config.n_users == 1234
-        assert population_config.mean_contacts == 6
-        assert population_config.recycled_secondary_rate == 0.11
-
     def test_with_overrides(self):
         config = SimulationConfig(seed=1)
         other = config.with_overrides(seed=2, era=Era.Y2011)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import SimulationConfig
 from repro.defense.abuse import AbuseResponse
 from repro.defense.auth import AuthService
 from repro.defense.behavioral import BehavioralRiskAnalyzer
@@ -35,7 +36,7 @@ from repro.phishing.templates import AccountType
 from repro.scams.generator import ScamGenerator
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
-from repro.world.population import PopulationConfig, build_population
+from repro.world.population import build_population
 
 
 @dataclass
@@ -63,7 +64,7 @@ def build_harness(seed: int = 3, n_users: int = 120,
     minter = IdMinter()
     phone_plan = PhoneNumberPlan(rngs.stream("phones"))
     population = build_population(
-        PopulationConfig(n_users=n_users, n_external_edu=20,
+        SimulationConfig(n_users=n_users, n_external_edu=20,
                          n_external_other=10, mean_contacts=6),
         rngs, minter, phone_plan,
     )

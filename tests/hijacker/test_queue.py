@@ -5,6 +5,7 @@ from repro.hijacker.schedule import WorkSchedule
 from repro.net.email_addr import EmailAddress
 from repro.util.clock import HOUR
 from repro.world.accounts import Credential
+from tests.util.test_clock import is_weekend
 
 
 def credential(captured_at=0, name="victim"):
@@ -66,8 +67,6 @@ class TestPickupModel:
         saturday_noon = 5 * 24 * HOUR + 12 * HOUR
         for _ in range(60):
             pickup = model.sample_pickup_at(saturday_noon, office)
-            from repro.util.clock import is_weekend
-
             assert not is_weekend(pickup)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from repro import obs
+from repro.core.config import SimulationConfig
 from repro.logs.events import Actor, MailReportedEvent, MailSentEvent
 from repro.logs.store import LogStore
 from repro.mail.reports import UserReportModel
@@ -11,7 +12,7 @@ from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
 from repro.world.messages import Folder, MessageKind
-from repro.world.population import PopulationConfig, build_population
+from repro.world.population import build_population
 
 
 @pytest.fixture
@@ -21,7 +22,7 @@ def world():
     # must be globally unique (the Simulation shares a minter the same way).
     minter = IdMinter()
     population = build_population(
-        PopulationConfig(n_users=40, n_external_edu=5, n_external_other=5,
+        SimulationConfig(n_users=40, n_external_edu=5, n_external_other=5,
                          mean_contacts=4),
         rngs, minter, PhoneNumberPlan(rngs.stream("phones")),
     )

@@ -1,5 +1,6 @@
 import pytest
 
+from repro.core.config import SimulationConfig
 from repro.logs.events import Actor, LoginEvent
 from repro.logs.store import LogStore
 from repro.net.ip import IpAddress
@@ -9,7 +10,7 @@ from repro.phishing.pages import PageHosting, PhishingPage
 from repro.phishing.templates import AccountType
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
-from repro.world.population import PopulationConfig, build_population
+from repro.world.population import build_population
 
 
 @pytest.fixture
@@ -17,7 +18,8 @@ def injector():
     rngs = RngRegistry(41)
     minter = IdMinter()
     population = build_population(
-        PopulationConfig(n_users=10, n_external_edu=2, n_external_other=2),
+        SimulationConfig(n_users=10, n_external_edu=2, n_external_other=2,
+                         mean_contacts=8),
         rngs, minter, PhoneNumberPlan(rngs.stream("phones")),
     )
     return population, DecoyInjector(population, minter)

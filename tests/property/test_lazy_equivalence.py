@@ -24,7 +24,7 @@ from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
 from repro.world.mailbox import MailFilter
 from repro.world.messages import EmailMessage, Folder
-from repro.world.population import PopulationConfig, build_population
+from repro.world.population import build_population
 from tests.world.equivalence import (
     materialize_histories,
     population_fingerprint,
@@ -47,7 +47,7 @@ def population_shapes(draw):
 
 def _build(seed: int, shape: dict, lazy: bool):
     rngs = RngRegistry(seed)
-    population = build_population(PopulationConfig(**shape), rngs, IdMinter(),
+    population = build_population(SimulationConfig(**shape), rngs, IdMinter(),
                                   PhoneNumberPlan(rngs.stream("phones")))
     return population if lazy else materialize_histories(population)
 

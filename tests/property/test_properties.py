@@ -10,9 +10,10 @@ from repro.net.ip import IpAddress, IpBlock
 from repro.net.phones import PhoneNumber
 from repro.util.clock import DAY, WEEK, format_duration, weekday_of
 from repro.util.distributions import EmpiricalCdf, histogram
-from repro.util.ids import IdMinter, id_number, id_prefix
+from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry, child_seed, weighted_choice
 from tests.net.lookalike import edit_distance
+from tests.util.test_ids import id_number, id_prefix
 
 words = st.text(alphabet="abcdefgh", min_size=0, max_size=12)
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro.hijacker.queue import CredentialQueue, PickupModel
 from repro.hijacker.schedule import WorkSchedule
 from repro.net.email_addr import EmailAddress
-from repro.util.clock import WEEK, is_weekend
+from repro.util.clock import WEEK
 from repro.world.accounts import Credential
+from tests.util.test_clock import is_weekend
 
 schedules = st.builds(
     WorkSchedule,

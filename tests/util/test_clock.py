@@ -11,11 +11,15 @@ from repro.util.clock import (
     format_time,
     hour_of_day,
     hours,
-    is_weekend,
     minute_of_day,
     minutes,
     weekday_of,
 )
+
+
+def is_weekend(t: int) -> bool:
+    """True when ``t`` falls on a Saturday or Sunday."""
+    return weekday_of(t) >= 5
 
 
 class TestUnits:

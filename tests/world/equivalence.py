@@ -23,6 +23,11 @@ from repro.world.mailbox import Mailbox
 from repro.world.population import Population
 
 
+def history_pending(mailbox: Mailbox) -> bool:
+    """Is the mailbox's deferred history seeder still waiting to run?"""
+    return mailbox._seeder is not None
+
+
 def materialize_histories(population: Population) -> Population:
     """Touch every mailbox in account-id order, seeding all history now."""
     for account_id in sorted(population.accounts):

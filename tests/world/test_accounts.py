@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from repro.net.email_addr import EmailAddress
@@ -7,10 +9,14 @@ from repro.world.accounts import (
     AccountState,
     Credential,
     RecoveryOptions,
-    password_digest,
 )
 from repro.world.mailbox import MailFilter, Mailbox
 from repro.world.users import ActivityLevel, MailboxTraits, User
+
+
+def password_digest(password: str, salt: str) -> str:
+    """Stable digest used for verification (not security — determinism)."""
+    return hashlib.sha256(f"{salt}:{password}".encode("utf-8")).hexdigest()
 
 
 @pytest.fixture

@@ -31,6 +31,7 @@ from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
 from tests.world.equivalence import (
     account_fingerprint,
+    history_pending,
     mailbox_fingerprint,
     materialize_histories,
     population_fingerprint,
@@ -39,7 +40,6 @@ from repro.world.mailbox import MailFilter
 from repro.world.messages import EmailMessage, Folder, MessageKind
 from repro.world.population import (
     ExternalVictimPool,
-    PopulationConfig,
     build_population,
 )
 
@@ -47,7 +47,7 @@ from repro.world.population import (
 def pending_history_count(population) -> int:
     """Accounts whose mailbox history has not materialized yet."""
     return sum(1 for account in population.accounts.values()
-               if account.mailbox.history_pending)
+               if history_pending(account.mailbox))
 
 
 def materialized_count(pool: ExternalVictimPool) -> int:
@@ -58,7 +58,7 @@ def materialized_count(pool: ExternalVictimPool) -> int:
 def build(seed: int = 11, lazy: bool = True, n_users: int = 60,
           **overrides):
     rngs = RngRegistry(seed)
-    config = PopulationConfig(n_users=n_users, **{
+    config = SimulationConfig(n_users=n_users, **{
         "n_external_edu": 25, "n_external_other": 10, "mean_contacts": 6,
         **overrides})
     population = build_population(config, rngs, IdMinter(),
@@ -102,9 +102,9 @@ class TestLazyTriggers:
     def test_every_message_entry_point_materializes(self, touch):
         population = build(lazy=True)
         account = next(iter(population.accounts.values()))
-        assert account.mailbox.history_pending
+        assert history_pending(account.mailbox)
         touch(account.mailbox)
-        assert not account.mailbox.history_pending
+        assert not history_pending(account.mailbox)
 
     def test_materialization_happens_once(self):
         population = build(lazy=True)
@@ -147,7 +147,7 @@ class TestDeferredDelivery:
         account = next(iter(build(lazy=True).accounts.values()))
         account.mailbox.deliver(probe(account, 0))
         account.mailbox.file_sent(probe(account, 1))
-        assert account.mailbox.history_pending
+        assert history_pending(account.mailbox)
 
     def test_get_of_queued_id_does_not_materialize(self):
         account = next(iter(build(lazy=True).accounts.values()))
@@ -155,20 +155,20 @@ class TestDeferredDelivery:
         account.mailbox.deliver(message, folder=Folder.SPAM)
         assert account.mailbox.get("probe-0") is message
         assert message.folder is Folder.SPAM
-        assert account.mailbox.history_pending
+        assert history_pending(account.mailbox)
 
     def test_get_of_unknown_id_materializes_then_raises(self):
         account = next(iter(build(lazy=True).accounts.values()))
         with pytest.raises(KeyError):
             account.mailbox.get("probe-missing")
-        assert not account.mailbox.history_pending
+        assert not history_pending(account.mailbox)
 
     def test_duplicate_delivery_into_pending_mailbox_raises(self):
         account = next(iter(build(lazy=True).accounts.values()))
         account.mailbox.deliver(probe(account, 0))
         with pytest.raises(ValueError):
             account.mailbox.deliver(probe(account, 0))
-        assert account.mailbox.history_pending
+        assert history_pending(account.mailbox)
 
     def test_queued_mail_matches_eager_delivery(self):
         """Queue-and-replay files mail exactly as delivering it into an
@@ -192,7 +192,7 @@ class TestDeferredDelivery:
             account.mailbox.deliver(probe(account, 0))
         clone = pickle.loads(pickle.dumps(population))
         account = clone.accounts[sorted(clone.accounts)[0]]
-        assert account.mailbox.history_pending
+        assert history_pending(account.mailbox)
         assert account.mailbox.get("probe-0").subject == "invoice 0"
         assert population_fingerprint(clone) == population_fingerprint(reference)
 
@@ -308,10 +308,8 @@ class TestLazyEagerEquivalence:
 
 class TestExternalVictimPool:
     def test_lazy_and_order_independent(self):
-        pool_a = ExternalVictimPool(99, n_edu=40, n_other=20,
-                                    edu_strength=0.3, other_strength=0.97)
-        pool_b = ExternalVictimPool(99, n_edu=40, n_other=20,
-                                    edu_strength=0.3, other_strength=0.97)
+        pool_a = ExternalVictimPool(99, n_edu=40, n_other=20)
+        pool_b = ExternalVictimPool(99, n_edu=40, n_other=20)
         assert materialized_count(pool_a) == 0
         forward = [pool_a[i] for i in range(len(pool_a))]
         backward = [pool_b[i] for i in reversed(range(len(pool_b)))]
@@ -321,8 +319,7 @@ class TestExternalVictimPool:
             == [v.gullibility for v in list(reversed(backward))]
 
     def test_sampling_materializes_only_the_sample(self):
-        pool = ExternalVictimPool(7, n_edu=500, n_other=200,
-                                  edu_strength=0.3, other_strength=0.97)
+        pool = ExternalVictimPool(7, n_edu=500, n_other=200)
         chosen = random.Random(1).sample(pool, 25)
         assert len(chosen) == 25
         assert materialized_count(pool) <= 60  # sample overhead only
@@ -348,23 +345,20 @@ class TestExternalVictimPool:
         assert rng.getstate() == reference.getstate()
 
     def test_edu_other_split(self):
-        pool = ExternalVictimPool(3, n_edu=30, n_other=10,
-                                  edu_strength=0.3, other_strength=0.97)
+        pool = ExternalVictimPool(3, n_edu=30, n_other=10)
         assert all(v.address.tld == "edu" for v in pool[:30])
         assert all(v.address.tld != "edu" for v in pool[30:])
         assert all(v.spam_filter_strength == 0.3 for v in pool[:30])
 
     def test_index_errors(self):
-        pool = ExternalVictimPool(3, n_edu=2, n_other=1,
-                                  edu_strength=0.3, other_strength=0.97)
+        pool = ExternalVictimPool(3, n_edu=2, n_other=1)
         assert pool[-1].address == pool[2].address
         with pytest.raises(IndexError):
             pool[3]
 
     def test_victims_at_matches_indexing_and_materializes_only_those(self):
         def make():
-            return ExternalVictimPool(5, n_edu=50, n_other=30,
-                                      edu_strength=0.3, other_strength=0.97)
+            return ExternalVictimPool(5, n_edu=50, n_other=30)
 
         batch_pool, indexed_pool = make(), make()
         indices = [71, 3, 49, 50, 3, 0, 79]
@@ -376,8 +370,7 @@ class TestExternalVictimPool:
         assert materialized_count(batch_pool) == 6
 
     def test_victims_at_rejects_out_of_range(self):
-        pool = ExternalVictimPool(3, n_edu=2, n_other=1,
-                                  edu_strength=0.3, other_strength=0.97)
+        pool = ExternalVictimPool(3, n_edu=2, n_other=1)
         for index in (3, -1):
             with pytest.raises(IndexError):
                 pool.victims_at([index])

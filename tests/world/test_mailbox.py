@@ -6,6 +6,7 @@ from repro import obs
 from repro.net.email_addr import EmailAddress
 from repro.world.mailbox import MailFilter, Mailbox
 from repro.world.messages import EmailMessage, Folder
+from tests.world.equivalence import history_pending
 
 OWNER = EmailAddress("owner", "primarymail.com")
 
@@ -283,8 +284,8 @@ class TestFirstReadTiming:
         mailbox = Mailbox(OWNER)
         mailbox.defer_seed(lambda box: self.delivered(history, box))
         self.delivered(later[:split], mailbox)
-        assert mailbox.history_pending
+        assert history_pending(mailbox)
         self.views(mailbox)
-        assert not mailbox.history_pending
+        assert not history_pending(mailbox)
         self.delivered(later[split:], mailbox)
         assert self.views(mailbox) == expected

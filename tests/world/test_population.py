@@ -6,6 +6,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import obs
+from repro.core.config import SimulationConfig
 from repro.net.domains import PRIMARY_PROVIDER
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
@@ -13,7 +14,6 @@ from repro.util.rng import RngRegistry
 from repro.world.messages import MessageKind
 from repro.world.population import (
     Population,
-    PopulationConfig,
     build_population,
     generate_password,
 )
@@ -24,7 +24,7 @@ from tests.world.equivalence import population_fingerprint
 def population():
     rngs = RngRegistry(99)
     return build_population(
-        PopulationConfig(n_users=300, n_external_edu=120, n_external_other=60,
+        SimulationConfig(n_users=300, n_external_edu=120, n_external_other=60,
                          mean_contacts=6),
         rngs, IdMinter(), PhoneNumberPlan(rngs.stream("phones")),
     )
@@ -93,8 +93,8 @@ class TestBuildPopulation:
         def build():
             rngs = RngRegistry(5)
             return build_population(
-                PopulationConfig(n_users=50, n_external_edu=10,
-                                 n_external_other=5),
+                SimulationConfig(n_users=50, n_external_edu=10,
+                                 n_external_other=5, mean_contacts=8),
                 rngs, IdMinter(), PhoneNumberPlan(rngs.stream("phones")),
             )
 
@@ -110,8 +110,8 @@ class TestBuildPopulation:
 def _build(n_users, phone_plan=None, **config):
     rngs = RngRegistry(3)
     return build_population(
-        PopulationConfig(n_users=n_users, n_external_edu=10,
-                         n_external_other=5, **config),
+        SimulationConfig(n_users=n_users, n_external_edu=10,
+                         n_external_other=5, mean_contacts=8, **config),
         rngs, IdMinter(), phone_plan or PhoneNumberPlan(rngs.stream("phones")),
     )
 
@@ -207,7 +207,7 @@ class TestSaturatedWorldIdentity:
         rejected or accepted, moves this digest."""
         rngs = RngRegistry(11)
         population = build_population(
-            PopulationConfig(n_users=6000, n_external_edu=25,
+            SimulationConfig(n_users=6000, n_external_edu=25,
                              n_external_other=10, mean_contacts=6,
                              mean_history_messages=2.0),
             rngs, IdMinter(), PhoneNumberPlan(rngs.stream("phones")),
@@ -218,13 +218,20 @@ class TestSaturatedWorldIdentity:
 
 
 class TestConfigValidation:
+    """A world the builder cannot make is refused when its config is
+    built, before any simulation copies it."""
+
     def test_rejects_zero_users(self):
-        with pytest.raises(ValueError):
-            PopulationConfig(n_users=0)
+        with pytest.raises(ValueError, match="at least one user"):
+            SimulationConfig(n_users=0)
 
     def test_rejects_odd_contacts(self):
-        with pytest.raises(ValueError):
-            PopulationConfig(mean_contacts=7)
+        with pytest.raises(ValueError, match="must be even"):
+            SimulationConfig(mean_contacts=7)
+
+    def test_rejects_nonpositive_history_mean(self):
+        with pytest.raises(ValueError, match="mean_history_messages"):
+            SimulationConfig(mean_history_messages=0)
 
 
 class TestPasswords:
