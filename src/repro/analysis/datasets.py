@@ -532,12 +532,22 @@ def _reported_hijack_mail(data: Datasets) -> List[EmailMessage]:
     return _sample(data.result, 8, messages, REQUESTED[8])
 
 
+@dataset("active_accounts")
+def _active_accounts(data: Datasets) -> List[Account]:
+    """D9's random-sample pool: daily and weekly users, in population order."""
+    return [
+        account for account in data.result.population.accounts.values()
+        if account.owner.activity in (ActivityLevel.DAILY, ActivityLevel.WEEKLY)
+    ]
+
+
 def _cohorts(data: Datasets, seed_window_days: int,
              ) -> Tuple[List[Account], List[Account]]:
     """(contacts-of-victims, random-actives) cohorts.
 
     Victims are accounts exploited within the first ``seed_window_days``;
     both cohorts come from one ``datasets:d9`` stream, contacts first.
+    The random cohort is ``active_accounts`` less the victims.
     """
     result = data.result
     population = result.population
@@ -559,22 +569,19 @@ def _cohorts(data: Datasets, seed_window_days: int,
     size = REQUESTED[9]
     if len(contact_accounts) > size:
         contact_accounts = rng.sample(contact_accounts, size)
-    active = [
-        account for account in population.accounts.values()
-        if account.owner.activity in (ActivityLevel.DAILY, ActivityLevel.WEEKLY)
-        and account.owner.user_id not in victim_users
-    ]
+    active = [account for account in data.get("active_accounts")
+              if account.owner.user_id not in victim_users]
     random_accounts = active if len(active) <= size else rng.sample(active, size)
     return contact_accounts, random_accounts
 
 
-@dataset("cohorts", deps=("reviewed_incidents",))
+@dataset("cohorts", deps=("reviewed_incidents", "active_accounts"))
 def _cohorts_d9(data: Datasets) -> Tuple[List[Account], List[Account]]:
     """D9: contacts of early victims and a random active-user sample."""
     return _cohorts(data, D9_SEED_WINDOW_DAYS)
 
 
-@dataset("random_cohort", deps=("reviewed_incidents",))
+@dataset("random_cohort", deps=("reviewed_incidents", "active_accounts"))
 def _random_cohort(data: Datasets) -> List[Account]:
     """The contact-lift random cohort (D9 drawn over its seed window)."""
     return _cohorts(data, contact_seed_window_days(data.result))[1]

@@ -84,6 +84,17 @@ _LAST_BITS = _N_LAST.bit_length()
 _NUMBER_BITS = _N_NUMBER.bit_length()
 _SUFFIX_BITS = _N_SUFFIX.bit_length()
 
+#: Every bare username, built once: ``first.last`` at
+#: ``first * _N_LAST + last``, then ``firstNN`` at
+#: ``_N_FIRST * _N_LAST + first * _N_NUMBER + (NN - 10)``.
+_BARE_USERNAMES = tuple(
+    [f"{first}.{last}" for first in _USERNAME_FIRST for last in _USERNAME_LAST]
+    + [f"{first}{number}" for first in _USERNAME_FIRST
+       for number in range(10, 10 + _N_NUMBER)])
+_N_DOTTED = _N_FIRST * _N_LAST
+#: ``str(n)`` for every suffix draw.
+_SUFFIXES = tuple(str(n) for n in range(_N_SUFFIX))
+
 
 def generate_username(rng: random.Random) -> str:
     """A plausible personal username (``first.last`` or ``firstNN``).
@@ -99,11 +110,11 @@ def generate_username(rng: random.Random) -> str:
         last = getrandbits(_LAST_BITS)
         while last >= _N_LAST:
             last = getrandbits(_LAST_BITS)
-        return f"{_USERNAME_FIRST[first]}.{_USERNAME_LAST[last]}"
+        return _BARE_USERNAMES[first * _N_LAST + last]
     number = getrandbits(_NUMBER_BITS)
     while number >= _N_NUMBER:
         number = getrandbits(_NUMBER_BITS)
-    return f"{_USERNAME_FIRST[first]}{number + 10}"
+    return _BARE_USERNAMES[_N_DOTTED + first * _N_NUMBER + number]
 
 
 def generate_address(rng: random.Random, domain: str,
@@ -117,16 +128,31 @@ def generate_address(rng: random.Random, domain: str,
     eleven attempts draw bare ``first.last``/``firstNN`` names; later ones
     append a ``0``–``999`` suffix (the draw ``randrange(1000)`` makes),
     which is how every address gets issued once that 2,860-name space is
-    full.
+    full.  Each attempt makes :func:`generate_username`'s draws inline:
+    in a large world most calls reject many attempts, and the call per
+    attempt was most of the cost.
     """
     getrandbits = rng.getrandbits
+    uniform = rng.random
     for attempt in range(1000):
-        username = generate_username(rng)
+        first = getrandbits(_FIRST_BITS)
+        while first >= _N_FIRST:
+            first = getrandbits(_FIRST_BITS)
+        if uniform() < 0.6:
+            last = getrandbits(_LAST_BITS)
+            while last >= _N_LAST:
+                last = getrandbits(_LAST_BITS)
+            username = _BARE_USERNAMES[first * _N_LAST + last]
+        else:
+            number = getrandbits(_NUMBER_BITS)
+            while number >= _N_NUMBER:
+                number = getrandbits(_NUMBER_BITS)
+            username = _BARE_USERNAMES[_N_DOTTED + first * _N_NUMBER + number]
         if attempt > 10:
             suffix = getrandbits(_SUFFIX_BITS)
             while suffix >= _N_SUFFIX:
                 suffix = getrandbits(_SUFFIX_BITS)
-            username = f"{username}{suffix}"
+            username += _SUFFIXES[suffix]
         if username not in taken:
             return EmailAddress(username, domain)
     raise RuntimeError(f"username space exhausted on {domain!r}")

@@ -10,6 +10,7 @@ hijacker model sent.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -48,8 +49,17 @@ class Judgement:
     bulk_hits: int
 
 
+# A world sends a few lure templates many times (about 20 distinct texts
+# per world), so 1024 verdicts hold every one of them with room to spare.
+@functools.lru_cache(maxsize=1024)
 def judge_text(subject: str, body: str) -> Judgement:
-    """Classify a message from its text alone."""
+    """Classify a message from its text alone.
+
+    Memoized on the visible text: the verdict is a pure function of the
+    two strings and :class:`Judgement` is frozen, so every copy of a lure
+    shares one verdict.  The key is the text alone, never a message's
+    kind, template or campaign, which keeps the reviewer blind to labels.
+    """
     haystack = f"{subject}\n{body}".lower()
     phishing_hits = sum(1 for marker in _PHISHING_MARKERS if marker in haystack)
     bulk_hits = sum(1 for marker in _BULK_MARKERS if marker in haystack)

@@ -133,8 +133,8 @@ class TestSubgraphSelection:
             return (scans, counters.get("analysis.dataset.miss", 0),
                     counters.get("analysis.dataset.hit", 0))
 
-        assert walk_counts(standalone_recorder.counters) == (50, 80, 16)
-        assert walk_counts(shared_recorder.counters) == (26, 35, 44)
+        assert walk_counts(standalone_recorder.counters) == (50, 82, 16)
+        assert walk_counts(shared_recorder.counters) == (26, 36, 45)
 
     def test_composite_report_exempt_from_restriction(self, smoke_result):
         text = render_artifact("report", ArtifactContext(smoke_result))

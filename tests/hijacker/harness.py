@@ -59,13 +59,13 @@ class Harness:
 
 
 def build_harness(seed: int = 3, n_users: int = 120,
-                  era: Era = Era.Y2012) -> Harness:
+                  era: Era = Era.Y2012, mean_contacts: int = 6) -> Harness:
     rngs = RngRegistry(seed)
     minter = IdMinter()
     phone_plan = PhoneNumberPlan(rngs.stream("phones"))
     population = build_population(
         SimulationConfig(n_users=n_users, n_external_edu=20,
-                         n_external_other=10, mean_contacts=6),
+                         n_external_other=10, mean_contacts=mean_contacts),
         rngs, minter, phone_plan,
     )
     allocator = IpAllocator(rngs.stream("alloc"))

@@ -9,7 +9,9 @@ what keeps every world built from it unchanged.  Between them they
 cover every draw size the loops replace: 26 first names, 20 last names,
 90 (``randrange(10, 100)``), 1000 suffixes, 14 password words,
 ``randrange(10, 10_000)``, and the 9 (leading) and 10 (other) phone
-digits.  CI runs this on each interpreter of its matrix.
+digits.  ``previous_address`` keeps the per-attempt
+``generate_username`` loop that ``generate_address`` inlined, as a
+second oracle for it.  CI runs this on each interpreter of its matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +22,14 @@ from typing import Container, Set
 import pytest
 
 from repro.net.email_addr import (
+    _FIRST_BITS,
+    _LAST_BITS,
+    _N_FIRST,
+    _N_LAST,
+    _N_NUMBER,
+    _N_SUFFIX,
+    _NUMBER_BITS,
+    _SUFFIX_BITS,
     _USERNAME_FIRST,
     _USERNAME_LAST,
     EmailAddress,
@@ -55,6 +65,40 @@ def oracle_address(rng: random.Random, domain: str,
         username = oracle_username(rng)
         if attempt > 10:
             username = f"{username}{rng.randrange(1000)}"
+        if username not in taken:
+            return EmailAddress(username, domain)
+    raise RuntimeError(f"username space exhausted on {domain!r}")
+
+
+def previous_username(rng: random.Random) -> str:
+    """``generate_username`` as it was when every attempt called it."""
+    getrandbits = rng.getrandbits
+    first = getrandbits(_FIRST_BITS)
+    while first >= _N_FIRST:
+        first = getrandbits(_FIRST_BITS)
+    if rng.random() < 0.6:
+        last = getrandbits(_LAST_BITS)
+        while last >= _N_LAST:
+            last = getrandbits(_LAST_BITS)
+        return f"{_USERNAME_FIRST[first]}.{_USERNAME_LAST[last]}"
+    number = getrandbits(_NUMBER_BITS)
+    while number >= _N_NUMBER:
+        number = getrandbits(_NUMBER_BITS)
+    return f"{_USERNAME_FIRST[first]}{number + 10}"
+
+
+def previous_address(rng: random.Random, domain: str,
+                     taken: Container[str] = ()) -> EmailAddress:
+    """``generate_address`` before its draws were inlined on precomputed
+    username and suffix tables."""
+    getrandbits = rng.getrandbits
+    for attempt in range(1000):
+        username = previous_username(rng)
+        if attempt > 10:
+            suffix = getrandbits(_SUFFIX_BITS)
+            while suffix >= _N_SUFFIX:
+                suffix = getrandbits(_SUFFIX_BITS)
+            username = f"{username}{suffix}"
         if username not in taken:
             return EmailAddress(username, domain)
     raise RuntimeError(f"username space exhausted on {domain!r}")
@@ -102,6 +146,24 @@ class TestUsernameDraws:
                 assert (generate_address(direct, "primarymail.com", taken)
                         == oracle_address(oracle, "primarymail.com", taken))
             assert direct.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("start", [frozenset(), BARE_USERNAMES],
+                             ids=["growing", "saturated"])
+    def test_generate_address_matches_the_previous_loop(self, start):
+        """The inlined table lookups issue the same usernames, in the same
+        order, and leave the stream where the per-attempt calls did, from
+        an empty domain and from one whose bare names are all taken."""
+        for seed in range(8):
+            direct, previous = _pair(seed)
+            taken_direct, taken_previous = set(start), set(start)
+            for _ in range(3_000):
+                issued = generate_address(direct, "primarymail.com",
+                                          taken_direct).username
+                assert issued == previous_address(
+                    previous, "primarymail.com", taken_previous).username
+                taken_direct.add(issued)
+                taken_previous.add(issued)
+            assert direct.getstate() == previous.getstate()
 
 
 class TestPasswordDraws:

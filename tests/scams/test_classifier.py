@@ -1,8 +1,10 @@
+from repro.phishing.templates import EMAIL_TEMPLATES
 from repro.scams.classifier import (
     MessageCategory,
     classify_text,
     judge_text,
 )
+from repro.scams.corpus import SCHEMES
 from repro.scams.generator import ScamGenerator
 
 
@@ -46,3 +48,23 @@ class TestClassifier:
         judgement = judge_text("x", "confirm your password now, click the link")
         assert judgement.category is MessageCategory.PHISHING
         assert judgement.phishing_hits >= 1
+
+
+class TestVerdictMemo:
+    def test_memo_agrees_with_the_unmemoized_judge(self, rng):
+        """Every corpus text and generated scam: cached verdict == fresh."""
+        texts = [scheme.fill("Alex Smith") for scheme in SCHEMES]
+        texts += [(template.subject,
+                   " ".join((template.body,) + template.keywords()))
+                  for template in EMAIL_TEMPLATES]
+        generator = ScamGenerator(rng)
+        for customized in (False, True):
+            for _ in range(30):
+                scam = generator.generate("Alex Smith", "US", customized)
+                texts.append((scam.subject, " ".join(
+                    (scam.body,) + scam.keywords)))
+        for subject, body in texts:
+            # Twice: the first call may fill the memo, the second reads it.
+            for _ in range(2):
+                assert judge_text(subject, body) == \
+                    judge_text.__wrapped__(subject, body)
