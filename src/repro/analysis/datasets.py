@@ -72,6 +72,7 @@ from repro.logs.events import (
     SearchEvent,
     SettingsChangeEvent,
 )
+from repro.net.http import Method, classify_referrer
 from repro.net.phones import PhoneNumber
 from repro.recovery.claims import RecoveryCase
 from repro.recovery.latency import recovery_latencies
@@ -84,8 +85,9 @@ from repro.world.users import ActivityLevel
 
 __all__ = [
     "D12_WINDOW_DAYS", "D1_POOL", "D9_SEED_WINDOW_DAYS", "Dataset",
-    "DatasetSpec", "Datasets", "REQUESTED", "UndeclaredDatasetError",
-    "UnknownDatasetError", "contact_seed_window_days", "dataset",
+    "DatasetSpec", "Datasets", "FormsPageTally", "REQUESTED",
+    "UndeclaredDatasetError", "UnknownDatasetError",
+    "contact_seed_window_days", "dataset",
     "dataset_closure", "dataset_names", "get_dataset",
     "hijacked_sample_size",
 ]
@@ -435,6 +437,58 @@ def _forms_http_logs(data: Datasets) -> Dict[str, List[HttpRequestEvent]]:
         if event.request.page_id in by_page:
             by_page[event.request.page_id].append(event)
     return by_page
+
+
+@dataclass(frozen=True)
+class FormsPageTally:
+    """One D3 page's log, tallied: what Figures 3–6 read of it."""
+
+    gets: int
+    #: GETs with no referrer (Figure 3's blank share).
+    blank_gets: int
+    #: GETs per non-blank referrer class value.
+    referrers: Dict[str, int]
+    #: Submitted addresses per TLD.
+    tlds: Dict[str, int]
+    #: Time of the page's first request, GET or POST.
+    first_at: int
+    #: POST times, in log order (one per POST).
+    post_times: List[int]
+
+
+@dataset("forms_page_tallies", deps=("forms_http_logs",))
+def _forms_page_tallies(data: Datasets) -> Dict[str, FormsPageTally]:
+    """D3 in one pass: per-page counts and times, in D3's page order.
+
+    Pages with no requests are left out.  D3's lists are
+    timestamp-sorted, so each page's first event is its first request.
+    """
+    tallies: Dict[str, FormsPageTally] = {}
+    for page_id, events in data.get("forms_http_logs").items():
+        if not events:
+            continue
+        gets = blank = 0
+        referrers: Dict[str, int] = {}
+        tlds: Dict[str, int] = {}
+        post_times: List[int] = []
+        for event in events:
+            request = event.request
+            if request.method is Method.GET:
+                gets += 1
+                if not request.referrer:
+                    blank += 1
+                    continue
+                label = classify_referrer(request.referrer).value
+                referrers[label] = referrers.get(label, 0) + 1
+            else:
+                post_times.append(event.timestamp)
+                if request.submitted_email is not None:
+                    tld = request.submitted_email.tld
+                    tlds[tld] = tlds.get(tld, 0) + 1
+        tallies[page_id] = FormsPageTally(
+            gets=gets, blank_gets=blank, referrers=referrers, tlds=tlds,
+            first_at=events[0].timestamp, post_times=post_times)
+    return tallies
 
 
 @dataset("decoys")

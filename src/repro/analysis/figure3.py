@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.logs.mapreduce import count_by
-from repro.net.http import Method, ReferrerClass, classify_referrer
+from repro.logs.mapreduce import sum_counts
 from repro.util.render import bar_chart, format_percent
 
 
@@ -37,21 +36,12 @@ class Figure3:
 
 
 def compute(ctx: ArtifactContext) -> Figure3:
-    logs = ctx.dataset("forms_http_logs")
-    views = [
-        event.request
-        for events in logs.values()
-        for event in events
-        if event.request.method is Method.GET
-    ]
-    classes = [classify_referrer(request.referrer) for request in views]
-    blank = sum(1 for c in classes if c is ReferrerClass.BLANK)
-    nonblank = count_by(
-        [c.value for c in classes if c is not ReferrerClass.BLANK],
-        key_of=lambda value: value,
+    tallies = ctx.dataset("forms_page_tallies").values()
+    return Figure3(
+        total_views=sum(tally.gets for tally in tallies),
+        blank_views=sum(tally.blank_gets for tally in tallies),
+        nonblank_counts=sum_counts(tally.referrers for tally in tallies),
     )
-    return Figure3(total_views=len(views), blank_views=blank,
-                   nonblank_counts=nonblank)
 
 
 def render(figure: Figure3) -> str:
@@ -69,6 +59,6 @@ def render(figure: Figure3) -> str:
 
 @artifact("figure3", title="Figure 3", report_order=60,
           description="Figure 3: HTTP referrers of phishing-page visits",
-          deps=("forms_http_logs",))
+          deps=("forms_page_tallies",))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

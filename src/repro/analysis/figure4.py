@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.logs.mapreduce import count_by
-from repro.net.email_addr import EmailAddress
+from repro.logs.mapreduce import sum_counts
 from repro.util.render import bar_chart, format_percent
 
 
@@ -36,18 +35,10 @@ class Figure4:
 
 
 def compute(ctx: ArtifactContext) -> Figure4:
-    logs = ctx.dataset("forms_http_logs")
-    tlds = []
-    for events in logs.values():
-        for event in events:
-            email = event.request.submitted_email
-            if email is None:
-                continue
-            tlds.append(EmailAddress.parse(email).tld)
-    return Figure4(
-        total_submissions=len(tlds),
-        tld_counts=count_by(tlds, key_of=lambda tld: tld),
-    )
+    tld_counts = sum_counts(
+        tally.tlds for tally in ctx.dataset("forms_page_tallies").values())
+    return Figure4(total_submissions=sum(tld_counts.values()),
+                   tld_counts=tld_counts)
 
 
 def render(figure: Figure4) -> str:
@@ -64,6 +55,6 @@ def render(figure: Figure4) -> str:
 
 @artifact("figure4", title="Figure 4", report_order=70,
           description="Figure 4: TLDs of phished email addresses",
-          deps=("forms_http_logs",))
+          deps=("forms_page_tallies",))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.net.http import Method
 from repro.util.distributions import mean
 from repro.util.render import ascii_table, format_percent, sparkline
 
@@ -42,13 +41,12 @@ def compute(ctx: ArtifactContext) -> Figure5:
     """Conversion per page; pages with too few views are dropped (a
     3-view page's 0% or 33% is noise, and the paper's per-page chart is
     built from pages with real traffic)."""
-    logs = ctx.dataset("forms_http_logs")
+    tallies = ctx.dataset("forms_page_tallies")
     rates: List[Tuple[str, float, int, int]] = []
-    for page_id, events in sorted(logs.items()):
-        gets = sum(1 for e in events if e.request.method is Method.GET)
-        posts = sum(1 for e in events if e.request.method is Method.POST)
-        if gets >= MIN_VIEWS:
-            rates.append((page_id, posts / gets, gets, posts))
+    for page_id, tally in sorted(tallies.items()):
+        if tally.gets >= MIN_VIEWS:
+            posts = len(tally.post_times)
+            rates.append((page_id, posts / tally.gets, tally.gets, posts))
     rates.sort(key=lambda item: -item[1])
     return Figure5(rates=rates)
 
@@ -73,6 +71,6 @@ def render(figure: Figure5) -> str:
 
 @artifact("figure5", title="Figure 5", report_order=80,
           description="Figure 5: page submission (conversion) rates",
-          deps=("forms_http_logs",))
+          deps=("forms_page_tallies",))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.datasets import FormsPageTally
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.net.http import Method
 from repro.util.clock import HOUR
 from repro.util.render import sparkline
 
@@ -38,14 +38,11 @@ class Figure6:
         return early > late
 
 
-def _hourly_series(events, horizon_hours: int = 96) -> List[float]:
-    posts = [e.timestamp for e in events if e.request.method is Method.POST]
-    if not events:
-        return []
-    start = min(e.timestamp for e in events)
+def _hourly_series(tally: FormsPageTally,
+                   horizon_hours: int = 96) -> List[float]:
     series = [0.0] * horizon_hours
-    for timestamp in posts:
-        index = (timestamp - start) // HOUR
+    for timestamp in tally.post_times:
+        index = (timestamp - tally.first_at) // HOUR
         if 0 <= index < horizon_hours:
             series[int(index)] += 1.0
     return series
@@ -61,10 +58,9 @@ def _outlier_score(series: List[float], quiet_hours: int = 12) -> float:
 
 
 def compute(ctx: ArtifactContext) -> Figure6:
-    logs = ctx.dataset("forms_http_logs")
     all_series: Dict[str, List[float]] = {
-        page_id: _hourly_series(events)
-        for page_id, events in logs.items() if events
+        page_id: _hourly_series(tally)
+        for page_id, tally in ctx.dataset("forms_page_tallies").items()
     }
     if not all_series:
         return Figure6(average_series=[], outlier=None)
@@ -98,6 +94,6 @@ def render(figure: Figure6) -> str:
 
 @artifact("figure6", title="Figure 6", report_order=90,
           description="Figure 6: diurnal wave of the outlier Forms campaign",
-          deps=("forms_http_logs",))
+          deps=("forms_page_tallies",))
 def _registered(ctx: ArtifactContext) -> str:
     return render(compute(ctx))

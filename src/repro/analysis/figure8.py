@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.registry import ArtifactContext, artifact
+from repro.net.ip import IpAddress
 from repro.util.clock import DAY
 from repro.util.distributions import mean
 from repro.util.render import series_table
@@ -31,10 +32,10 @@ class Figure8:
 
 def compute(ctx: ArtifactContext) -> Figure8:
     logins = ctx.dataset("hijacker_logins")
-    accounts_by_ip: Dict[str, set] = {}
-    accounts_by_ip_day: Dict[Tuple[str, int], set] = {}
+    accounts_by_ip: Dict[IpAddress, set] = {}
+    accounts_by_ip_day: Dict[Tuple[IpAddress, int], set] = {}
     for login in logins:
-        ip = str(login.ip)
+        ip = login.ip
         accounts_by_ip.setdefault(ip, set()).add(login.account_id)
         accounts_by_ip_day.setdefault(
             (ip, login.timestamp // DAY), set()).add(login.account_id)
@@ -50,9 +51,9 @@ def compute(ctx: ArtifactContext) -> Figure8:
     # Password success per (account, ip) attempt-burst: a burst counts
     # as a success if any attempt in it carried the right password —
     # "including retries with trivial variants".
-    bursts: Dict[Tuple[str, str], bool] = {}
+    bursts: Dict[Tuple[str, IpAddress], bool] = {}
     for login in logins:
-        key = (login.account_id, str(login.ip))
+        key = (login.account_id, login.ip)
         bursts[key] = bursts.get(key, False) or login.password_correct
     success_rate = (
         sum(1 for ok in bursts.values() if ok) / len(bursts) if bursts else 0.0

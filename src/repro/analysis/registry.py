@@ -79,11 +79,11 @@ def artifact(key: str, *, title: Optional[str] = None, description: str,
 
         @artifact("figure5", title="Figure 5", report_order=80,
                   description="Figure 5: page submission rates",
-                  deps=("forms_http_logs",))
+                  deps=("forms_page_tallies",))
         def _figure5(ctx: ArtifactContext) -> str:
             return render(compute(ctx))
 
-    where ``compute(ctx)`` reads ``ctx.dataset("forms_http_logs")``.
+    where ``compute(ctx)`` reads ``ctx.dataset("forms_page_tallies")``.
 
     Keys must be unique, descriptions non-empty, dependencies registered
     datasets, and report orders unique — all enforced at import time so

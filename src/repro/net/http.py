@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.net.email_addr import EmailAddress
 from repro.net.ip import IpAddress
 
 
@@ -88,7 +89,10 @@ class HttpRequest:
 
     ``submitted_email`` is only present on POSTs that carried a filled
     form; the Figure 4 TLD analysis reads it, mirroring how the authors
-    could see what address each victim typed into a captured Form.
+    could see what address each victim typed into a captured Form.  Like
+    ``client_ip`` (an :class:`~repro.net.ip.IpAddress`), it is a typed
+    value, an :class:`~repro.net.email_addr.EmailAddress`, so readers take
+    its ``tld`` directly.
     """
 
     timestamp: int
@@ -96,7 +100,7 @@ class HttpRequest:
     page_id: str
     client_ip: IpAddress
     referrer: Optional[str] = None
-    submitted_email: Optional[str] = None
+    submitted_email: Optional[EmailAddress] = None
 
     def __post_init__(self) -> None:
         if self.timestamp < 0:

@@ -210,7 +210,7 @@ class CampaignRunner:
             campaign.page.capture(credential)
             if campaign.page.hosting is PageHosting.FORMS:
                 self.forms_log.record_submission(
-                    campaign.page, at, submitted_email=str(address),
+                    campaign.page, at, submitted_email=address,
                     referrer=None,
                 )
         return credential

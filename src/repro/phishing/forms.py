@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.logs.events import HttpRequestEvent
 from repro.logs.store import LogStore
+from repro.net.email_addr import EmailAddress
 from repro.net.http import HttpRequest, Method
 from repro.net.ip import IpAddress, IpAllocator
 from repro.phishing.pages import PageHosting, PhishingPage
@@ -35,14 +36,15 @@ class FormsHttpLog:
         return self._record(page, at, Method.GET, referrer, None, client_ip)
 
     def record_submission(self, page: PhishingPage, at: int,
-                          submitted_email: str,
+                          submitted_email: EmailAddress,
                           referrer: Optional[str] = None,
                           client_ip: Optional[IpAddress] = None) -> HttpRequestEvent:
         """Log a POST carrying a filled credential form."""
         return self._record(page, at, Method.POST, referrer, submitted_email, client_ip)
 
     def _record(self, page: PhishingPage, at: int, method: Method,
-                referrer: Optional[str], submitted_email: Optional[str],
+                referrer: Optional[str],
+                submitted_email: Optional[EmailAddress],
                 client_ip: Optional[IpAddress]) -> HttpRequestEvent:
         if page.hosting is not PageHosting.FORMS:
             raise ValueError(

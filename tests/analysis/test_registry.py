@@ -107,9 +107,12 @@ class TestSubgraphSelection:
         with obs.recording() as recorder:
             render_artifacts(smoke_result, ["figure3", "figure4", "figure5"])
         counters = recorder.counters
-        # One build of the Forms logs, two cache hits.
+        # One build of the page tallies, two cache hits; the tally build
+        # is the only reader of the Forms logs, built once.
+        assert counters.get("analysis.dataset.build.forms_page_tallies") == 1
+        assert counters.get("analysis.dataset.hit.forms_page_tallies") == 2
         assert counters.get("analysis.dataset.build.forms_http_logs") == 1
-        assert counters.get("analysis.dataset.hit.forms_http_logs") == 2
+        assert counters.get("analysis.dataset.hit.forms_http_logs") is None
 
     def test_standalone_equals_pipelined(self, smoke_result):
         """Every report artifact renders the same bytes on a private
@@ -133,8 +136,8 @@ class TestSubgraphSelection:
             return (scans, counters.get("analysis.dataset.miss", 0),
                     counters.get("analysis.dataset.hit", 0))
 
-        assert walk_counts(standalone_recorder.counters) == (50, 82, 16)
-        assert walk_counts(shared_recorder.counters) == (26, 36, 45)
+        assert walk_counts(standalone_recorder.counters) == (50, 86, 16)
+        assert walk_counts(shared_recorder.counters) == (26, 37, 45)
 
     def test_composite_report_exempt_from_restriction(self, smoke_result):
         text = render_artifact("report", ArtifactContext(smoke_result))

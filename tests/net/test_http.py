@@ -1,5 +1,6 @@
 import pytest
 
+from repro.net.email_addr import EmailAddress
 from repro.net.http import HttpRequest, Method, ReferrerClass, classify_referrer
 from repro.net.ip import IpAddress
 
@@ -53,7 +54,8 @@ class TestHttpRequest:
     def test_get_cannot_carry_submission(self):
         with pytest.raises(ValueError):
             HttpRequest(timestamp=10, method=Method.GET, page_id="p",
-                        client_ip=self._ip(), submitted_email="a@b.edu")
+                        client_ip=self._ip(),
+                        submitted_email=EmailAddress.parse("a@b.edu"))
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):

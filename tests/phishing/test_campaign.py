@@ -113,7 +113,8 @@ class TestRun:
         posts = [e for e in store.query(HttpRequestEvent)
                  if e.request.method is Method.POST]
         assert posts
-        assert all(e.request.submitted_email.endswith(".edu") for e in posts)
+        assert all(str(e.request.submitted_email).endswith(".edu")
+                   for e in posts)
 
     def test_takedown_truncates_traffic(self, runner):
         store, campaign_runner = runner

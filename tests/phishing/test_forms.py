@@ -2,6 +2,7 @@ import pytest
 
 from repro.logs.events import HttpRequestEvent
 from repro.logs.store import LogStore
+from repro.net.email_addr import EmailAddress
 from repro.net.geoip import build_default_internet
 from repro.net.http import Method
 from repro.net.ip import IpAllocator
@@ -34,10 +35,11 @@ class TestRecording:
 
     def test_submission_logged_as_post(self, forms):
         store, log = forms
-        log.record_submission(page(), at=100, submitted_email="a@b.edu")
+        log.record_submission(page(), at=100,
+                              submitted_email=EmailAddress.parse("a@b.edu"))
         events = store.query(HttpRequestEvent)
         assert events[0].request.method is Method.POST
-        assert events[0].request.submitted_email == "a@b.edu"
+        assert events[0].request.submitted_email == EmailAddress.parse("a@b.edu")
 
     def test_referrer_preserved(self, forms):
         store, log = forms
