@@ -11,6 +11,13 @@ per (account, day) so overlapping requests never double-materialize.
 The set of materialized (account, day) pairs is the only memo: a window
 request probes it once per day, and a repeated window (a repeat victim)
 costs those few set probes and nothing else.
+
+Owner sends are most of a run's mail, so their draws are written out:
+the send time, recipient count, recipients and subject come from
+``random()`` and ``getrandbits`` rejection loops that consume exactly
+what ``triangular``, ``randrange``, ``sample`` and ``choice`` did
+(``tests/property/test_draw_equivalence.py`` keeps that loop as the
+oracle), so every record and the stream state after it are unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from repro.mail.search import MailSearchService, random_owner_query
 from repro.mail.service import MailService
 from repro.net.ip import IpAddress, IpAllocator
 from repro.util.clock import DAY, HOUR
-from repro.util.rng import child_seed
+from repro.util.rng import child_seed, sample
 from repro.world.accounts import Account, AccountState
 from repro.world.messages import MessageKind
 from repro.world.population import Population
@@ -39,6 +46,15 @@ _SENDS_PER_DAY = {"daily": 18.0, "weekly": 4.0, "occasional": 0.6}
 
 #: Mean owner logins per day by activity level.
 _LOGINS_PER_DAY = {"daily": 3.0, "weekly": 0.6, "occasional": 0.1}
+
+#: Owner subjects; five, so one ``choice`` is ``getrandbits(3)`` below 5.
+_SUBJECTS = ("re: plans", "quick question", "fwd: article", "tomorrow?",
+             "re: re: notes")
+
+#: ``triangular(6, 23, 14)``'s mode as a fraction of the range, and its
+#: complement, computed as ``Random.triangular`` computes them.
+_MODE_AT = (14 - 6) / (23 - 6)
+_MODE_FLIPPED = 1.0 - _MODE_AT
 
 
 @dataclass
@@ -127,23 +143,41 @@ class OrganicActivityModel:
         # narrow daily fan-out is the baseline the hijacker's blast gets
         # compared against (+630% distinct recipients, §5.3).
         favorites = contacts[:6]
+        # The draws below are ``random()``, ``choice`` and ``sample``
+        # with each ``randbelow(n)`` inlined as CPython makes it:
+        # ``getrandbits(n.bit_length())`` until the value is below ``n``.
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        send = self.mail.send
+        base = day * DAY
         for _ in range(count):
-            at = day * DAY + _daytime_minute(rng)
+            at = base + _daytime_minute(rng)
             if account.state is AccountState.SUSPENDED:
                 continue
-            pool = favorites if rng.random() < 0.85 else contacts
-            n_recipients = 1 if rng.random() < 0.85 else rng.randrange(2, 4)
-            recipients = rng.sample(pool, min(n_recipients, len(pool)))
-            self.mail.send(
-                account, recipients,
-                subject=rng.choice((
-                    "re: plans", "quick question", "fwd: article",
-                    "tomorrow?", "re: re: notes",
-                )),
-                now=at,
-                kind=MessageKind.ORGANIC,
-                actor=Actor.OWNER,
-            )
+            pool = favorites if random_() < 0.85 else contacts
+            if random_() < 0.85:
+                n_recipients = 1
+            else:
+                # randrange(2, 4)
+                n_recipients = getrandbits(2)
+                while n_recipients >= 2:
+                    n_recipients = getrandbits(2)
+                n_recipients += 2
+            size = len(pool)
+            if n_recipients == 1 or size == 1:
+                # sample(pool, 1): one randbelow(size), either branch.
+                bits = size.bit_length()
+                pick = getrandbits(bits)
+                while pick >= size:
+                    pick = getrandbits(bits)
+                recipients = (pool[pick],)
+            else:
+                recipients = tuple(sample(rng, pool, min(n_recipients, size)))
+            subject = getrandbits(3)
+            while subject >= 5:
+                subject = getrandbits(3)
+            send(account, recipients, subject=_SUBJECTS[subject], now=at,
+                 kind=MessageKind.ORGANIC, actor=Actor.OWNER)
 
 
 def _poisson(rng: random.Random, mean: float) -> int:
@@ -160,6 +194,19 @@ def _poisson(rng: random.Random, mean: float) -> int:
 
 
 def _daytime_minute(rng: random.Random) -> int:
-    """A minute of the day biased toward waking hours."""
-    hour = int(rng.triangular(6, 23, 14))
-    return hour * HOUR + rng.randrange(60)
+    """A minute of the day biased toward waking hours.
+
+    ``int(triangular(6, 23, 14)) * HOUR + randrange(60)``, with both
+    draws written out as CPython makes them: one ``random()`` folded
+    about the mode, then ``getrandbits(6)`` until the value is below 60.
+    """
+    u = rng.random()
+    if u > _MODE_AT:
+        hour = int(23 + (6 - 23) * math.sqrt((1.0 - u) * _MODE_FLIPPED))
+    else:
+        hour = int(6 + (23 - 6) * math.sqrt(u * _MODE_AT))
+    getrandbits = rng.getrandbits
+    minute = getrandbits(6)
+    while minute >= 60:
+        minute = getrandbits(6)
+    return hour * HOUR + minute

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
@@ -70,7 +71,7 @@ from repro.recovery.remission import RemissionService
 from repro.scams.generator import ScamGenerator
 from repro.util.clock import DAY, SimClock
 from repro.util.ids import IdMinter
-from repro.util.rng import RngRegistry, weighted_choice
+from repro.util.rng import RngRegistry, sample, weighted_choice
 from repro.world.accounts import Account, AccountState, Credential
 from repro.world.population import (
     PROVIDER_FILTER_STRENGTH,
@@ -82,6 +83,12 @@ from repro.world.population import (
 #: Days of owner activity materialized before and after each pickup day.
 ORGANIC_BACKFILL_DAYS = 3
 ORGANIC_FORWARD_DAYS = 2
+
+#: The target fields :meth:`Simulation._pick_targets` reads, in C.
+_ADDRESS = attrgetter("address")
+_OWNER_GULLIBILITY = attrgetter("owner.gullibility")
+_FILTER_STRENGTH = attrgetter("spam_filter_strength")
+_GULLIBILITY = attrgetter("gullibility")
 
 
 @dataclass
@@ -468,29 +475,31 @@ class Simulation:
                       is_outlier: bool) -> Iterator[LureTarget]:
         """Batch-sample a campaign's targets from the frozen pools.
 
-        Both samples are drawn here; the targets themselves are built as
-        the campaign reads them.  A campaign-sized list of them would
-        survive young GC passes and be promoted: on ``exploitation``
-        world 21 that costs a third of the run's young collections and
-        one of its two full ones.
+        Both samples are drawn here, by :func:`repro.util.rng.sample`
+        (``rng.sample``'s draws, inlined).  The targets are
+        :data:`~repro.phishing.campaign.LureTarget` tuples that ``zip``
+        builds as the campaign reads them, with no Python frame per
+        target.  A campaign-sized
+        list of them would survive young GC passes and be promoted: on
+        ``exploitation`` world 21 that costs a third of the run's young
+        collections and one of its two full ones.
         """
         count = self.config.campaign_target_count * (3 if is_outlier else 1)
         n_provider = int(count * self.config.provider_target_fraction)
         n_external = count - n_provider
         pool = self._provider_pool
-        accounts = rng.sample(pool, min(n_provider, len(pool)))
-        # Sample indices, not the lazy pool: ``random.sample`` copies a
-        # Sequence with ``list()`` (materializing every victim) when k is
-        # large against it.  Same RNG draws, same picks.
+        accounts = sample(rng, pool, min(n_provider, len(pool)))
+        # Sample indices, not the lazy pool: sampling copies a Sequence
+        # with ``list()`` (materializing every victim) when k is large
+        # against it.  Same RNG draws, same picks.
         externals = self.population.external_victims
-        picks = rng.sample(range(len(externals)), min(n_external, len(externals)))
+        victims = externals.victims_at(
+            sample(rng, range(len(externals)), min(n_external, len(externals))))
         return chain(
-            (LureTarget(account.address, PROVIDER_FILTER_STRENGTH,
-                        account.owner.gullibility, account)
-             for account in accounts),
-            (LureTarget(victim.address, victim.spam_filter_strength,
-                        victim.gullibility)
-             for victim in externals.victims_at(picks)),
+            zip(map(_ADDRESS, accounts), repeat(PROVIDER_FILTER_STRENGTH),
+                map(_OWNER_GULLIBILITY, accounts), accounts),
+            zip(map(_ADDRESS, victims), map(_FILTER_STRENGTH, victims),
+                map(_GULLIBILITY, victims), repeat(None)),
         )
 
     def _maybe_inject_decoy(self, page: PhishingPage) -> None:

@@ -103,23 +103,26 @@ class LogStore:
         self._by_type_actor: Dict[Tuple[type, Actor], _EventColumn] = {}
         self._count = 0
 
-    @staticmethod
-    def _column(index: Dict, key) -> _EventColumn:
-        column = index.get(key)
-        if column is None:
-            column = index[key] = _EventColumn()
-        return column
-
     def append(self, event: Event) -> None:
         """Record an event."""
         event_type = type(event)
-        self._column(self._by_type, event_type).append(event)
+        column = self._by_type.get(event_type)
+        if column is None:
+            column = self._by_type[event_type] = _EventColumn()
+        column.append(event)
         account_id = getattr(event, "account_id", None)
         if account_id:
-            self._column(self._by_account, account_id).append(event)
+            column = self._by_account.get(account_id)
+            if column is None:
+                column = self._by_account[account_id] = _EventColumn()
+            column.append(event)
         actor = getattr(event, "actor", None)
         if actor is not None:
-            self._column(self._by_type_actor, (event_type, actor)).append(event)
+            key = (event_type, actor)
+            column = self._by_type_actor.get(key)
+            if column is None:
+                column = self._by_type_actor[key] = _EventColumn()
+            column.append(event)
         self._count += 1
         obs.count("logstore.appends")
 

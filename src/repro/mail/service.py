@@ -77,27 +77,29 @@ class MailService:
         """
         if not recipients:
             raise ValueError("cannot send to zero recipients")
-        effective_reply_to = reply_to or sender_account.hijacker_reply_to
+        recipients = tuple(recipients)
         message = EmailMessage(
-            message_id=self.minter.mint("msg"),
-            sender=sender_account.address,
-            recipients=tuple(recipients),
-            subject=subject,
-            sent_at=now,
-            body=body,
-            kind=kind,
-            keywords=keywords,
-            reply_to=effective_reply_to,
-            contains_url=contains_url,
-            language=language,
+            self.minter.mint("msg"), sender_account.address, recipients,
+            subject, now, body, kind, keywords,
+            reply_to or sender_account.hijacker_reply_to, contains_url,
+            language,
         )
         self.message_index[message.message_id] = message
         if file_to_sent:
             sender_account.mailbox.file_sent(message)
 
         result = SendResult(message=message)
-        for recipient in message.recipients:
-            recipient_account = self.population.lookup_address(recipient)
+        # Recipient keys are ``Population.account_by_address``'s
+        # ``str(address)``, also the log record's.  Most mail has one
+        # recipient: its key is its distinct list.
+        lookup = self.population.account_by_address.get
+        if len(recipients) == 1:
+            keys = distinct = (str(recipients[0]),)
+        else:
+            keys = [str(recipient) for recipient in recipients]
+            distinct = tuple(sorted(set(keys)))
+        for key in keys:
+            recipient_account = lookup(key)
             if recipient_account is None:
                 result.external_recipients += 1
                 continue
@@ -107,14 +109,14 @@ class MailService:
             timestamp=now,
             account_id=sender_account.account_id,
             message_id=message.message_id,
-            recipient_count=len(message.recipients),
-            distinct_recipients=tuple(sorted({str(r) for r in message.recipients})),
+            recipient_count=len(recipients),
+            distinct_recipients=distinct,
             kind=kind.value,
             actor=actor,
         ))
         if self.behavioral is not None:
             self.behavioral.note_send(
-                sender_account.account_id, len(message.recipients), now)
+                sender_account.account_id, len(recipients), now)
         sender_account.mark_activity(now)
         return result
 
@@ -127,27 +129,20 @@ class MailService:
         # Each recipient gets their own mailbox copy; placement differs
         # per recipient so copies are distinct message objects.
         copy = EmailMessage(
-            message_id=self.minter.mint("msg"),
-            sender=message.sender,
-            recipients=message.recipients,
-            subject=message.subject,
-            sent_at=message.sent_at,
-            body=message.body,
-            kind=message.kind,
-            keywords=message.keywords,
-            reply_to=message.reply_to,
-            contains_url=message.contains_url,
-            language=message.language,
+            self.minter.mint("msg"), message.sender, message.recipients,
+            message.subject, message.sent_at, message.body, message.kind,
+            message.keywords, message.reply_to, message.contains_url,
+            message.language,
         )
-        folder = Folder.INBOX if verdict is SpamVerdict.INBOX else Folder.SPAM
-        recipient_account.mailbox.deliver(copy, folder=folder)
-        if verdict is SpamVerdict.INBOX:
+        landed_in_inbox = verdict is SpamVerdict.INBOX
+        recipient_account.mailbox.deliver(
+            copy, Folder.INBOX if landed_in_inbox else Folder.SPAM)
+        if landed_in_inbox:
             result.delivered_inbox += 1
             result.inbox_accounts.append(recipient_account)
         else:
             result.delivered_spam += 1
 
-        landed_in_inbox = verdict is SpamVerdict.INBOX
         if self.report_model.maybe_report(copy, landed_in_inbox, sender_is_contact):
             due_at = now + self.report_model.report_delay_minutes()
             self.pending_reports_push(due_at, MailReportedEvent(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.logs.events import MailReportedEvent
 from repro.logs.store import LogStore
@@ -38,20 +38,14 @@ from repro.world.messages import EmailMessage, Folder, MessageKind
 _LURE_SENDER = EmailAddress("security-alert", "important-notice.net")
 
 
-class LureTarget(NamedTuple):
-    """One address a campaign mails.
-
-    ``account`` is set when the address belongs to the primary provider
-    (so a submission yields a usable credential and the lure lands in a
-    mailbox we simulate); external victims carry only filter strength
-    and gullibility.  A plain tuple: a campaign builds one per pick and
-    unpacks it once.
-    """
-
-    address: EmailAddress
-    filter_block_probability: float
-    gullibility: float
-    account: Optional[Account] = None
+#: One address a campaign mails: ``(address, filter_block_probability,
+#: gullibility, account)``.  ``account`` is set when the address belongs
+#: to the primary provider (so a submission yields a usable credential
+#: and the lure lands in a mailbox we simulate); external victims carry
+#: only filter strength and gullibility, and ``None``.  A plain tuple: a
+#: campaign unpacks each target once, by position, and the simulator
+#: ``zip``s them as the campaign reads them.
+LureTarget = Tuple[EmailAddress, float, float, Optional[Account]]
 
 
 @dataclass(frozen=True)
@@ -130,38 +124,33 @@ class CampaignRunner:
         decide = self.lure_model.decide
         page_quality = page.quality if page is not None else None
         keywords = campaign.template.keywords()
-        # Adjust the click-delay mean for this campaign's profile.
-        original_delay = self.lure_model.mean_click_delay
-        self.lure_model.mean_click_delay = campaign.profile.mean_click_delay
-        try:
-            for address, block_probability, gullibility, account in campaign.targets:
-                result.mailed += 1
-                outcome = decide(wave_start, block_probability, gullibility,
-                                 page_quality)
-                if not outcome.delivered:
+        mean_click_delay = campaign.profile.mean_click_delay
+        for address, block_probability, gullibility, account in campaign.targets:
+            result.mailed += 1
+            outcome = decide(wave_start, block_probability, gullibility,
+                             page_quality, mean_click_delay)
+            if not outcome.delivered:
+                continue
+            result.delivered += 1
+            if account is not None:
+                self._deliver_lure_copy(campaign, account, wave_start, keywords)
+            if not outcome.clicked:
+                continue
+            assert outcome.click_at is not None
+            if page is not None:
+                if not page.is_up(outcome.click_at):
                     continue
-                result.delivered += 1
-                if account is not None:
-                    self._deliver_lure_copy(campaign, account, wave_start, keywords)
-                if not outcome.clicked:
+                result.visits += 1
+                if forms:
+                    self.forms_log.record_view(page, outcome.click_at, outcome.referrer)
+            if outcome.submitted:
+                assert outcome.submit_at is not None
+                if page is not None and not page.is_up(outcome.submit_at):
                     continue
-                assert outcome.click_at is not None
-                if page is not None:
-                    if not page.is_up(outcome.click_at):
-                        continue
-                    result.visits += 1
-                    if forms:
-                        self.forms_log.record_view(page, outcome.click_at, outcome.referrer)
-                if outcome.submitted:
-                    assert outcome.submit_at is not None
-                    if page is not None and not page.is_up(outcome.submit_at):
-                        continue
-                    credential = self._capture(campaign, address, account,
-                                               outcome.submit_at)
-                    result.submissions += 1
-                    result.credentials.append(credential)
-        finally:
-            self.lure_model.mean_click_delay = original_delay
+                credential = self._capture(campaign, address, account,
+                                           outcome.submit_at)
+                result.submissions += 1
+                result.credentials.append(credential)
         return result
 
     def _record_attacker_tests(self, campaign: PhishingCampaign,

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.util.clock import HOUR, minute_of_day
+from repro.util.clock import minute_of_day
 from repro.util.distributions import diurnal_weight
 from repro.util.rng import weighted_choice
 
@@ -73,19 +73,19 @@ class LureModel:
     rng: random.Random
     #: P(open + click | delivered) scale; multiplied by gullibility.
     base_click_rate: float = 0.9
-    #: Mean of the exponential click-delay (minutes).
-    mean_click_delay: float = 5 * HOUR
     #: Submission odds = quality * (floor + slope * gullibility).
     submit_floor: float = 0.25
     submit_slope: float = 0.9
 
     def decide(self, launch_at: int, filter_block_probability: float,
-               gullibility: float, page_quality: Optional[float]) -> LureOutcome:
+               gullibility: float, page_quality: Optional[float],
+               mean_click_delay: float) -> LureOutcome:
         """Resolve one lure against one target.
 
         ``page_quality`` is None for reply-with-credentials lures (no
         page to visit); for those, "submit" means replying with creds and
-        there is no click/referrer.
+        there is no click/referrer.  ``mean_click_delay`` (minutes) is the
+        campaign profile's mean of the exponential click delay.
         """
         if self.rng.random() < filter_block_probability:
             return BLOCKED
@@ -94,13 +94,14 @@ class LureModel:
 
         if page_quality is None:
             # Reply-style phish: delay then reply with credentials.
-            reply_at = launch_at + self._diurnal_delay(launch_at)
+            reply_at = launch_at + self._diurnal_delay(launch_at,
+                                                       mean_click_delay)
             return LureOutcome(
                 delivered=True, clicked=True, click_at=reply_at,
                 submitted=True, submit_at=reply_at,
             )
 
-        click_at = launch_at + self._diurnal_delay(launch_at)
+        click_at = launch_at + self._diurnal_delay(launch_at, mean_click_delay)
         submit_probability = min(
             1.0, page_quality * (self.submit_floor + self.submit_slope * gullibility),
         )
@@ -124,15 +125,15 @@ class LureModel:
         weights = tuple(weight for _, weight in _REFERRER_SOURCES)
         return weighted_choice(self.rng, urls, weights)
 
-    def _diurnal_delay(self, launch_at: int) -> int:
+    def _diurnal_delay(self, launch_at: int, mean_click_delay: float) -> int:
         """An exponential delay thinned by the diurnal activity curve.
 
         Rejection sampling: propose an exponential delay, accept with the
         diurnal weight at the proposed wall-clock moment.  Bounded tries
         keep the model total."""
         for _ in range(50):
-            delay = max(1, int(self.rng.expovariate(1.0 / self.mean_click_delay)))
+            delay = max(1, int(self.rng.expovariate(1.0 / mean_click_delay)))
             when = launch_at + delay
             if self.rng.random() < diurnal_weight(minute_of_day(when)):
                 return delay
-        return max(1, int(self.rng.expovariate(1.0 / self.mean_click_delay)))
+        return max(1, int(self.rng.expovariate(1.0 / mean_click_delay)))

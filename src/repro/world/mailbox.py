@@ -219,13 +219,14 @@ class Mailbox:
         return self._correspondents
 
     def _note_correspondents(self, message: EmailMessage) -> None:
+        # Keys are ``str(address)``, which determines the address, so the
+        # owner is skipped by key as well.
         correspondents = self._correspondents
-        owner = self.owner
+        owner = str(self.owner)
         for address in (message.sender,) + message.recipients:
-            if address != owner:
-                key = str(address)
-                if key not in correspondents:
-                    correspondents[key] = address
+            key = str(address)
+            if key != owner and key not in correspondents:
+                correspondents[key] = address
 
     def __len__(self) -> int:
         if self._seeder is not None:

@@ -215,6 +215,9 @@ class Population:
     accounts: Dict[str, Account]
     contact_graph: ContactGraph
     external_victims: Sequence[ExternalVictim]
+    #: Keyed by ``str(address)``.  :meth:`MailService.send
+    #: <repro.mail.service.MailService.send>` builds that key itself, once
+    #: per recipient, for this lookup and for its log record both.
     account_by_address: Dict[str, Account] = field(default_factory=dict)
     account_by_user: Dict[str, Account] = field(default_factory=dict)
 

@@ -1,9 +1,14 @@
+import hashlib
+
 import pytest
 
+from repro import Simulation
 from repro.core.organic import OrganicActivityModel, _poisson
-from repro.logs.events import Actor, LoginEvent, MailSentEvent
+from repro.core.scenarios import smoke_scenario
+from repro.logs.events import Actor, LoginEvent, MailReportedEvent, MailSentEvent
 
 from tests.hijacker.harness import build_harness
+from tests.world.equivalence import history_pending
 
 
 @pytest.fixture
@@ -145,3 +150,50 @@ class TestPoisson:
     def test_mean_matches(self, rng):
         samples = [_poisson(rng, 4.0) for _ in range(3000)]
         assert 3.7 < sum(samples) / len(samples) < 4.3
+
+
+#: Per smoke seed: ``(lines, materialized mailboxes, sha256)`` of
+#: :func:`send_lines` on a fresh run of that world.
+SMOKE_SENDS = {
+    7: (2147, 44,
+        "ef1cca50d985738cc267bac59c6e6aaee3d99976698174cedf45bf20524d5528"),
+    11: (703, 21,
+         "81c49c01e42ac5d36159d4b70a5d3d278b0397b7a75f0889687e4baf51c50ef8"),
+}
+
+
+def send_lines(result):
+    """Every sent and reported mail record, then each materialized
+    mailbox's ``(message id, folder)`` list, one line per mailbox."""
+    lines = [repr(event) for event in result.store.query(MailSentEvent)]
+    lines += [repr(event) for event in result.store.query(MailReportedEvent)]
+    accounts = result.population.accounts
+    for account_id in sorted(accounts):
+        mailbox = accounts[account_id].mailbox
+        if history_pending(mailbox):
+            continue
+        lines.append(account_id + " " + " ".join(
+            f"{message.message_id}:{message.folder.value}"
+            for message in mailbox.messages(include_deleted=True)))
+    return lines
+
+
+class TestSmokeSends:
+    """Every owner, hijacker and lure mail record of a seeded world,
+    pinned without the report.
+
+    A reordered or extra draw in owner sends, spam filing or report
+    scheduling moves a record or a placement here before it reaches
+    any artifact.  Each world is run fresh: reads by other tests of a
+    shared result would materialize more mailboxes.
+    """
+
+    @pytest.mark.parametrize("seed", sorted(SMOKE_SENDS))
+    def test_send_records(self, seed):
+        result = Simulation(smoke_scenario(seed)).run()
+        lines = send_lines(result)
+        materialized = sum(
+            1 for account in result.population.accounts.values()
+            if not history_pending(account.mailbox))
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert (len(lines), materialized, digest) == SMOKE_SENDS[seed]

@@ -11,8 +11,8 @@ from repro.net.http import Method
 from repro.net.ip import IpAllocator
 from repro.phishing.campaign import (
     OUTLIER_PROFILE,
+    STANDARD_PROFILE,
     CampaignRunner,
-    LureTarget,
     PhishingCampaign,
 )
 from repro.phishing.forms import FormsHttpLog
@@ -41,11 +41,7 @@ def runner():
 
 def edu_targets(count, gullibility=0.6):
     return [
-        LureTarget(
-            address=EmailAddress(f"student{i}", "cs.stateu.edu"),
-            filter_block_probability=0.3,
-            gullibility=gullibility,
-        )
+        (EmailAddress(f"student{i}", "cs.stateu.edu"), 0.3, gullibility, None)
         for i in range(count)
     ]
 
@@ -165,6 +161,26 @@ class TestOutlierProfile:
                 if e.request.method is Method.GET]
         early = [t for t in gets if t < OUTLIER_PROFILE.quiet_period]
         assert len(early) >= OUTLIER_PROFILE.test_views - 1
+
+    @pytest.mark.parametrize("profile", [STANDARD_PROFILE, OUTLIER_PROFILE])
+    def test_profile_click_delay_reaches_each_decision(self, runner, profile):
+        """A campaign hands its profile's click delay to every decision;
+        the lure model every campaign shares holds none of its own."""
+        _store, campaign_runner = runner
+        lure_model = campaign_runner.lure_model
+        assert not hasattr(lure_model, "mean_click_delay")
+        seen = []
+        decide = lure_model.decide
+
+        def watched(*args):
+            seen.append(args[-1])
+            return decide(*args)
+
+        lure_model.decide = watched
+        page = forms_page(taken_down_at=10**7)
+        campaign_runner.run(make_campaign(page, edu_targets(50),
+                                          profile=profile))
+        assert seen == [profile.mean_click_delay] * 50
 
 
 #: ``(mailed, delivered, visits, submissions)`` of each campaign of the

@@ -11,16 +11,27 @@ cover every draw size the loops replace: 26 first names, 20 last names,
 ``randrange(10, 10_000)``, and the 9 (leading) and 10 (other) phone
 digits.  ``previous_address`` keeps the per-attempt
 ``generate_username`` loop that ``generate_address`` inlined, as a
-second oracle for it.  CI runs this on each interpreter of its matrix.
+second oracle for it.  ``repro.util.rng.sample`` is checked against
+``Random.sample`` on both sides of its list/set switch, and owner sends
+(``OrganicActivityModel._sends``) against the ``triangular``,
+``randrange``, ``sample`` and ``choice`` loop they were written with.
+CI runs this on each interpreter of its matrix.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 from typing import Container, Set
 
 import pytest
 
+from repro.core.organic import (
+    _SENDS_PER_DAY,
+    OrganicActivityModel,
+    _daytime_minute,
+    _poisson,
+)
 from repro.net.email_addr import (
     _FIRST_BITS,
     _LAST_BITS,
@@ -37,6 +48,9 @@ from repro.net.email_addr import (
     generate_username,
 )
 from repro.net.phones import _CODE_BY_COUNTRY, _NSN_LENGTH, PhoneNumberPlan
+from repro.util.clock import DAY, HOUR
+from repro.util.rng import sample
+from repro.world.accounts import AccountState
 from repro.world.population import _PASSWORD_WORDS, generate_password
 
 SEEDS = range(200)
@@ -185,4 +199,111 @@ class TestPhoneDigitDraws:
             plan, issued = PhoneNumberPlan(direct), set()
             for _ in range(CALLS_PER_SEED):
                 assert plan.mint(country).e164 == oracle_phone(oracle, country, issued)
+            assert direct.getstate() == oracle.getstate()
+
+
+class TestSampleDraws:
+    @pytest.mark.parametrize("n", [4_117, 4_118], ids=["list", "set"])
+    @pytest.mark.parametrize("make", [range, lambda n: tuple(range(n))],
+                             ids=["range", "tuple"])
+    def test_either_side_of_setsize(self, n, make):
+        """At k = 1,000 the list copy serves n <= 4,117, the set n > 4,117."""
+        population = make(n)
+        for seed in SEEDS:
+            direct, oracle = _pair(seed)
+            assert sample(direct, population, 1_000) \
+                == oracle.sample(population, 1_000)
+            assert direct.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 21, 22, 40])
+    def test_small_k(self, n):
+        """k <= 5 keeps ``setsize`` at 21, so n = 22 and 40 take the set."""
+        population = tuple(f"c{i}" for i in range(n))
+        for seed in SEEDS:
+            direct, oracle = _pair(seed)
+            for k in range(min(5, n) + 1):
+                assert sample(direct, population, k) \
+                    == oracle.sample(population, k)
+            assert direct.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 30, 500])
+    def test_whole_population(self, n):
+        population = range(n)
+        for seed in SEEDS:
+            direct, oracle = _pair(seed)
+            assert sample(direct, population, n) == oracle.sample(population, n)
+            assert direct.getstate() == oracle.getstate()
+
+    def test_bounds(self):
+        with pytest.raises(ValueError):
+            sample(random.Random(0), range(3), 4)
+        with pytest.raises(ValueError):
+            sample(random.Random(0), range(3), -1)
+
+
+#: The owner subjects, as ``_sends`` listed them for ``choice``.
+ORACLE_SUBJECTS = ("re: plans", "quick question", "fwd: article",
+                   "tomorrow?", "re: re: notes")
+
+
+def oracle_sends(rng: random.Random, activity: str, contacts, suspended: bool,
+                 day: int):
+    """One owner-day of sends, drawn with the ``random`` calls."""
+    count = _poisson(rng, _SENDS_PER_DAY[activity])
+    if count == 0 or not contacts:
+        return []
+    favorites = contacts[:6]
+    sends = []
+    for _ in range(count):
+        hour = int(rng.triangular(6, 23, 14))
+        at = day * DAY + hour * HOUR + rng.randrange(60)
+        if suspended:
+            continue
+        pool = favorites if rng.random() < 0.85 else contacts
+        n_recipients = 1 if rng.random() < 0.85 else rng.randrange(2, 4)
+        recipients = rng.sample(pool, min(n_recipients, len(pool)))
+        sends.append((tuple(recipients), rng.choice(ORACLE_SUBJECTS), at))
+    return sends
+
+
+class _RecordingMail:
+    def __init__(self):
+        self.sends = []
+
+    def send(self, account, recipients, subject, now, kind, actor):
+        self.sends.append((tuple(recipients), subject, now))
+
+
+class TestOwnerSendDraws:
+    @pytest.mark.parametrize("n_contacts", [1, 2, 4, 6, 7, 25])
+    @pytest.mark.parametrize("suspended", [False, True],
+                             ids=["active", "suspended"])
+    def test_sends(self, n_contacts, suspended):
+        """Pools of 1 to 25 contacts: one-pick, small-list and set-branch
+        samples, and a suspended owner who still draws the minute."""
+        contacts = [EmailAddress(f"c{i:02d}", "example.org")
+                    for i in range(n_contacts)]
+        account = SimpleNamespace(
+            owner=SimpleNamespace(activity=SimpleNamespace(value="daily")),
+            mailbox=SimpleNamespace(contact_addresses=lambda: list(contacts)),
+            state=AccountState.SUSPENDED if suspended else AccountState.ACTIVE,
+        )
+        mail = _RecordingMail()
+        model = OrganicActivityModel(master_seed=0, population=None, auth=None,
+                                     mail=mail, search=None, allocator=None)
+        for seed in SEEDS:
+            direct, oracle = _pair(seed)
+            mail.sends.clear()
+            model._sends(account, seed % 30, direct)
+            assert mail.sends == oracle_sends(oracle, "daily", contacts,
+                                              suspended, seed % 30)
+            assert direct.getstate() == oracle.getstate()
+
+    def test_daytime_minute(self):
+        for seed in SEEDS:
+            direct, oracle = _pair(seed)
+            for _ in range(CALLS_PER_SEED):
+                assert _daytime_minute(direct) == (
+                    int(oracle.triangular(6, 23, 14)) * HOUR
+                    + oracle.randrange(60))
             assert direct.getstate() == oracle.getstate()

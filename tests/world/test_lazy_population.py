@@ -23,7 +23,7 @@ from repro.mail.reports import UserReportModel
 from repro.net.geoip import build_default_internet
 from repro.net.ip import IpAllocator
 from repro.net.phones import PhoneNumberPlan
-from repro.phishing.campaign import CampaignRunner, LureTarget, PhishingCampaign
+from repro.phishing.campaign import CampaignRunner, PhishingCampaign
 from repro.phishing.forms import FormsHttpLog
 from repro.phishing.lure import LureModel
 from repro.phishing.templates import AccountType, make_template
@@ -235,9 +235,7 @@ class TestLureDeliveryStaysLazy:
             campaign_id="camp-000000",
             template=make_template(AccountType.MAIL, has_url=False),
             page=None, launch_at=0,
-            targets=[LureTarget(address=account.address,
-                                filter_block_probability=0.0,
-                                gullibility=0.0, account=account)
+            targets=[(account.address, 0.0, 0.0, account)
                      for account in accounts],
         )
         pending_before = pending_history_count(population)
@@ -336,12 +334,12 @@ class TestExternalVictimPool:
         assert len(pool) == 1_700 and materialized_count(pool) == 0
         rng, reference = random.Random(8), random.Random(8)
         targets = simulation._pick_targets(rng, is_outlier=False)
-        externals = [t for t in targets if t.account is None]
+        externals = [t for t in targets if t[3] is None]
         assert len(externals) == 390
         assert materialized_count(pool) == 390
         reference.sample(simulation._provider_pool, 210)
         expected = reference.sample(list(pool), 390)
-        assert [t.address for t in externals] == [v.address for v in expected]
+        assert [t[0] for t in externals] == [v.address for v in expected]
         assert rng.getstate() == reference.getstate()
 
     def test_edu_other_split(self):
