@@ -18,8 +18,9 @@ pass).  A statistic the claim needs but the world did not produce is
 Each world is written once in :data:`WORLDS`, as preset + seed +
 overrides; a multi-config world (a pool, an era pair, a sweep) hands its
 measure one context per config.  ``python -m repro.analysis.calibration``
-builds every world once, evaluates every (row, world) pair, prints a
-markdown table and exits non-zero if any pair fails.  It writes no
+builds every world once, on a process pool, evaluates every (row, world)
+pair, prints a markdown table and exits non-zero if any pair fails; one
+line on stderr gives the worlds, processes and wall time.  It writes no
 files.  The table spans many worlds, so it is not a registered artifact
 and ``repro.analysis`` does not import it.
 """
@@ -27,8 +28,13 @@ and ``repro.analysis`` does not import it.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import re
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -528,25 +534,50 @@ def evaluate(row: Row, contexts: Sequence[ArtifactContext],
 
 
 Verdict = Tuple[Row, str, Optional[float], str]
+#: What a world's evaluation sends back: (row key, world, measured, verdict).
+Measure = Tuple[str, str, Optional[float], str]
 
 
-def run() -> List[Verdict]:
+def _measure_world(name: str) -> List[Measure]:
+    """Build one world, evaluate its rows, and keep only the measures.
+
+    The unit of work of :func:`run`: a world name goes in, plain tuples
+    come out, and the world's results die with the call, so each process
+    holds one world at a time.
+    """
+    world = WORLDS[name]
+    contexts = world.contexts(
+        [Simulation(config).run() for config in world.configs()])
+    return [(r.key, name, *evaluate(r, contexts))
+            for r in ROWS if name in r.worlds]
+
+
+def run() -> Tuple[List[Verdict], int]:
     """Build every world once and evaluate every (row, world) pair.
 
-    Worlds run one after another: shipping whole results back from
-    :func:`~repro.core.parallel.run_worlds` workers costs more than the
-    second core saves (94 s against 60 s serial on a 2-vCPU VM), and
-    one world alive at a time bounds memory.
+    Returns the verdicts in :data:`ROWS` order and the number of
+    processes that built the worlds.  Worlds run on a process pool, one
+    worker per core; a world is a pure function of its configs, so the
+    worker count changes wall time only, never a measure.  Where no
+    worker can start, the same unit of work runs in this process.
     """
-    measured: Dict[Tuple[str, str], Tuple[Optional[float], str]] = {}
-    for name, world in WORLDS.items():
-        contexts = world.contexts(
-            [Simulation(config).run() for config in world.configs()])
-        for r in ROWS:
-            if name in r.worlds:
-                measured[r.key, name] = evaluate(r, contexts)
-    return [(r, name, *measured[r.key, name])
-            for r in ROWS for name in r.worlds]
+    processes = min(len(WORLDS), os.cpu_count() or 1)
+    try:
+        # Spawned, not forked: a fork copies whatever threads and locks
+        # the calling process holds.
+        with ProcessPoolExecutor(
+                processes, multiprocessing.get_context("spawn")) as pool:
+            per_world = list(pool.map(_measure_world, WORLDS))
+    except (OSError, BrokenProcessPool):
+        # No worker could start: the platform refused a process, or a
+        # spawned worker could not import the caller's ``__main__``
+        # (a script read from stdin).
+        per_world, processes = list(map(_measure_world, WORLDS)), 1
+    measured = {(key, name): (value, verdict)
+                for measures in per_world
+                for key, name, value, verdict in measures}
+    return ([(r, name, *measured[r.key, name])
+             for r in ROWS for name in r.worlds], processes)
 
 
 def render(verdicts: Sequence[Verdict]) -> str:
@@ -560,8 +591,12 @@ def render(verdicts: Sequence[Verdict]) -> str:
 
 
 def main() -> int:
-    verdicts = run()
+    start = time.perf_counter()
+    verdicts, processes = run()
     print(render(verdicts))
+    noun = "process" if processes == 1 else "processes"
+    print(f"calibration: {len(WORLDS)} worlds, {processes} {noun}, "
+          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 1 if any(v[3] == "FAIL" for v in verdicts) else 0
 
 

@@ -42,7 +42,7 @@ Contract:
 * **Import-time deterministic, pickling-free.**  The registry is
   populated by this module's import alone, and resolvers hold plain
   per-result caches — nothing here needs to cross a process boundary,
-  so :func:`repro.core.parallel.run_worlds` results feed straight in.
+  so a worker process builds its datasets where its world runs.
 """
 
 from __future__ import annotations

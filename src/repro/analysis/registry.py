@@ -15,9 +15,8 @@ artifact carries an explicit ``report_order`` that pins its slot in the
 paper-ordered report, independent of import order.  Nothing in the
 registry holds per-run state — render functions receive an
 :class:`ArtifactContext` that owns the per-result dataset cache and
-exposes no result, only datasets, config and world size — so
-results produced by :func:`repro.core.parallel.run_worlds` feed straight
-into :func:`render_artifact` in the parent process; no registry object
+exposes no result, only datasets, config and world size — so a worker
+process renders or measures the world it built, and no registry object
 ever needs pickling.
 """
 
@@ -204,8 +203,8 @@ def render_artifacts(result: SimulationResult, keys: Iterable[str],
     """Render several artifacts off one shared dataset cache.
 
     The convenience entry point for multi-world studies: feed each
-    :func:`repro.core.parallel.run_worlds` result through this in the
-    parent process.  Returns key → rendered text in the order given.
+    world's result through this in the process that built it.  Returns
+    key → rendered text in the order given.
     """
     ctx = ArtifactContext(result, earlier_era_result)
     return {key: render_artifact(key, ctx) for key in keys}

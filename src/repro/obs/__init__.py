@@ -20,9 +20,9 @@ Determinism contract (the reason this package may touch hot paths):
   instrumentation never branches simulation control flow on telemetry.
   A traced run is bit-identical to an untraced run at the same seed
   (``tests/obs/test_determinism.py`` enforces this).
-* **Process-local.**  Worker processes spawned by
-  :func:`repro.core.parallel.run_worlds` start with telemetry disabled;
-  the parent records per-world timings itself.
+* **Process-local.**  Recorder state lives in one process: a worker
+  process records nothing its parent can read, so the calibration
+  runner's pool workers send back measures only.
 
 Usage::
 

@@ -389,8 +389,9 @@ class HistorySeeder:
     seeder runs rather than stored per account, and all
     message ids from a per-account namespace, so running this at build
     time, mid-simulation, or never produces the same world.  A class
-    (not a closure) so pending mailboxes survive pickling — the parallel
-    runner ships whole worlds across process boundaries.
+    (not a closure) so a world with pending mailboxes still pickles
+    (``tests/world/test_lazy_population.py``), though no runner ships
+    worlds across processes any more.
     """
 
     __slots__ = ("_population", "_config", "_account", "_master")

@@ -1,13 +1,21 @@
-"""The calibration table itself: bands, keys, worlds, and its EXPERIMENTS.md
-block.  Nothing here runs a simulation."""
+"""The calibration table itself: bands, keys, worlds, its EXPERIMENTS.md
+block, and the runner's process pool.  The table checks run no
+simulation; the block's measured column is checked on tier-1's session
+worlds, and the pool check builds smoke/7 and decoy/7."""
 
+import multiprocessing
 import pathlib
 import re
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.analysis.calibration import ROWS, WORLDS, Band
+from repro.analysis import calibration
+from repro.analysis.calibration import (
+    ROWS, WORLDS, Band, _measure_world, evaluate)
 from repro.core.config import SimulationConfig
+from tests.integration.test_calibration import FIXTURES
 
 EXPERIMENTS = pathlib.Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
@@ -97,3 +105,51 @@ def test_experiments_block_matches_the_table():
         (row.key, row.paper, row.band, world)
         for row in ROWS for world in row.worlds]
     assert all(cells[5] in ("pass", "FAIL", "n/a") for cells in measured)
+
+
+@pytest.mark.parametrize("world", sorted(FIXTURES))
+def test_experiments_block_measured_column(request, world):
+    """The committed measured cells and verdicts are the runner's, on
+    every world tier-1 builds."""
+    measured = {(cells[0], cells[3]): cells[4:]
+                for cells in _experiments_block()}
+    contexts = WORLDS[world].contexts(
+        [request.getfixturevalue(FIXTURES[world])])
+    for row in ROWS:
+        if world in row.worlds:
+            value, verdict = evaluate(row, contexts)
+            shown = "—" if value is None else f"{value:.4g}"
+            assert measured[row.key, world] == (shown, verdict), row.key
+
+
+def test_pooled_measures_equal_in_process():
+    """A world's measures do not depend on the process that built it.
+
+    Compared as text, since ``nan != nan``: ``repr`` keeps every digit,
+    where the table's ``.4g`` cells would hide a drift in the fifth."""
+    names = ("smoke/7", "decoy/7")
+    with ProcessPoolExecutor(2, multiprocessing.get_context("spawn")) as pool:
+        pooled = [m for measures in pool.map(_measure_world, names)
+                  for m in measures]
+    in_process = [m for name in names for m in _measure_world(name)]
+    assert {name for _, name, _, _ in in_process} == set(names)
+    assert repr(pooled) == repr(in_process)
+
+
+@pytest.mark.parametrize("error", [PermissionError, BrokenProcessPool])
+def test_runner_falls_back_in_row_order(monkeypatch, error):
+    """Where no worker can start, the same unit of work runs in this
+    process; verdicts come back in ``ROWS`` order either way."""
+    def no_pool(*args, **kwargs):
+        raise error("no worker processes here")
+
+    def stub_measures(name):
+        return [(row.key, name, float(len(row.key)), "pass")
+                for row in ROWS if name in row.worlds]
+
+    monkeypatch.setattr(calibration, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(calibration, "_measure_world", stub_measures)
+    verdicts, processes = calibration.run()
+    assert processes == 1
+    assert verdicts == [(row, name, float(len(row.key)), "pass")
+                        for row in ROWS for name in row.worlds]

@@ -45,7 +45,7 @@ def internet(allocator):
     return allocator, build_default_internet(allocator)
 
 
-def _run_world(name: str):
+def _simulate_world(name: str):
     """Run a single-config calibration world, as the calibration table
     specifies it."""
     (config,) = WORLDS[name].configs()
@@ -55,22 +55,22 @@ def _run_world(name: str):
 @pytest.fixture(scope="session")
 def smoke_result():
     """A small but complete end-to-end run (every subsystem exercised)."""
-    return _run_world("smoke/7")
+    return _simulate_world("smoke/7")
 
 
 @pytest.fixture(scope="session")
 def exploitation_result():
     """The Section 5 workload: many incidents (a few seconds to build)."""
-    return _run_world("exploitation/23")
+    return _simulate_world("exploitation/23")
 
 
 @pytest.fixture(scope="session")
 def decoy_result():
     """The Figure 7 workload: ~200 decoy credentials."""
-    return _run_world("decoy/13")
+    return _simulate_world("decoy/13")
 
 
 @pytest.fixture(scope="session")
 def recovery_result():
     """The Figures 9–10 workload: hundreds of recovery claims."""
-    return _run_world("recovery/11")
+    return _simulate_world("recovery/11")

@@ -61,11 +61,19 @@ class TestFallbackOnlyWorld:
         return Simulation(smoke_scenario(seed=3).with_overrides(
             phone_on_file_rate=0.0, secondary_email_rate=0.0)).run()
 
-    def test_recoveries_collapse(self, world):
-        cases = world.remediation.cases
-        if len(cases) < 5:
-            pytest.skip("too few cases this seed")
-        assert world.remediation.recovery_rate() < 0.5
+    def test_recoveries_collapse(self):
+        """Pooled over seeds 0–7, fixed in advance: one seed sees 3–14
+        cases, too few to judge alone (11 of 59 recovered, 18.6%; paper
+        14.20%)."""
+        cases = recovered = 0
+        for seed in range(8):
+            config = smoke_scenario(seed=seed).with_overrides(
+                phone_on_file_rate=0.0, secondary_email_rate=0.0)
+            remediation = Simulation(config).run().remediation
+            cases += len(remediation.cases)
+            recovered += len(remediation.recovered_cases())
+        assert cases > 0
+        assert recovered / cases < 0.5
 
     def test_all_claims_use_fallback(self, world):
         from repro.logs.events import RecoveryClaimEvent

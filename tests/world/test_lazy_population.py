@@ -294,9 +294,8 @@ class TestLazyEagerEquivalence:
             != population_fingerprint(build(seed=6, lazy=True))
 
     def test_pending_world_survives_pickle(self):
-        """The parallel runner ships whole worlds across processes, so
-        deferred seeders must pickle — and still materialize correctly
-        on the other side."""
+        """A pickled world keeps its deferred seeders — and still
+        materializes correctly on the other side."""
         population = build(seed=53, lazy=True)
         clone = pickle.loads(pickle.dumps(population))
         assert pending_history_count(clone) == len(population) > 0
