@@ -89,17 +89,15 @@ class MailService:
             sender_account.mailbox.file_sent(message)
 
         result = SendResult(message=message)
-        # Recipient keys are ``Population.account_by_address``'s
-        # ``str(address)``, also the log record's.  Most mail has one
-        # recipient: its key is its distinct list.
+        # ``Population.account_by_address`` is keyed by the address
+        # itself; only the log record's distinct list needs strings.
         lookup = self.population.account_by_address.get
         if len(recipients) == 1:
-            keys = distinct = (str(recipients[0]),)
+            distinct = (str(recipients[0]),)
         else:
-            keys = [str(recipient) for recipient in recipients]
-            distinct = tuple(sorted(set(keys)))
-        for key in keys:
-            recipient_account = lookup(key)
+            distinct = tuple(sorted({str(recipient) for recipient in recipients}))
+        for recipient in recipients:
+            recipient_account = lookup(recipient)
             if recipient_account is None:
                 result.external_recipients += 1
                 continue

@@ -31,11 +31,10 @@ _USERNAME_LAST = (
 class EmailAddress:
     """``username@domain`` with minimal syntactic validation.
 
-    Slotted and string-interned: a large world references the same few
-    dozen domain strings from millions of addresses, and the same
-    address objects flow through messages, credentials, and log events —
-    interning collapses the duplicates to shared pointers (and makes the
-    hot equality checks pointer-first).
+    Slotted, with the domain string-interned: a large world references
+    the same few dozen domains from millions of addresses.  Usernames are
+    not interned: a provider's are unique, so that would only grow the
+    interpreter's intern table by one string per account.
     """
 
     username: str
@@ -46,7 +45,6 @@ class EmailAddress:
             raise ValueError(f"invalid username: {self.username!r}")
         if not self.domain or "." not in self.domain or "@" in self.domain:
             raise ValueError(f"invalid domain: {self.domain!r}")
-        object.__setattr__(self, "username", sys.intern(self.username))
         object.__setattr__(self, "domain", sys.intern(self.domain))
 
     @classmethod

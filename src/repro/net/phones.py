@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
+from repro.util.compat import SLOT_KWARGS
+
 #: Country calling codes (E.164) for every country in the study's universe.
 #: Keys are dialing prefixes *without* the leading '+'.
 CALLING_CODES: Dict[str, str] = {
@@ -58,7 +60,7 @@ _CODE_BY_COUNTRY["CA"] = "1"
 _NSN_LENGTH["CA"] = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOT_KWARGS)
 class PhoneNumber:
     """An E.164 phone number: ``+<calling code><national number>``."""
 

@@ -97,7 +97,7 @@ class DecoyInjector:
         )
         self.population.users[user.user_id] = user
         self.population.accounts[account.account_id] = account
-        self.population.account_by_address[str(address)] = account
+        self.population.account_by_address[address] = account
         self.population.account_by_user[user.user_id] = account
         self.population.contact_graph.add_user(user.user_id)
         return account

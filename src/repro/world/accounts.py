@@ -9,8 +9,8 @@ detection) suspended → (recovery claim verified) restored.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.net.email_addr import EmailAddress
 from repro.net.phones import PhoneNumber
@@ -81,7 +81,8 @@ class Account:
     #: Hijacker-set Reply-To on outgoing mail (doppelganger diversion).
     hijacker_reply_to: Optional[EmailAddress] = None
     password_changed_by_hijacker: bool = False
-    history: List[str] = field(default_factory=list)
+    #: Notes, rare enough to share ``()`` until the first; replaced on write.
+    history: Tuple[str, ...] = ()
 
     def verify_password(self, attempt: str) -> bool:
         return attempt == self.password
@@ -133,7 +134,7 @@ class Account:
         return reverted
 
     def _note(self, now: int, what: str) -> None:
-        self.history.append(f"t={now}: {what}")
+        self.history += (f"t={now}: {what}",)
 
     def __repr__(self) -> str:
         return f"Account({self.account_id}, {self.address}, {self.state.value})"

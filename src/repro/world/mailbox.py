@@ -6,25 +6,25 @@ in the shadow, and mass-delete content to slow the victim down.  The
 remission phase (Section 6.4) restores it from a snapshot, so snapshotting
 is a first-class operation here.
 
-Scale notes: a mailbox can defer its pre-simulation history.  The
-population builder hands it a *seeder* callback (which derives the
-account's child seed when it runs) via :meth:`Mailbox.defer_seed`; the
-first operation that reads messages — search, folder views, snapshots, the
-correspondent list — or installs a filter runs the seeder before doing
-its work, so history exists exactly when something first looks, and an
-untouched account costs nothing.  Delivery is not a read: mail arriving
-while history is pending is queued in O(1), and materialization replays
-the queue through :meth:`Mailbox.deliver` after the history, so arrival
-order, folders and correspondents come out as if history had been there
-all along.  :meth:`Mailbox.get` serves a queued message without
-materializing.  Because the seeder draws only from its own private RNG,
-materialization order cannot perturb any other stream: a world is
-bit-identical however many of its mailboxes get touched, and in
-whatever order.  The correspondent map follows the same pattern: it does
-not exist until the first contact read builds it from arrival order, and
-delivery keeps it up after that.  Search keeps no index: it scans the
-mailbox in arrival order (a run makes a few searches per searched
-mailbox, over tens to hundreds of messages each).
+Scale notes: a mailbox can defer its pre-simulation history.  Every
+mailbox of a population shares its one *seeder*, which finds the account
+by owner address and derives its child seed when it runs; the first
+operation that reads messages — search, folder views, snapshots, the
+correspondent list — or installs a filter runs it first, so history
+exists exactly when something first looks.  Until then a mailbox holds
+its owner and the seeder: no message dict before mail arrives, the
+shared empty filter tuple, no correspondent map.  Delivery is not a
+read: mail arriving while history is pending is queued in O(1), and
+materialization replays the queue through :meth:`Mailbox.deliver` after
+the history, so arrival order, folders and correspondents come out as if
+history had been there all along.  :meth:`Mailbox.get` serves a queued
+message without materializing.  The seeder draws only from a private
+per-account RNG, so a world is bit-identical however many of its
+mailboxes get touched, and in whatever order.  The correspondent map,
+once the first contact read builds it from arrival order, is kept up by
+delivery.  Search keeps no index: it scans the mailbox in arrival order
+(a run makes a few searches per searched mailbox, over tens to hundreds
+of messages each).
 """
 
 from __future__ import annotations
@@ -76,16 +76,18 @@ class Mailbox:
         "_correspondents",
     )
 
-    def __init__(self, owner: EmailAddress):
+    def __init__(self, owner: EmailAddress,
+                 seeder: Optional[Callable[["Mailbox"], None]] = None):
         self.owner = owner
-        #: message id -> message; insertion order is arrival order.
-        self._messages: Dict[str, EmailMessage] = {}
-        self.filters: List[MailFilter] = []
+        #: Deferred history seeder; run (once) by the first message read.
+        self._seeder = seeder
+        #: message id -> message; insertion order is arrival order.  While
+        #: history is pending: queued arrivals only, ``None`` before any.
+        self._messages = None if seeder is not None else {}
+        #: Replaced, never mutated, so every filterless mailbox shares ``()``.
+        self.filters: Tuple[MailFilter, ...] = ()
         #: Callback invoked when a filter forwards a message elsewhere.
         self.on_forward: Optional[Callable[[EmailMessage, EmailAddress], None]] = None
-        #: Deferred history seeder; run (once) by the first message read.
-        #: While it is pending, ``_messages`` holds only queued arrivals.
-        self._seeder: Optional[Callable[["Mailbox"], None]] = None
         #: Distinct correspondents, built on the first contact read and
         #: maintained on delivery after that (content is append-only, so
         #: this never goes stale).
@@ -93,20 +95,13 @@ class Mailbox:
 
     # -- lazy history ------------------------------------------------------
 
-    def defer_seed(self, seeder: Callable[["Mailbox"], None]) -> None:
-        """Register a history seeder to run on first message read."""
-        if self._seeder is not None:
-            raise ValueError(f"mailbox {self.owner} already has a pending seeder")
-        self._seeder = seeder
-
     def _materialize(self) -> None:
         """Seed the history, then replay queued arrivals after it."""
         seeder, self._seeder = self._seeder, None
         obs.count("population.build.history_materialized")
-        queued = list(self._messages.values())
-        self._messages.clear()
+        queued, self._messages = self._messages or {}, {}
         seeder(self)
-        for message in queued:
+        for message in queued.values():
             self.deliver(message, message.folder)
 
     # -- message lifecycle -------------------------------------------------
@@ -118,12 +113,15 @@ class Mailbox:
         one materializes), the message is only queued; it is filed for
         real when :meth:`_materialize` replays it after the history.
         """
-        if message.message_id in self._messages:
+        messages = self._messages
+        if messages is None:  # pending, and this is the first arrival
+            messages = self._messages = {}
+        if message.message_id in messages:
             raise ValueError(f"duplicate delivery of {message.message_id}")
         message.folder = folder
         if self._seeder is not None:
             obs.count("mailbox.deliver.queued")
-            self._messages[message.message_id] = message
+            messages[message.message_id] = message
             return
         for mail_filter in self.filters:
             if not mail_filter.applies_to(message):
@@ -132,7 +130,7 @@ class Mailbox:
                 message.folder = mail_filter.move_to
             if mail_filter.forward_to is not None and self.on_forward is not None:
                 self.on_forward(message, mail_filter.forward_to)
-        self._messages[message.message_id] = message
+        messages[message.message_id] = message
         if self._correspondents is not None:
             self._note_correspondents(message)
 
@@ -142,7 +140,7 @@ class Mailbox:
 
     def get(self, message_id: str) -> EmailMessage:
         """One message by id; a queued arrival needs no history."""
-        if self._seeder is not None and message_id not in self._messages:
+        if self._seeder is not None and message_id not in (self._messages or ()):
             self._materialize()
         return self._messages[message_id]
 
@@ -240,12 +238,12 @@ class Mailbox:
         forwarding never meet queued arrivals."""
         if self._seeder is not None:
             self._materialize()
-        self.filters.append(mail_filter)
+        self.filters += (mail_filter,)
 
     def remove_hijacker_filters(self) -> int:
         """Drop filters created by a hijacker (remission). Returns count."""
         before = len(self.filters)
-        self.filters = [f for f in self.filters if not f.created_by_hijacker]
+        self.filters = tuple(f for f in self.filters if not f.created_by_hijacker)
         return before - len(self.filters)
 
     # -- snapshots ---------------------------------------------------------------
@@ -280,5 +278,5 @@ class Mailbox:
                 message.deleted = deleted
                 changed += 1
         snapshot_filters = set(snapshot.filter_ids)
-        self.filters = [f for f in self.filters if f.filter_id in snapshot_filters]
+        self.filters = tuple(f for f in self.filters if f.filter_id in snapshot_filters)
         return changed

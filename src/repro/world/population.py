@@ -15,16 +15,16 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
 
 * **Lazy mailbox history.**  Building a world no longer pays for ~30
   history messages per account up front.  The ``population.history``
-  stream is consumed exactly once (a 64-bit master draw); each account's
-  history materializes from a private ``random.Random(child_seed)``,
-  derived from ``(master, account_id)`` at that moment, the first time
-  anything reads the mailbox; mail delivered before that is
-  queued and filed after the history (see :mod:`repro.world.mailbox`),
-  so receiving mail costs no history.  The derivation is
-  order-independent, so a world is **bit-identical** to the same world
-  with every mailbox touched right after the build
-  (``tests/world/equivalence.py`` fingerprints both), no matter
-  which mailboxes get touched, in what order, or never.
+  stream is consumed exactly once (a 64-bit master draw); the one
+  :class:`HistorySeeder` every mailbox shares materializes an account's
+  history from a private ``random.Random(child_seed)``, derived from
+  ``(master, account_id)`` at that moment, the first time anything
+  reads the mailbox; mail delivered before that is queued and filed
+  after the history (see :mod:`repro.world.mailbox`), so receiving mail
+  costs no history.  The derivation is order-independent, so a world is
+  **bit-identical** to the same world with every mailbox touched right
+  after the build (``tests/world/equivalence.py`` fingerprints both),
+  no matter which mailboxes get touched, in what order, or never.
 * **Streamed external victims.**  The external pool is a lazy sequence:
   victim *i* is derived from ``(external master, i)`` on first index.
   Campaign targeting samples *indices* (``rng.sample(range(n), k)``)
@@ -33,6 +33,10 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   population with ``list()`` whenever k is large against it.)
 * **Array-backed contact graph** — built straight into int lists; see
   :mod:`repro.world.contacts`.
+* **Untouched accounts hold their identity only**: user, address, ids,
+  password, recovery options and contact edges.  Their mailboxes hold
+  no message dict; filters and notes are the shared ``()``, traits one
+  of 16 shared :class:`~repro.world.users.MailboxTraits`.
 * **One collection per build.**  A build allocates millions of objects
   that all survive, so CPython's automatic collector would sweep the
   growing heap again and again for nothing.  :func:`build_population`
@@ -215,16 +219,15 @@ class Population:
     accounts: Dict[str, Account]
     contact_graph: ContactGraph
     external_victims: Sequence[ExternalVictim]
-    #: Keyed by ``str(address)``.  :meth:`MailService.send
-    #: <repro.mail.service.MailService.send>` builds that key itself, once
-    #: per recipient, for this lookup and for its log record both.
-    account_by_address: Dict[str, Account] = field(default_factory=dict)
+    #: Keyed by the :class:`EmailAddress` itself, which is the account's
+    #: own ``address`` object: no second copy of it as a string.
+    account_by_address: Dict[EmailAddress, Account] = field(default_factory=dict)
     account_by_user: Dict[str, Account] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.account_by_address:
             self.account_by_address = {
-                str(account.address): account for account in self.accounts.values()
+                account.address: account for account in self.accounts.values()
             }
         if not self.account_by_user:
             self.account_by_user = {
@@ -232,7 +235,7 @@ class Population:
             }
 
     def lookup_address(self, address: EmailAddress) -> Optional[Account]:
-        return self.account_by_address.get(str(address))
+        return self.account_by_address.get(address)
 
     def account_of_user(self, user_id: str) -> Account:
         return self.account_by_user[user_id]
@@ -300,6 +303,7 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
     users: Dict[str, User] = {}
     accounts: Dict[str, Account] = {}
     taken_usernames: set = set()
+    seeder = HistorySeeder(config, history_master)
 
     with obs.trace("population.build", n_users=config.n_users):
         with obs.trace("population.build.users"):
@@ -340,7 +344,7 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
                     address=address,
                     password=generate_password(user_rng),
                     recovery=recovery,
-                    mailbox=Mailbox(address),
+                    mailbox=Mailbox(address, seeder),
                 )
                 if (recovery.phone is not None
                         and user_rng.random() < config.owner_two_factor_adoption):
@@ -364,11 +368,7 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
                 n_other=config.n_external_other,
             ),
         )
-
-        with obs.trace("population.build.history"):
-            for account in accounts.values():
-                account.mailbox.defer_seed(HistorySeeder(
-                    population, config, account, history_master))
+        seeder.population = population
 
         with obs.trace("population.build.gc"):
             gc.collect(1)
@@ -376,7 +376,7 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
 
 
 class HistorySeeder:
-    """A deferred seeder filling one account's pre-simulation history.
+    """The deferred seeder of a population's pre-simulation histories.
 
     History is what the hijacker's profiling phase searches: organic
     threads with graph contacts *and* external correspondents (friends
@@ -384,7 +384,8 @@ class HistorySeeder:
     Section 5.3's fan-out numbers — a hijacker blasting "the contact
     list" reaches every correspondent, not just provider users.
 
-    All randomness comes from a private
+    One instance serves every mailbox of the population and finds the
+    account from ``mailbox.owner``.  All randomness comes from a private
     ``random.Random(child_seed(master, account_id))``, derived when the
     seeder runs rather than stored per account, and all
     message ids from a per-account namespace, so running this at build
@@ -394,20 +395,19 @@ class HistorySeeder:
     worlds across processes any more.
     """
 
-    __slots__ = ("_population", "_config", "_account", "_master")
+    __slots__ = ("population", "_config", "_master")
 
-    def __init__(self, population: Population, config: SimulationConfig,
-                 account: Account, master: int):
-        self._population = population
+    def __init__(self, config: SimulationConfig, master: int):
+        #: Set by the builder once the population exists.
+        self.population: Optional[Population] = None
         self._config = config
-        self._account = account
         self._master = master
 
     def __call__(self, mailbox: Mailbox) -> None:
-        account = self._account
+        account = self.population.lookup_address(mailbox.owner)
         rng = random.Random(child_seed(self._master, account.account_id))
         user = account.owner
-        contacts = self._population.contacts_of_account(account)
+        contacts = self.population.contacts_of_account(account)
         if not contacts:
             return
         history_span = 365 * DAY

@@ -12,6 +12,7 @@ up-to-date secondary email).
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -36,9 +37,10 @@ class ActivityLevel(enum.Enum):
         return {"daily": 24.0, "weekly": 72.0, "occasional": 240.0}[self.value]
 
 
-@dataclass(**SLOT_KWARGS)
+@dataclass(frozen=True, **SLOT_KWARGS)
 class MailboxTraits:
-    """What a hijacker would find worth stealing in this user's mailbox."""
+    """What a hijacker would find worth stealing in this user's mailbox
+    (frozen: :func:`sample_traits` hands out 16 shared instances)."""
 
     has_financial_threads: bool = False
     has_stored_credentials: bool = False
@@ -102,6 +104,11 @@ def sample_activity(rng: random.Random) -> ActivityLevel:
     return ActivityLevel.OCCASIONAL
 
 
+#: One shared instance per combination of the four flags, in field order.
+_TRAITS = {flags: MailboxTraits(*flags)
+           for flags in itertools.product((False, True), repeat=4)}
+
+
 def sample_traits(rng: random.Random) -> MailboxTraits:
     """Sample what valuables accumulate in a mailbox.
 
@@ -109,12 +116,8 @@ def sample_traits(rng: random.Random) -> MailboxTraits:
     credentials and personal media less so — matching the Table 3 search
     emphasis where finance terms dominate.
     """
-    return MailboxTraits(
-        has_financial_threads=rng.random() < 0.45,
-        has_stored_credentials=rng.random() < 0.20,
-        has_personal_media=rng.random() < 0.25,
-        has_signature_images=rng.random() < 0.15,
-    )
+    draw = rng.random
+    return _TRAITS[draw() < 0.45, draw() < 0.20, draw() < 0.25, draw() < 0.15]
 
 
 def sample_gullibility(rng: random.Random) -> float:

@@ -76,6 +76,22 @@ class TestSend:
         assert result.external_recipients == 1
         assert result.delivered == 0
 
+    def test_repeated_and_external_recipients(self, world):
+        """Recipients are looked up by address value; the log record
+        names each distinct recipient once, as sorted strings."""
+        population, store, service = world
+        sender, recipient = two_accounts(population)
+        external = EmailAddress(recipient.address.username, "mailhost.ca")
+        same = EmailAddress.parse(str(recipient.address))
+        result = service.send(sender, [recipient.address, same, external],
+                              "hi", now=100)
+        assert result.delivered == 2
+        assert result.external_recipients == 1
+        event = store.query(MailSentEvent)[0]
+        assert event.recipient_count == 3
+        assert event.distinct_recipients == tuple(
+            sorted({str(recipient.address), str(external)}))
+
     def test_zero_recipients_rejected(self, world):
         population, _store, service = world
         sender, _ = two_accounts(population)

@@ -22,7 +22,7 @@ def recorder():
                 obs.count("logstore.appends", 120)
                 obs.observe("logstore.query.window_events", 14)
                 obs.observe("logstore.query.window_events", 6)
-                obs.gauge("run_worlds.worker_utilization", 0.5)
+                obs.gauge("export_test.sample_gauge", 0.5)
     return active
 
 
@@ -31,7 +31,7 @@ class TestMetricsSnapshot:
         snapshot = obs.metrics_snapshot(recorder)
         round_tripped = json.loads(json.dumps(snapshot))
         assert round_tripped["counters"]["logstore.appends"] == 120
-        assert round_tripped["gauges"]["run_worlds.worker_utilization"] == 0.5
+        assert round_tripped["gauges"]["export_test.sample_gauge"] == 0.5
         histogram = round_tripped["histograms"]["logstore.query.window_events"]
         assert histogram == {"count": 2, "total": 20.0, "min": 6.0,
                              "max": 14.0, "mean": 10.0}
@@ -49,7 +49,7 @@ class TestFormatSummary:
         assert "simulation.run" in text
         assert "logstore.appends" in text
         assert "logstore.query.window_events" in text
-        assert "run_worlds.worker_utilization" in text
+        assert "export_test.sample_gauge" in text
 
     def test_empty_recorder_renders_placeholder(self):
         assert "no telemetry" in obs.format_summary(obs.ObsRecorder())

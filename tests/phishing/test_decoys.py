@@ -3,6 +3,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.logs.events import Actor, LoginEvent
 from repro.logs.store import LogStore
+from repro.net.email_addr import EmailAddress
 from repro.net.ip import IpAddress
 from repro.net.phones import PhoneNumberPlan
 from repro.phishing.decoys import DecoyInjector
@@ -38,6 +39,13 @@ class TestInjection:
         assert len(population) == before + 1
         assert record.account_id in population.accounts
         assert population.lookup_address(record.address) is not None
+
+    def test_honey_account_found_by_address_value(self, injector):
+        population, decoys = injector
+        record = decoys.inject(mail_page(), now=500)
+        account = population.lookup_address(
+            EmailAddress.parse(str(record.address)))
+        assert account is population.accounts[record.account_id]
 
     def test_credential_lands_on_page(self, injector):
         _population, decoys = injector

@@ -101,6 +101,23 @@ class TestFilters:
         assert not any(f.created_by_hijacker for f in mailbox.filters)
         assert len(mailbox.filters) == 1
 
+    def test_filters_stay_tuples_in_order(self, mailbox):
+        """Filters are a tuple replaced on each write: adding, remission
+        and a snapshot restore each keep creation order."""
+        owner_a = MailFilter("filter-000000", 0, False)
+        hijacker = MailFilter("filter-000001", 1, True)
+        owner_b = MailFilter("filter-000002", 2, False)
+        assert mailbox.filters == ()
+        for mail_filter in (owner_a, hijacker, owner_b):
+            mailbox.add_filter(mail_filter)
+        assert mailbox.filters == (owner_a, hijacker, owner_b)
+        snapshot = mailbox.snapshot(now=3)
+        assert mailbox.remove_hijacker_filters() == 1
+        assert mailbox.filters == (owner_a, owner_b)
+        mailbox.add_filter(MailFilter("filter-000003", 4, True))
+        mailbox.restore_from(snapshot)
+        assert mailbox.filters == (owner_a, owner_b)
+
 
 class TestViewsAndSearch:
     def test_search(self, mailbox):
@@ -226,6 +243,42 @@ class TestSnapshots:
         assert mailbox.restore_from(snapshot) == 0
 
 
+class TestPendingMailbox:
+    """A mailbox built with a seeder holds no message dict until the
+    first arrival or the first read."""
+
+    @staticmethod
+    def seeded(calls):
+        def seeder(box):
+            calls.append(box)
+            box.deliver(make_message("msgh-0001-0000"))
+        return Mailbox(OWNER, seeder)
+
+    def test_no_message_dict_until_mail_arrives(self):
+        calls = []
+        mailbox = self.seeded(calls)
+        assert history_pending(mailbox) and mailbox._messages is None
+        mailbox.deliver(make_message("msg-000000"))
+        assert history_pending(mailbox) and not calls
+        assert list(mailbox._messages) == ["msg-000000"]
+
+    def test_get_missing_id_materializes_then_raises(self):
+        calls = []
+        mailbox = self.seeded(calls)
+        with pytest.raises(KeyError):
+            mailbox.get("msg-missing")
+        assert calls == [mailbox] and not history_pending(mailbox)
+        assert mailbox.get("msgh-0001-0000").folder is Folder.INBOX
+
+    def test_materialize_with_no_queued_arrivals(self):
+        calls = []
+        mailbox = self.seeded(calls)
+        assert [m.message_id for m in mailbox.messages()] == ["msgh-0001-0000"]
+        assert calls == [mailbox]
+        mailbox.deliver(make_message("msg-000000"))
+        assert len(mailbox) == 2 and len(calls) == 1
+
+
 class TestFirstReadTiming:
     """The arrival order and correspondent map are built from
     ``_messages`` on first read and kept up by delivery after that; when
@@ -281,8 +334,7 @@ class TestFirstReadTiming:
         expected = self.views(self.delivered(self.arrivals()))
         arrivals = self.arrivals()
         history, later = arrivals[:8], arrivals[8:]
-        mailbox = Mailbox(OWNER)
-        mailbox.defer_seed(lambda box: self.delivered(history, box))
+        mailbox = Mailbox(OWNER, lambda box: self.delivered(history, box))
         self.delivered(later[:split], mailbox)
         assert history_pending(mailbox)
         self.views(mailbox)
