@@ -95,7 +95,6 @@ class DecoyInjector:
             mailbox=Mailbox(address),
             created_at=now,
         )
-        self.population.users[user.user_id] = user
         self.population.accounts[account.account_id] = account
         self.population.account_by_address[address] = account
         self.population.account_by_user[user.user_id] = account

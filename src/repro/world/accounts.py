@@ -9,8 +9,8 @@ detection) suspended → (recovery claim verified) restored.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Optional, Tuple, Union
 
 from repro.net.email_addr import EmailAddress
 from repro.net.phones import PhoneNumber
@@ -72,7 +72,10 @@ class Account:
     address: EmailAddress
     password: str
     recovery: RecoveryOptions
-    mailbox: Mailbox
+    #: The mailbox, or the population's shared history seeder: an
+    #: untouched account holds no :class:`Mailbox`, and the first read of
+    #: :attr:`mailbox` builds ``Mailbox(address, seeder)``.
+    mailbox: InitVar[Union[Mailbox, Callable[[Mailbox], None]]]
     state: AccountState = AccountState.ACTIVE
     created_at: int = 0
     last_activity_at: int = 0
@@ -83,6 +86,11 @@ class Account:
     password_changed_by_hijacker: bool = False
     #: Notes, rare enough to share ``()`` until the first; replaced on write.
     history: Tuple[str, ...] = ()
+    _mailbox: Union[Mailbox, Callable[[Mailbox], None]] = field(init=False)
+
+    def __post_init__(
+            self, mailbox: Union[Mailbox, Callable[[Mailbox], None]]) -> None:
+        self._mailbox = mailbox
 
     def verify_password(self, attempt: str) -> bool:
         return attempt == self.password
@@ -138,3 +146,15 @@ class Account:
 
     def __repr__(self) -> str:
         return f"Account({self.account_id}, {self.address}, {self.state.value})"
+
+
+def _mailbox_of(account: Account) -> Mailbox:
+    mailbox = account._mailbox
+    if not isinstance(mailbox, Mailbox):  # first touch: build it now
+        mailbox = account._mailbox = Mailbox(account.address, mailbox)
+    return mailbox
+
+
+#: Set after the class body, where the ``mailbox`` init argument would
+#: take a property as its default.
+Account.mailbox = property(_mailbox_of, doc="The account's mailbox.")

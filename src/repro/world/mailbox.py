@@ -11,9 +11,11 @@ mailbox of a population shares its one *seeder*, which finds the account
 by owner address and derives its child seed when it runs; the first
 operation that reads messages — search, folder views, snapshots, the
 correspondent list — or installs a filter runs it first, so history
-exists exactly when something first looks.  Until then a mailbox holds
-its owner and the seeder: no message dict before mail arrives, the
-shared empty filter tuple, no correspondent map.  Delivery is not a
+exists exactly when something first looks.  An account no one touches
+holds no mailbox at all, only the seeder (see
+:class:`~repro.world.accounts.Account`); once built, a pending mailbox
+holds its owner and the seeder: no message dict before mail arrives,
+the shared empty filter tuple, no correspondent map.  Delivery is not a
 read: mail arriving while history is pending is queued in O(1), and
 materialization replays the queue through :meth:`Mailbox.deliver` after
 the history, so arrival order, folders and correspondents come out as if

@@ -14,8 +14,10 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Union
 
+from repro.net.email_addr import EmailAddress
 from repro.util.compat import SLOT_KWARGS
 
 
@@ -68,7 +70,10 @@ class User:
     one instance per user, a top memory line at scale)."""
 
     user_id: str
-    name: str
+    #: The display name, or the account's address: a built population
+    #: passes the address and :attr:`name` derives the name from it on
+    #: each read, so no user stores a name string of its own.
+    name: InitVar[Union[str, EmailAddress]]
     country: str
     language: str
     activity: ActivityLevel
@@ -83,8 +88,10 @@ class User:
     has_secret_question: bool = True
     #: .edu users sit behind weaker commodity spam filtering (Section 4.2).
     behind_weak_spam_filter: bool = False
+    _name: Union[str, EmailAddress] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, name: Union[str, EmailAddress]) -> None:
+        self._name = name
         if not 0.0 <= self.gullibility <= 1.0:
             raise ValueError(f"gullibility must be in [0,1], got {self.gullibility}")
 
@@ -92,6 +99,18 @@ class User:
         """Minutes until this user reacts to an out-of-band anomaly."""
         mean = self.activity.mean_reaction_hours * 60.0
         return max(1, int(rng.expovariate(1.0 / mean)))
+
+
+def _display_name(user: User) -> str:
+    name = user._name
+    if isinstance(name, str):
+        return name
+    return name.username.replace(".", " ").title()
+
+
+#: Set after the class body, where the ``name`` init argument would take
+#: a property as its default.
+User.name = property(_display_name, doc="The user's display name.")
 
 
 def sample_activity(rng: random.Random) -> ActivityLevel:

@@ -108,3 +108,28 @@ class TestCredential:
             captured_at=100, source_page_id="page-000000",
         )
         assert not credential.is_decoy
+
+
+class TestMailboxOnFirstRead:
+    def test_given_mailbox_is_kept(self, account):
+        mailbox = account.mailbox
+        assert isinstance(mailbox, Mailbox) and account.mailbox is mailbox
+
+    def test_seeder_builds_one_pending_mailbox_on_first_read(self, account):
+        seeded = []
+
+        def seeder(mailbox):
+            seeded.append(mailbox)
+
+        lazy = Account(
+            account_id="acct-000001", owner=account.owner,
+            address=EmailAddress("other", "primarymail.com"),
+            password="p", recovery=RecoveryOptions(), mailbox=seeder,
+        )
+        assert lazy._mailbox is seeder
+        mailbox = lazy.mailbox
+        assert lazy.mailbox is mailbox and mailbox.owner is lazy.address
+        assert mailbox._seeder is seeder and seeded == []
+        mailbox.messages()
+        assert seeded == [mailbox]
+

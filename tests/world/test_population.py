@@ -13,6 +13,7 @@ from repro.net.phones import PhoneNumberPlan
 from repro.util.compat import SLOT_KWARGS
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
+from repro.world.mailbox import Mailbox
 from repro.world.messages import MessageKind
 from repro.world.population import (
     Population,
@@ -194,11 +195,12 @@ class TestGarbageCollection:
 
 class TestBuildMemory:
     def test_peak_stays_near_the_finished_world(self):
-        """The contact graph is built straight into its final int lists,
-        so the build leaves no transient structure behind: the traced
-        peak stays within 10% of what the finished world holds.  A
-        per-user adjacency set built first and then copied puts it at
-        1.27x."""
+        """The contact graph is built into one flat row array and then
+        its final two int arrays, and the username set is freed before
+        the graph and lookup dicts are built, so the traced peak stays
+        within 10% of what the finished world holds (1.072-1.075 on
+        CPython 3.10-3.13).  A per-user adjacency set built first and
+        then copied puts it at 1.27x."""
         gc.collect()
         tracemalloc.start()
         try:
@@ -211,25 +213,37 @@ class TestBuildMemory:
 
 
 class TestUntouchedFootprint:
-    """An account no one touches holds its identity only: one seeder
-    shared by every mailbox, no message dict, the shared empty filters
-    and notes, and one of 16 shared trait records."""
+    """An account no one touches holds its identity only: no mailbox,
+    just the seeder every account shares, no name string, the shared
+    empty notes, and one of 16 shared trait records.  Its first mailbox
+    read builds a pending mailbox with no message dict and the shared
+    empty filters."""
 
-    #: Traced live bytes per account of this 3,000-user build are 1,195
-    #: to 1,296 on CPython 3.10-3.13; with a seeder, message dict, filter
-    #: list and note list per account they were 1,572 to 1,932.
-    MAX_BYTES_PER_ACCOUNT = 1_400
+    #: Traced live bytes per account of this 3,000-user build are 890 to
+    #: 973 on CPython 3.10-3.13; with a mailbox object, a name string and
+    #: a users-dict entry per account they were 1,190 to 1,292, and with
+    #: a seeder, message dict, filter list and note list per account
+    #: 1,572 to 1,932.
+    MAX_BYTES_PER_ACCOUNT = 1_050
 
     def test_untouched_accounts_share_their_empty_parts(self):
         population = _build(3_000)
         accounts = list(population.accounts.values())
         empty = ()
-        assert len({id(a.mailbox._seeder) for a in accounts}) == 1
+        seeders = {id(a._mailbox) for a in accounts}
+        assert len(seeders) == 1
         for account in accounts:
-            mailbox = account.mailbox
-            assert history_pending(mailbox) and mailbox._messages is None
-            assert mailbox.filters is empty and account.history is empty
+            assert not isinstance(account._mailbox, Mailbox)
+            assert account.owner._name is account.address
+            assert account.history is empty
         assert len({id(a.owner.traits) for a in accounts}) <= 16
+        for account in accounts[:50]:
+            mailbox = account.mailbox
+            assert account._mailbox is mailbox and account.mailbox is mailbox
+            assert id(mailbox._seeder) in seeders
+            assert history_pending(mailbox) and mailbox._messages is None
+            assert mailbox.filters is empty
+        assert all(not isinstance(a._mailbox, Mailbox) for a in accounts[50:])
 
     @pytest.mark.skipif(not SLOT_KWARGS, reason="dataclass slots need 3.10+")
     def test_traced_bytes_per_account(self):

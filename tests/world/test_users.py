@@ -1,5 +1,6 @@
 import pytest
 
+from repro.net.email_addr import EmailAddress
 from repro.world.users import (
     ActivityLevel,
     MailboxTraits,
@@ -19,6 +20,19 @@ def make_user(**overrides):
     )
     defaults.update(overrides)
     return User(**defaults)
+
+
+class TestDisplayName:
+    def test_name_as_given(self):
+        assert make_user(name="Decoy Holder").name == "Decoy Holder"
+
+    @pytest.mark.parametrize("username,name", [
+        ("ana.maria", "Ana Maria"), ("nina49", "Nina49"), ("jo.smith7", "Jo Smith7"),
+    ])
+    def test_name_derived_from_an_address(self, username, name):
+        address = EmailAddress(username, "primarymail.com")
+        user = make_user(name=address)
+        assert user.name == name and user._name is address
 
 
 class TestActivityLevel:
