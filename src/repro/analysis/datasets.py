@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
 
@@ -81,7 +82,7 @@ from repro.util.clock import DAY, HOUR
 from repro.util.rng import child_seed
 from repro.world.accounts import Account
 from repro.world.messages import EmailMessage
-from repro.world.users import ActivityLevel
+from repro.world.users import ACTIVITY_LEVELS, ActivityLevel
 
 __all__ = [
     "D12_WINDOW_DAYS", "D1_POOL", "D9_SEED_WINDOW_DAYS", "Dataset",
@@ -586,13 +587,25 @@ def _reported_hijack_mail(data: Datasets) -> List[EmailMessage]:
     return _sample(data.result, 8, messages, REQUESTED[8])
 
 
+_FREQUENT = (ActivityLevel.DAILY, ActivityLevel.WEEKLY)
+_FREQUENT_CODES = frozenset(ACTIVITY_LEVELS.index(level) for level in _FREQUENT)
+
+
 @dataset("active_accounts")
 def _active_accounts(data: Datasets) -> List[Account]:
-    """D9's random-sample pool: daily and weekly users, in population order."""
-    return [
-        account for account in data.result.population.accounts.values()
-        if account.owner.activity in (ActivityLevel.DAILY, ActivityLevel.WEEKLY)
-    ]
+    """D9's random-sample pool: daily and weekly users, in population order.
+
+    Built accounts are picked by the activity column, which builds no
+    owner; accounts added after the build (decoys) by their owner.
+    """
+    population = data.result.population
+    activities = population.profiles.activities
+    accounts = population.by_position
+    active = list(compress(accounts, map(_FREQUENT_CODES.__contains__,
+                                         activities)))
+    active.extend(account for account in accounts[len(activities):]
+                  if account.owner.activity in _FREQUENT)
+    return active
 
 
 def _cohorts(data: Datasets, seed_window_days: int,
@@ -612,19 +625,18 @@ def _cohorts(data: Datasets, seed_window_days: int,
         and report.account_id is not None
         and report.pickup_at < seed_window_days * DAY
     }
-    victim_users = {
-        population.accounts[a].owner.user_id for a in early_victims}
-    contact_users = population.contact_graph.neighborhood(victim_users)
-    contact_accounts = [
-        population.account_of_user(user_id)
-        for user_id in sorted(contact_users)
-    ]
+    graph = population.contact_graph
+    contacts = graph.neighborhood(
+        population.accounts[a].position for a in early_victims)
+    by_position = population.by_position
+    contact_accounts = [by_position[position]
+                        for position in graph.in_user_order(contacts)]
     rng = _rng(result, 9)
     size = REQUESTED[9]
     if len(contact_accounts) > size:
         contact_accounts = rng.sample(contact_accounts, size)
     active = [account for account in data.get("active_accounts")
-              if account.owner.user_id not in victim_users]
+              if account.account_id not in early_victims]
     random_accounts = active if len(active) <= size else rng.sample(active, size)
     return contact_accounts, random_accounts
 

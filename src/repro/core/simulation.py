@@ -86,7 +86,6 @@ ORGANIC_FORWARD_DAYS = 2
 
 #: The target fields :meth:`Simulation._pick_targets` reads, in C.
 _ADDRESS = attrgetter("address")
-_OWNER_GULLIBILITY = attrgetter("owner.gullibility")
 _FILTER_STRENGTH = attrgetter("spam_filter_strength")
 _GULLIBILITY = attrgetter("gullibility")
 
@@ -231,12 +230,11 @@ class Simulation:
         self.crew_states = [self._build_crew_state(crew) for crew in config.crews]
         self._crew_by_name = {state.crew.name: state for state in self.crew_states}
 
-        #: Frozen target pools for campaign sampling.  Rebuilding a list
-        #: of every account per campaign is O(n_users) each launch — at
-        #: 10⁶ users that dwarfs the campaign itself — so the provider
-        #: pool is resolved once here.
-        self._provider_pool: Tuple[Account, ...] = tuple(
-            self.population.accounts.values())
+        #: The provider target pool: the positions of the built accounts
+        #: (decoys join later and are never targeted).  Sampling a range
+        #: draws what sampling the accounts would, with no O(n_users)
+        #: list per campaign or per world.
+        self._provider_pool = range(len(self.population.profiles))
 
         self.incidents: List[IncidentReport] = []
         self.campaigns: List[CampaignResult] = []
@@ -488,7 +486,9 @@ class Simulation:
         n_provider = int(count * self.config.provider_target_fraction)
         n_external = count - n_provider
         pool = self._provider_pool
-        accounts = sample(rng, pool, min(n_provider, len(pool)))
+        positions = sample(rng, pool, min(n_provider, len(pool)))
+        accounts = list(map(self.population.by_position.__getitem__,
+                            positions))
         # Sample indices, not the lazy pool: sampling copies a Sequence
         # with ``list()`` (materializing every victim) when k is large
         # against it.  Same RNG draws, same picks.
@@ -497,7 +497,8 @@ class Simulation:
             sample(rng, range(len(externals)), min(n_external, len(externals))))
         return chain(
             zip(map(_ADDRESS, accounts), repeat(PROVIDER_FILTER_STRENGTH),
-                map(_OWNER_GULLIBILITY, accounts), accounts),
+                map(self.population.profiles.gullibility.__getitem__,
+                    positions), accounts),
             zip(map(_ADDRESS, victims), map(_FILTER_STRENGTH, victims),
                 map(_GULLIBILITY, victims), repeat(None)),
         )

@@ -89,9 +89,7 @@ class MailService:
             sender_account.mailbox.file_sent(message)
 
         result = SendResult(message=message)
-        # ``Population.account_by_address`` is keyed by the address
-        # itself; only the log record's distinct list needs strings.
-        lookup = self.population.account_by_address.get
+        lookup = self.population.lookup_address
         if len(recipients) == 1:
             distinct = (str(recipients[0]),)
         else:
@@ -121,8 +119,7 @@ class MailService:
     def _deliver_internal(self, message: EmailMessage, sender_account,
                           recipient_account, now: int, result: SendResult) -> None:
         sender_is_contact = self.population.contact_graph.are_connected(
-            sender_account.owner.user_id, recipient_account.owner.user_id,
-        )
+            sender_account.position, recipient_account.position)
         verdict = self.spam_filter.classify(message, sender_is_contact)
         # Each recipient gets their own mailbox copy; placement differs
         # per recipient so copies are distinct message objects.

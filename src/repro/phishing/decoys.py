@@ -95,10 +95,7 @@ class DecoyInjector:
             mailbox=Mailbox(address),
             created_at=now,
         )
-        self.population.accounts[account.account_id] = account
-        self.population.account_by_address[address] = account
-        self.population.account_by_user[user.user_id] = account
-        self.population.contact_graph.add_user(user.user_id)
+        self.population.add_account(account)
         return account
 
     def first_access_deltas(self, store: LogStore) -> Dict[str, Optional[int]]:

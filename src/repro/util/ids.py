@@ -8,7 +8,7 @@ failures reproducible by id.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional
 
 
 class IdMinter:
@@ -36,7 +36,27 @@ class IdMinter:
             raise ValueError(f"invalid id prefix: {prefix!r}")
         count = self._counters.get(prefix, 0)
         self._counters[prefix] = count + 1
-        return f"{prefix}-{count:0{self._width}d}"
+        return format_id(prefix, count, self._width)
+
+    @property
+    def width(self) -> int:
+        """Digits of the zero-padded counter."""
+        return self._width
+
+    def reserve(self, prefix: str, count: int) -> int:
+        """Take ``prefix``'s next ``count`` numbers without minting their
+        ids; returns the first.  The id :meth:`mint` would have returned
+        for number ``k`` is ``format_id(prefix, k, self.width)``.
+
+        >>> minter = IdMinter()
+        >>> minter.reserve("user", 3), minter.mint("user")
+        (0, 'user-000003')
+        """
+        if count < 0:
+            raise ValueError(f"cannot reserve {count} ids")
+        first = self._counters.get(prefix, 0)
+        self._counters[prefix] = first + count
+        return first
 
     def count(self, prefix: str) -> int:
         """How many ids have been minted under ``prefix``."""
@@ -45,3 +65,42 @@ class IdMinter:
     def __repr__(self) -> str:
         return f"IdMinter({dict(sorted(self._counters.items()))!r})"
 
+
+def format_id(prefix: str, number: int, width: int = 6) -> str:
+    """The id an :class:`IdMinter` of ``width`` mints as ``prefix``'s
+    ``number``-th (counting from 0).
+
+    >>> format_id("user", 42)
+    'user-000042'
+    """
+    return f"{prefix}-{number:0{width}d}"
+
+
+def string_order(first: int, count: int, width: int) -> Optional[List[int]]:
+    """The offsets ``0..count-1`` of the ids numbered ``first`` to
+    ``first + count - 1`` (one prefix, zero-padded to ``width``), in the
+    order the id strings sort; ``None`` when that is numeric order, which
+    holds while every number has the same digit count.
+
+    The sort key of each id is one int, not its string: a digit string
+    sorts as its number padded on the right with zeros to the longest
+    length, then shorter first.
+
+    >>> string_order(8, 4, width=1)  # '10' < '11' < '8' < '9'
+    [2, 3, 0, 1]
+    >>> string_order(0, 1000, width=3) is None
+    True
+    """
+    if count <= 1:
+        return None
+    shortest = max(width, len(str(first)))
+    longest = max(width, len(str(first + count - 1)))
+    if shortest == longest:
+        return None
+
+    def key(offset: int) -> int:
+        number = first + offset
+        digits = max(width, len(str(number)))
+        return number * 10 ** (longest - digits) * (longest + 1) + digits
+
+    return sorted(range(count), key=key)

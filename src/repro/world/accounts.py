@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 from repro.net.email_addr import EmailAddress
 from repro.net.phones import PhoneNumber
 from repro.util.compat import SLOT_KWARGS
 from repro.world.mailbox import Mailbox
 from repro.world.users import User
+
+if TYPE_CHECKING:
+    from repro.world.population import OwnerProfiles
 
 
 class AccountState(enum.Enum):
@@ -68,10 +71,15 @@ class Account:
     """One account at the primary provider (slotted: one per user)."""
 
     account_id: str
-    owner: User
+    #: The owner, or the population's :class:`OwnerProfiles`: an
+    #: untouched account holds no :class:`User`, and the first read of
+    #: :attr:`owner` builds it from the account's row of the columns.
+    owner: InitVar[Union[User, OwnerProfiles]]
     address: EmailAddress
     password: str
-    recovery: RecoveryOptions
+    #: The recovery options, or the population's :class:`OwnerProfiles`,
+    #: read the same way as :attr:`owner`.
+    recovery: InitVar[Union[RecoveryOptions, OwnerProfiles]]
     #: The mailbox, or the population's shared history seeder: an
     #: untouched account holds no :class:`Mailbox`, and the first read of
     #: :attr:`mailbox` builds ``Mailbox(address, seeder)``.
@@ -86,10 +94,19 @@ class Account:
     password_changed_by_hijacker: bool = False
     #: Notes, rare enough to share ``()`` until the first; replaced on write.
     history: Tuple[str, ...] = ()
+    #: Creation order in the population: the contact graph's key and the
+    #: row of the owner's profile; ``-1`` outside a population.
+    position: int = -1
+    _owner: Union[User, OwnerProfiles] = field(init=False)
+    _recovery: Union[RecoveryOptions, OwnerProfiles] = field(init=False)
     _mailbox: Union[Mailbox, Callable[[Mailbox], None]] = field(init=False)
 
     def __post_init__(
-            self, mailbox: Union[Mailbox, Callable[[Mailbox], None]]) -> None:
+            self, owner: Union[User, OwnerProfiles],
+            recovery: Union[RecoveryOptions, OwnerProfiles],
+            mailbox: Union[Mailbox, Callable[[Mailbox], None]]) -> None:
+        self._owner = owner
+        self._recovery = recovery
         self._mailbox = mailbox
 
     def verify_password(self, attempt: str) -> bool:
@@ -148,6 +165,20 @@ class Account:
         return f"Account({self.account_id}, {self.address}, {self.state.value})"
 
 
+def _owner_of(account: Account) -> User:
+    owner = account._owner
+    if not isinstance(owner, User):  # first read: build it from the row
+        owner = account._owner = owner.owner_of(account)
+    return owner
+
+
+def _recovery_of(account: Account) -> RecoveryOptions:
+    recovery = account._recovery
+    if not isinstance(recovery, RecoveryOptions):  # first read: build it
+        recovery = account._recovery = recovery.recovery_of(account)
+    return recovery
+
+
 def _mailbox_of(account: Account) -> Mailbox:
     mailbox = account._mailbox
     if not isinstance(mailbox, Mailbox):  # first touch: build it now
@@ -155,6 +186,8 @@ def _mailbox_of(account: Account) -> Mailbox:
     return mailbox
 
 
-#: Set after the class body, where the ``mailbox`` init argument would
-#: take a property as its default.
+#: Set after the class body, where the init arguments of the same names
+#: would take a property as their default.
+Account.owner = property(_owner_of, doc="The account's owner.")
+Account.recovery = property(_recovery_of, doc="The account's recovery options.")
 Account.mailbox = property(_mailbox_of, doc="The account's mailbox.")

@@ -6,16 +6,22 @@ exploited account's contact list becomes the next phishing target pool.
 We build a clustered small-world graph (ring lattice plus random rewiring,
 Watts–Strogatz style) so contact neighborhoods are meaningful.
 
-Scale notes: the graph is two flat int arrays.  User ids are mapped to
-dense integer indices once; node *i*'s neighbour indices are the slice
-``neighbors[offsets[i]:offsets[i + 1]]`` of one ``array("i")`` (a CSR
-layout), so an edge costs two 4-byte entries and there is no per-node
-list or int object.  A 60,000-user ``mean_degree=8`` graph traces
-6.3 MB, 2.2 MB of it the two arrays and the rest the id index; with a
-list per node it traced 14.6 MB.
-:meth:`ContactGraph.contacts_of` sorts a node's ~``mean_degree``
-neighbour ids on each call; a run makes a few hundred of those calls,
-too few for a cache to pay.
+Scale notes: the graph is two flat int arrays keyed by account
+*position* (an account's creation order in its population), so it holds
+no user id and no id index.  Node *p*'s neighbour positions are the
+slice ``neighbors[offsets[p]:offsets[p + 1]]`` of one ``array("i")`` (a
+CSR layout), so an edge costs two 4-byte entries and there is no
+per-node list or int object.  A 60,000-user ``mean_degree=8`` graph
+traces 2.2 MB; keyed by user id through a dict and an id list it traced
+6.3 MB, and with a list per node 14.6 MB.
+
+Contact lists come out in user-id order, the order the graph was built
+in.  That is position order while every minted user id has the same
+number of digits; past that (a 6-digit minter beyond 10⁶ users) the
+graph keeps the user-id rank of each position (``_rank``) and sorts by
+it.  :meth:`ContactGraph.contacts_of` sorts a node's ~``mean_degree``
+neighbours on each call; a run makes a few hundred of those calls, too
+few for a cache to pay.
 """
 
 from __future__ import annotations
@@ -23,88 +29,99 @@ from __future__ import annotations
 import random
 from array import array
 from itertools import accumulate
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 
 class ContactGraph:
-    """Undirected contact relationships between user ids.
+    """Undirected contact relationships between account positions.
 
-    Internally two int arrays over dense indices (``_offsets``,
-    ``_neighbors``, see the module notes).  The public API is id-based.
+    Internally two int arrays (``_offsets``, ``_neighbors``, see the
+    module notes), plus ``_rank`` when user-id order is not position
+    order.  A position outside ``range(len(graph))`` (an account built
+    outside any population holds ``-1``) has no contacts.
     """
 
-    __slots__ = ("_index_of", "_ids", "_offsets", "_neighbors")
+    __slots__ = ("_offsets", "_neighbors", "_rank")
 
     def __init__(self) -> None:
-        self._index_of: Dict[str, int] = {}
-        self._ids: List[str] = []
         self._offsets = array("i", [0])
         self._neighbors = array("i")
+        #: Position -> user-id rank, or ``None`` when they are equal.
+        self._rank: Optional[array] = None
 
     @classmethod
-    def _from_indexed(cls, user_ids: Sequence[str], offsets: array,
-                      neighbors: array) -> "ContactGraph":
-        """Bulk constructor: adopt a CSR adjacency (``len(user_ids) + 1``
+    def _from_csr(cls, offsets: array, neighbors: array) -> "ContactGraph":
+        """Bulk constructor: adopt a CSR adjacency (``len(graph) + 1``
         offsets into ``neighbors``) without copying it."""
         graph = cls()
-        graph._ids = list(user_ids)
-        graph._index_of = {user_id: index
-                           for index, user_id in enumerate(graph._ids)}
-        if len(graph._index_of) != len(graph._ids):
-            raise ValueError("duplicate user ids in bulk adjacency")
         graph._offsets = offsets
         graph._neighbors = neighbors
         return graph
 
-    def add_user(self, user_id: str) -> None:
-        """Add a user with no contacts (a no-op for a known user): an
-        empty slice at the end of the neighbour array."""
-        if user_id not in self._index_of:
-            self._index_of[user_id] = len(self._ids)
-            self._ids.append(user_id)
-            self._offsets.append(len(self._neighbors))
+    def renumber(self, order: Sequence[int]) -> None:
+        """Renumber node ``i`` as position ``order[i]``: the graph was
+        built over user-id order, and ``order`` lists the positions in
+        that order."""
+        rank = array("i", [0]) * len(order)
+        for node, position in enumerate(order):
+            rank[position] = node
+        offsets, neighbors = self._offsets, self._neighbors
+        moved_offsets = array("i", accumulate(
+            (offsets[node + 1] - offsets[node] for node in rank), initial=0))
+        moved = array("i", [0]) * len(neighbors)
+        for position, node in enumerate(rank):
+            moved[moved_offsets[position]:moved_offsets[position + 1]] = array(
+                "i", [order[neighbor] for neighbor
+                      in neighbors[offsets[node]:offsets[node + 1]]])
+        self._offsets, self._neighbors, self._rank = moved_offsets, moved, rank
 
-    def _neighbors_of(self, index: int) -> array:
+    def add_user(self) -> int:
+        """Append a node with no contacts (an empty slice at the end of
+        the neighbour array) and return its position."""
+        position = len(self._offsets) - 1
+        self._offsets.append(len(self._neighbors))
+        if self._rank is not None:
+            self._rank.append(position)
+        return position
+
+    def _neighbors_of(self, position: int) -> array:
         offsets = self._offsets
-        return self._neighbors[offsets[index]:offsets[index + 1]]
+        if not 0 <= position < len(offsets) - 1:
+            return array("i")
+        return self._neighbors[offsets[position]:offsets[position + 1]]
 
-    def contacts_of(self, user_id: str) -> List[str]:
-        """Sorted contact list (sorted for determinism)."""
-        index = self._index_of.get(user_id)
-        if index is None:
-            return []
-        ids = self._ids
-        return sorted(ids[neighbor] for neighbor in self._neighbors_of(index))
+    def in_user_order(self, positions: Iterable[int]) -> List[int]:
+        """``positions`` sorted by their users' ids."""
+        rank = self._rank
+        if rank is None:
+            return sorted(positions)
+        return sorted(positions, key=rank.__getitem__)
 
-    def are_connected(self, a: str, b: str) -> bool:
+    def contacts_of(self, position: int) -> List[int]:
+        """Contact positions in user-id order (sorted for determinism)."""
+        return self.in_user_order(self._neighbors_of(position))
+
+    def are_connected(self, a: int, b: int) -> bool:
         """O(degree): a scan of ``a``'s slice of the neighbour array."""
-        index_a = self._index_of.get(a)
-        index_b = self._index_of.get(b)
-        if index_a is None or index_b is None:
-            return False
-        return index_b in self._neighbors_of(index_a)
+        return b in self._neighbors_of(a)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._offsets) - 1
 
-    def neighborhood(self, user_ids: Iterable[str]) -> Set[str]:
-        """Union of contacts of the given users, excluding the users."""
-        seed = set(user_ids)
-        ids = self._ids
-        result: Set[str] = set()
-        for user_id in seed:
-            index = self._index_of.get(user_id)
-            if index is not None:
-                result.update(ids[neighbor]
-                              for neighbor in self._neighbors_of(index))
+    def neighborhood(self, positions: Iterable[int]) -> Set[int]:
+        """Union of contacts of the given positions, excluding them."""
+        seed = set(positions)
+        result: Set[int] = set()
+        for position in seed:
+            result.update(self._neighbors_of(position))
         return result - seed
 
 
-def build_small_world(user_ids: Sequence[str], rng: random.Random,
+def build_small_world(n: int, rng: random.Random,
                       mean_degree: int = 8, rewire_probability: float = 0.1) -> ContactGraph:
     """Watts–Strogatz-style small-world contact graph.
 
-    Each user is wired to ``mean_degree`` ring neighbors, then each edge is
+    Each of ``n`` nodes is wired to ``mean_degree`` ring neighbors, then each edge is
     rewired to a random endpoint with ``rewire_probability``.  High
     clustering means a hijacked account's contacts know each other — the
     substrate for semi-personalized scams spreading through communities.
@@ -117,17 +134,17 @@ def build_small_world(user_ids: Sequence[str], rng: random.Random,
     ``x < i`` and *i* is in row *x*: that rule is the membership test,
     so the ``random()``/``randrange(n)`` calls, and the graph, are those
     of a list-per-node build (kept as the oracle in
-    ``tests/world/test_contacts.py``) for a fixed (user_ids, rng state).  One pass then lays the rows out as the final CSR arrays,
-    each node's neighbours in the order the edges were made.
+    ``tests/world/test_contacts.py``) for a fixed (n, rng state).  One
+    pass then lays the rows out as the final CSR arrays, each node's
+    neighbours in the order the edges were made.
     """
     if mean_degree % 2:
         raise ValueError(f"mean degree must be even, got {mean_degree}")
     if not 0.0 <= rewire_probability <= 1.0:
         raise ValueError(f"rewire probability out of range: {rewire_probability}")
-    n = len(user_ids)
     if n <= 1:
-        return ContactGraph._from_indexed(user_ids, array("i", [0]) * (n + 1),
-                                          array("i"))
+        return ContactGraph._from_csr(array("i", [0]) * (max(n, 0) + 1),
+                                      array("i"))
     half_degree = min(mean_degree // 2, max(1, (n - 1) // 2))
     targets = array("i", [-1]) * (n * half_degree)
     degree = array("i", [0]) * n
@@ -179,4 +196,4 @@ def build_small_world(user_ids: Sequence[str], rng: random.Random,
             neighbors[at] = index
             cursor[neighbor] = at + 1
     del targets, cursor
-    return ContactGraph._from_indexed(user_ids, offsets, neighbors)
+    return ContactGraph._from_csr(offsets, neighbors)

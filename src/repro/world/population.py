@@ -32,17 +32,23 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   picks.  (``rng.sample(pool, k)`` would not: CPython copies a Sequence
   population with ``list()`` whenever k is large against it.)
 * **Array-backed contact graph** — two flat int arrays (CSR offsets
-  and neighbours) built without a per-node list, 6.3 MB traced for
-  60,000 users; see :mod:`repro.world.contacts`.
-* **Untouched accounts hold their identity only**: user, address, ids,
-  password, recovery options and contact edges.  Such an account holds
-  no :class:`Mailbox`, only the one :class:`HistorySeeder` every
-  account shares, and builds its mailbox on the first ``mailbox``
-  read; the user's display name derives from the address when read,
-  so no name string is stored; notes are the shared ``()``, traits one
-  of 16 shared :class:`~repro.world.users.MailboxTraits`.  The
-  population keeps no separate user dict.  A 3,000-user build traces
-  890–973 live bytes per account on CPython 3.10–3.13.
+  and neighbours) keyed by account position, built without a per-node
+  list and with no user-id index, 2.2 MB traced for 60,000 users; see
+  :mod:`repro.world.contacts`.
+* **Untouched accounts hold their identity only**: address, account
+  id, password, position and a row of the population's
+  :class:`OwnerProfiles` columns.  Such an account holds no
+  :class:`User` and no :class:`RecoveryOptions` (the first ``owner``
+  or ``recovery`` read builds them from the row) and no
+  :class:`Mailbox`, only the one :class:`HistorySeeder` every account
+  shares (the first ``mailbox`` read builds the mailbox).  A built
+  user's display name derives from the address when read, and its id
+  from the position; notes are the shared ``()``, traits one of 16
+  shared :class:`~repro.world.users.MailboxTraits`.  The population
+  keeps no user dict, and the usernames the build must not reissue
+  are the keys of :attr:`Population.account_by_username`.  A
+  3,000-user build traces 517–573 live bytes per account on CPython
+  3.10–3.13.
 * **One collection per build.**  A build allocates millions of objects
   that all survive, so CPython's automatic collector would sweep the
   growing heap again and again for nothing.  :func:`build_population`
@@ -55,29 +61,33 @@ from __future__ import annotations
 
 import gc
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Union)
 
 from repro import obs
 from repro.net import domains
 from repro.net.email_addr import EmailAddress, generate_address, generate_username
-from repro.net.phones import PhoneNumberPlan
+from repro.net.phones import PhoneNumber, PhoneNumberPlan
 from repro.util.clock import DAY
 from repro.util.compat import SLOT_KWARGS
-from repro.util.ids import IdMinter
+from repro.util.ids import IdMinter, format_id, string_order
 from repro.util.rng import RngRegistry, child_seed
 from repro.world.accounts import Account, RecoveryOptions
 from repro.world.contacts import ContactGraph, build_small_world
 from repro.world.mailbox import Mailbox
 from repro.world.messages import EmailMessage, Folder, MessageKind
 from repro.world.users import (
+    ACTIVITY_LEVELS,
+    HOME_COUNTRIES,
+    TRAITS,
     User,
     language_of_country,
-    sample_activity,
+    sample_activity_code,
     sample_gullibility,
-    sample_home_country,
-    sample_traits,
+    sample_home_country_code,
+    sample_traits_code,
 )
 
 if TYPE_CHECKING:
@@ -217,39 +227,141 @@ class ExternalVictimPool(Sequence):
         )
 
 
+#: :class:`OwnerProfiles` flag bits.
+_HAS_PHONE = 1
+_HAS_SECONDARY = 2
+_SECONDARY_RECYCLED = 4
+
+_OTHER_PROVIDER_CODE = {domain: code
+                        for code, domain in enumerate(domains.OTHER_PROVIDERS)}
+
+
+class OwnerProfiles:
+    """Every built account's owner profile and recovery options, as
+    columns indexed by the account's position.
+
+    A built account holds this object in place of its :class:`User` and
+    :class:`RecoveryOptions`; the first read of ``account.owner`` or
+    ``account.recovery`` builds the object from the account's row, equal
+    field for field to what the builder made before the columns.  A row
+    costs a byte each for country, activity, traits and the recovery
+    flags, the gullibility double, and a reference each to the phone's
+    E.164 string (the phone plan holds the string) and the secondary
+    address's username (one of the shared bare usernames).  User ids are
+    not stored: the build reserves a block of minted numbers, and an id
+    is formatted when its user is built.
+
+    Bulk readers (the D9 cohorts, campaign targeting) read the columns
+    directly.  Nothing writes a built user's profile fields, so the
+    columns and the built objects stay equal.
+    """
+
+    __slots__ = ("first_user", "user_width", "countries", "activities",
+                 "traits", "gullibility", "flags", "phones",
+                 "secondary_usernames", "secondary_domains")
+
+    def __init__(self, first_user: int, user_width: int):
+        #: The user id of position ``p`` is number ``first_user + p``.
+        self.first_user = first_user
+        self.user_width = user_width
+        #: Codes into :data:`HOME_COUNTRIES`, :data:`ACTIVITY_LEVELS` and
+        #: :data:`TRAITS`.
+        self.countries = bytearray()
+        self.activities = bytearray()
+        self.traits = bytearray()
+        self.gullibility = array("d")
+        #: ``_HAS_PHONE | _HAS_SECONDARY | _SECONDARY_RECYCLED`` bits.
+        self.flags = bytearray()
+        #: E.164 string or ``None``.
+        self.phones: List[Optional[str]] = []
+        #: Username or ``None``; the domain is a code into
+        #: ``domains.OTHER_PROVIDERS`` (0 without a secondary address).
+        self.secondary_usernames: List[Optional[str]] = []
+        self.secondary_domains = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def owner_of(self, account: Account) -> User:
+        """The owner of the built account, as the builder made it."""
+        position = account.position
+        country = HOME_COUNTRIES[self.countries[position]]
+        flags = self.flags[position]
+        return User(
+            user_id=format_id("user", self.first_user + position,
+                              self.user_width),
+            name=account.address,
+            country=country,
+            language=language_of_country(country),
+            activity=ACTIVITY_LEVELS[self.activities[position]],
+            gullibility=self.gullibility[position],
+            traits=TRAITS[self.traits[position]],
+            has_phone_on_file=bool(flags & _HAS_PHONE),
+            has_secondary_email=bool(flags & _HAS_SECONDARY),
+            secondary_email_recycled=bool(flags & _SECONDARY_RECYCLED),
+        )
+
+    def recovery_of(self, account: Account) -> RecoveryOptions:
+        """The recovery options of the built account, as the builder made
+        them."""
+        position = account.position
+        phone = self.phones[position]
+        username = self.secondary_usernames[position]
+        return RecoveryOptions(
+            phone=None if phone is None else PhoneNumber(phone),
+            secondary_email=None if username is None else EmailAddress(
+                username,
+                domains.OTHER_PROVIDERS[self.secondary_domains[position]]),
+            secondary_email_recycled=bool(
+                self.flags[position] & _SECONDARY_RECYCLED),
+        )
+
+
 @dataclass
 class Population:
-    """Everything :mod:`repro.core.simulation` operates on."""
+    """Everything :mod:`repro.core.simulation` operates on.
+
+    Every account has a *position*, its creation order: ``accounts``
+    iterates in it, :attr:`by_position` indexes by it, and it keys the
+    contact graph and the built accounts' :class:`OwnerProfiles` rows.
+    Add an account after the build with :meth:`add_account`.
+    """
 
     accounts: Dict[str, Account]
+    #: Every account, at its position.
+    by_position: List[Account]
+    #: Every account by its address's username: all of them are on the
+    #: provider's domain.  The build tests a new username against this
+    #: dict, so it keeps no separate set of the usernames taken.
+    account_by_username: Dict[str, Account]
     contact_graph: ContactGraph
     external_victims: Sequence[ExternalVictim]
-    #: Keyed by the :class:`EmailAddress` itself, which is the account's
-    #: own ``address`` object: no second copy of it as a string.
-    account_by_address: Dict[EmailAddress, Account] = field(default_factory=dict)
-    account_by_user: Dict[str, Account] = field(default_factory=dict)
+    profiles: OwnerProfiles
 
-    def __post_init__(self) -> None:
-        if not self.account_by_address:
-            self.account_by_address = {
-                account.address: account for account in self.accounts.values()
-            }
-        if not self.account_by_user:
-            self.account_by_user = {
-                account.owner.user_id: account for account in self.accounts.values()
-            }
+    def add_account(self, account: Account) -> None:
+        """Add an account (with its own owner and recovery options) as an
+        isolated node of the contact graph, at the next position."""
+        username = account.address.username
+        if (account.address.domain != domains.PRIMARY_PROVIDER
+                or username in self.account_by_username):
+            raise ValueError(f"cannot add {account.address}")
+        account.position = self.contact_graph.add_user()
+        if account.position != len(self.by_position):
+            raise ValueError("contact graph and accounts out of step")
+        self.by_position.append(account)
+        self.accounts[account.account_id] = account
+        self.account_by_username[username] = account
 
     def lookup_address(self, address: EmailAddress) -> Optional[Account]:
-        return self.account_by_address.get(address)
-
-    def account_of_user(self, user_id: str) -> Account:
-        return self.account_by_user[user_id]
+        if address.domain != domains.PRIMARY_PROVIDER:
+            return None
+        return self.account_by_username.get(address.username)
 
     def contacts_of_account(self, account: Account) -> List[Account]:
-        return [
-            self.account_of_user(user_id)
-            for user_id in self.contact_graph.contacts_of(account.owner.user_id)
-        ]
+        """The account's contacts, in user-id order."""
+        by_position = self.by_position
+        return [by_position[position] for position
+                in self.contact_graph.contacts_of(account.position)]
 
     def __len__(self) -> int:
         return len(self.accounts)
@@ -305,68 +417,82 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
     history_master = history_rng.getrandbits(64)
     external_master = external_rng.getrandbits(64)
 
+    n_users = config.n_users
+    profiles = OwnerProfiles(minter.reserve("user", n_users), minter.width)
+    countries = profiles.countries.append
+    activities = profiles.activities.append
+    traits = profiles.traits.append
+    gullibility = profiles.gullibility.append
+    flags = profiles.flags.append
+    phones = profiles.phones.append
+    secondary_usernames = profiles.secondary_usernames.append
+    secondary_domains = profiles.secondary_domains.append
     accounts: Dict[str, Account] = {}
-    user_ids: List[str] = []
-    taken_usernames: set = set()
+    by_position: List[Account] = []
+    account_by_username: Dict[str, Account] = {}
     seeder = HistorySeeder(config, history_master)
+    draw = user_rng.random
+    phone_rate = config.phone_on_file_rate
+    secondary_rate = config.secondary_email_rate
+    recycled_rate = config.recycled_secondary_rate
+    two_factor_rate = config.owner_two_factor_adoption
 
-    with obs.trace("population.build", n_users=config.n_users):
+    with obs.trace("population.build", n_users=n_users):
+        # The graph needs only ``n`` and its own stream, so it is built
+        # first, while its transient arrays are small against the world.
+        with obs.trace("population.build.graph", n_users=n_users):
+            contact_graph = build_small_world(
+                n_users, graph_rng, mean_degree=config.mean_contacts,
+            )
+            # It is built in user-id order; past the minter's width that
+            # is not position order.
+            order = string_order(profiles.first_user, n_users,
+                                 profiles.user_width)
+            if order is not None:
+                contact_graph.renumber(order)
+            del order
+
         with obs.trace("population.build.users"):
-            for _ in range(config.n_users):
-                user_id = minter.mint("user")
-                country = sample_home_country(user_rng)
+            for position in range(n_users):
+                country_code = sample_home_country_code(user_rng)
                 address = generate_address(user_rng, domains.PRIMARY_PROVIDER,
-                                           taken_usernames)
-                taken_usernames.add(address.username)
-                user = User(
-                    user_id=user_id,
-                    name=address,
-                    country=country,
-                    language=language_of_country(country),
-                    activity=sample_activity(user_rng),
-                    gullibility=sample_gullibility(user_rng),
-                    traits=sample_traits(user_rng),
-                    has_phone_on_file=user_rng.random() < config.phone_on_file_rate,
-                    has_secondary_email=user_rng.random() < config.secondary_email_rate,
-                )
-                if user.has_secondary_email:
-                    user.secondary_email_recycled = (
-                        user_rng.random() < config.recycled_secondary_rate
-                    )
-
-                recovery = RecoveryOptions(
-                    phone=phone_plan.mint(country) if user.has_phone_on_file else None,
-                    secondary_email=(
-                        generate_address(user_rng, user_rng.choice(domains.OTHER_PROVIDERS))
-                        if user.has_secondary_email else None
-                    ),
-                    secondary_email_recycled=user.secondary_email_recycled,
-                    has_secret_question=user.has_secret_question,
-                )
+                                           account_by_username)
+                countries(country_code)
+                activities(sample_activity_code(user_rng))
+                gullibility(sample_gullibility(user_rng))
+                traits(sample_traits_code(user_rng))
+                has_phone = draw() < phone_rate
+                row_flags = _HAS_PHONE if has_phone else 0
+                if draw() < secondary_rate:
+                    row_flags |= _HAS_SECONDARY
+                    if draw() < recycled_rate:
+                        row_flags |= _SECONDARY_RECYCLED
+                flags(row_flags)
+                phone = (phone_plan.mint(HOME_COUNTRIES[country_code])
+                         if has_phone else None)
+                phones(None if phone is None else phone.e164)
+                if row_flags & _HAS_SECONDARY:
+                    domain = user_rng.choice(domains.OTHER_PROVIDERS)
+                    # With nothing taken, the first (bare) username wins.
+                    secondary_usernames(generate_username(user_rng))
+                    secondary_domains(_OTHER_PROVIDER_CODE[domain])
+                else:
+                    secondary_usernames(None)
+                    secondary_domains(0)
                 account = Account(
                     account_id=minter.mint("acct"),
-                    owner=user,
+                    owner=profiles,
                     address=address,
                     password=generate_password(user_rng),
-                    recovery=recovery,
+                    recovery=profiles,
                     mailbox=seeder,
+                    position=position,
                 )
-                if (recovery.phone is not None
-                        and user_rng.random() < config.owner_two_factor_adoption):
-                    account.enable_two_factor(recovery.phone, by_hijacker=False,
-                                              now=0)
-                user_ids.append(user_id)
+                if phone is not None and draw() < two_factor_rate:
+                    account.enable_two_factor(phone, by_hijacker=False, now=0)
+                by_position.append(account)
                 accounts[account.account_id] = account
-            # Free the build's transients before the graph and the lookup
-            # dicts grow: they would set the build's peak memory.
-            del taken_usernames
-
-        with obs.trace("population.build.graph", n_users=config.n_users):
-            user_ids.sort()
-            contact_graph = build_small_world(
-                user_ids, graph_rng, mean_degree=config.mean_contacts,
-            )
-            del user_ids
+                account_by_username[address.username] = account
 
         population = Population(
             accounts=accounts,
@@ -376,6 +502,9 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
                 n_edu=config.n_external_edu,
                 n_other=config.n_external_other,
             ),
+            profiles=profiles,
+            by_position=by_position,
+            account_by_username=account_by_username,
         )
         seeder.population = population
 

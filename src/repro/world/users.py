@@ -42,7 +42,7 @@ class ActivityLevel(enum.Enum):
 @dataclass(frozen=True, **SLOT_KWARGS)
 class MailboxTraits:
     """What a hijacker would find worth stealing in this user's mailbox
-    (frozen: :func:`sample_traits` hands out 16 shared instances)."""
+    (frozen: :data:`TRAITS` holds the 16 shared instances)."""
 
     has_financial_threads: bool = False
     has_stored_credentials: bool = False
@@ -113,30 +113,39 @@ def _display_name(user: User) -> str:
 User.name = property(_display_name, doc="The user's display name.")
 
 
-def sample_activity(rng: random.Random) -> ActivityLevel:
-    """Population mix: most users are daily or weekly actives."""
+#: Every activity level; an activity code indexes this tuple.
+ACTIVITY_LEVELS = tuple(ActivityLevel)
+
+
+def sample_activity_code(rng: random.Random) -> int:
+    """Population mix: most users are daily or weekly actives.  Returns
+    the level's index in :data:`ACTIVITY_LEVELS`."""
     point = rng.random()
     if point < 0.55:
-        return ActivityLevel.DAILY
+        return 0  # DAILY
     if point < 0.85:
-        return ActivityLevel.WEEKLY
-    return ActivityLevel.OCCASIONAL
+        return 1  # WEEKLY
+    return 2  # OCCASIONAL
 
 
-#: One shared instance per combination of the four flags, in field order.
-_TRAITS = {flags: MailboxTraits(*flags)
-           for flags in itertools.product((False, True), repeat=4)}
+#: One shared instance per combination of the four flags, in field
+#: order; a traits code indexes this tuple (the flags are its bits,
+#: financial threads the highest).
+TRAITS = tuple(MailboxTraits(*flags)
+               for flags in itertools.product((False, True), repeat=4))
 
 
-def sample_traits(rng: random.Random) -> MailboxTraits:
+def sample_traits_code(rng: random.Random) -> int:
     """Sample what valuables accumulate in a mailbox.
 
     Financial threads are common (most adults bank online), stored
     credentials and personal media less so — matching the Table 3 search
-    emphasis where finance terms dominate.
+    emphasis where finance terms dominate.  Returns the index of the
+    shared record in :data:`TRAITS`.
     """
     draw = rng.random
-    return _TRAITS[draw() < 0.45, draw() < 0.20, draw() < 0.25, draw() < 0.15]
+    return ((draw() < 0.45) << 3 | (draw() < 0.20) << 2
+            | (draw() < 0.25) << 1 | (draw() < 0.15))
 
 
 def sample_gullibility(rng: random.Random) -> float:
@@ -150,23 +159,25 @@ def sample_gullibility(rng: random.Random) -> float:
     return rng.betavariate(2.0, 9.0)
 
 
-_VICTIM_COUNTRIES = ("US", "GB", "FR", "DE", "ES", "BR", "IN", "CA", "AU", "MX")
+#: Where ordinary users live; a country code indexes this tuple.
+HOME_COUNTRIES = ("US", "GB", "FR", "DE", "ES", "BR", "IN", "CA", "AU", "MX")
 _LANGUAGE_OF = {
     "US": "en", "GB": "en", "CA": "en", "AU": "en", "IN": "en",
     "FR": "fr", "DE": "de", "ES": "es", "MX": "es", "BR": "pt",
 }
 
 
-def sample_home_country(rng: random.Random) -> str:
-    """Where ordinary users of the provider live (victim-side geography)."""
+def sample_home_country_code(rng: random.Random) -> int:
+    """Where ordinary users of the provider live (victim-side geography),
+    as an index into :data:`HOME_COUNTRIES`."""
     weights = (0.38, 0.12, 0.10, 0.08, 0.07, 0.07, 0.08, 0.04, 0.03, 0.03)
     point = rng.random()
     cumulative = 0.0
-    for country, weight in zip(_VICTIM_COUNTRIES, weights):
+    for code, weight in enumerate(weights):
         cumulative += weight
         if point < cumulative:
-            return country
-    return _VICTIM_COUNTRIES[-1]
+            return code
+    return len(HOME_COUNTRIES) - 1
 
 
 def language_of_country(country: str) -> str:

@@ -97,7 +97,7 @@ class TestCuration:
         # D9's fixed first week.
         population = exploitation_result.population
         early_victims = {
-            population.accounts[report.account_id].owner.user_id
+            population.accounts[report.account_id].position
             for report in exploitation_result.incidents
             if report.outcome is IncidentOutcome.EXPLOITED
             and report.account_id is not None
@@ -105,7 +105,7 @@ class TestCuration:
         }
         assert D9_SEED_WINDOW_DAYS == 7
         neighborhood = population.contact_graph.neighborhood(early_victims)
-        assert {a.owner.user_id for a in contacts} <= neighborhood
+        assert {a.position for a in contacts} <= neighborhood
 
     def test_d11_recovered_subset_of_cases(self, data, exploitation_result):
         recovered = data.get("recovered_accounts")

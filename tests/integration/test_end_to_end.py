@@ -82,21 +82,29 @@ class TestCrossChecks:
         assert report.pickup_at <= min(stamps) <= report.session_start
         assert max(stamps) <= report.session_end
 
-    def test_retention_changes_notified(self, lifecycle):
-        result, report, events = lifecycle
-        if report.retention is None or not report.retention.changed_password:
-            pytest.skip("incident did not change the password")
-        account = result.population.accounts[report.account_id]
-        if (account.recovery.phone is None
-                and account.recovery.secondary_email is None):
-            pytest.skip("victim had no notification channel")
-        changes = [e for e in events if isinstance(e, SettingsChangeEvent)]
-        notifications = [e for e in events
-                         if isinstance(e, NotificationEvent)]
-        assert changes
-        # Notifications may stochastically fail per channel, but a
-        # password change with channels on file usually produces one.
-        assert notifications or account.recovery.secondary_email_recycled
+    def test_retention_changes_notified(self, exploitation_result):
+        """Every incident that changed a password on an account with a
+        notification channel on file logs the settings change; all but
+        a rare failed delivery (SMS arrives 96% of the time, secondary
+        mail 90%) also log a notification or had a recycled secondary.
+        Reading each account's recovery options builds them from the
+        profile columns after the hijack."""
+        result = exploitation_result
+        changed = unnotified = 0
+        for report in result.incidents:
+            if report.retention is None or not report.retention.changed_password:
+                continue
+            recovery = result.population.accounts[report.account_id].recovery
+            if recovery.phone is None and recovery.secondary_email is None:
+                continue
+            changed += 1
+            events = result.store.for_account(report.account_id)
+            assert any(isinstance(e, SettingsChangeEvent) for e in events)
+            if not (any(isinstance(e, NotificationEvent) for e in events)
+                    or recovery.secondary_email_recycled):
+                unnotified += 1
+        assert changed == 31
+        assert unnotified <= 2
 
     def test_contact_chain_reaches_queue(self, exploitation_result):
         chained_pages = {

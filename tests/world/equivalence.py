@@ -101,8 +101,8 @@ def population_fingerprint(population: Population,
     for account_id in sorted(population.accounts):
         account = population.accounts[account_id]
         _update(digest, account_id, account_fingerprint(account))
-        _update(digest, population.contact_graph.contacts_of(
-            account.owner.user_id))
+        _update(digest, [contact.owner.user_id for contact
+                         in population.contacts_of_account(account)])
     externals = population.external_victims
     for index in external_sample:
         victim = externals[index]

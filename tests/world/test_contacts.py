@@ -14,14 +14,14 @@ def csr_of(adjacency):
     return offsets, neighbors
 
 
-def graph_of(users, edges):
-    """A graph over ``users`` holding exactly the undirected ``edges``."""
-    index = {user: position for position, user in enumerate(users)}
-    adjacency = [[] for _ in users]
+def graph_of(n, edges):
+    """A graph over positions ``0..n-1`` holding exactly the undirected
+    ``edges``."""
+    adjacency = [[] for _ in range(n)]
     for a, b in edges:
-        adjacency[index[a]].append(index[b])
-        adjacency[index[b]].append(index[a])
-    return ContactGraph._from_indexed(users, *csr_of(adjacency))
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return ContactGraph._from_csr(*csr_of(adjacency))
 
 
 def reference_adjacency(n, rng, mean_degree, rewire_probability):
@@ -56,94 +56,90 @@ def reference_adjacency(n, rng, mean_degree, rewire_probability):
 
 class TestContactGraph:
     def test_connect_symmetric(self):
-        graph = graph_of(["a", "b"], [("a", "b")])
-        assert graph.are_connected("a", "b")
-        assert graph.are_connected("b", "a")
+        graph = graph_of(2, [(0, 1)])
+        assert graph.are_connected(0, 1)
+        assert graph.are_connected(1, 0)
 
     def test_self_loop_rejected(self, rng):
         """Rewiring every edge of a tiny ring never wires a user to
         itself."""
-        users = ["a", "b", "c", "d"]
-        graph = build_small_world(users, rng, mean_degree=2,
+        graph = build_small_world(4, rng, mean_degree=2,
                                   rewire_probability=1.0)
-        for user in users:
-            assert user not in graph.contacts_of(user)
+        for position in range(4):
+            assert position not in graph.contacts_of(position)
 
     def test_contacts_sorted(self):
-        graph = graph_of(["x", "c", "a"], [("x", "c"), ("x", "a")])
-        assert graph.contacts_of("x") == ["a", "c"]
+        graph = graph_of(3, [(0, 2), (0, 1)])
+        assert graph.contacts_of(0) == [1, 2]
 
     def test_degree_and_edges(self):
-        users = ["a", "b", "c"]
-        graph = graph_of(users, [("a", "b"), ("a", "c")])
-        assert len(graph.contacts_of("a")) == 2
-        assert sum(len(graph.contacts_of(user)) for user in users) == 2 * 2
+        graph = graph_of(3, [(0, 1), (0, 2)])
+        assert len(graph.contacts_of(0)) == 2
+        assert sum(len(graph.contacts_of(p)) for p in range(3)) == 2 * 2
         assert len(graph) == 3
 
     def test_duplicate_edge_not_double_counted(self, rng):
         """Rewiring onto an existing contact adds no second edge."""
-        users = [f"user-{i:06d}" for i in range(12)]
-        graph = build_small_world(users, rng, mean_degree=4,
+        graph = build_small_world(12, rng, mean_degree=4,
                                   rewire_probability=1.0)
-        for user in users:
-            contacts = graph.contacts_of(user)
+        for position in range(12):
+            contacts = graph.contacts_of(position)
             assert len(set(contacts)) == len(contacts)
 
     def test_neighborhood_excludes_seed(self):
-        graph = graph_of(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        neighborhood = graph.neighborhood({"a"})
-        assert neighborhood == {"b"}
-        assert graph.neighborhood({"a", "b"}) == {"c"}
+        graph = graph_of(3, [(0, 1), (1, 2)])
+        neighborhood = graph.neighborhood({0})
+        assert neighborhood == {1}
+        assert graph.neighborhood({0, 1}) == {2}
 
     def test_unknown_user_has_no_contacts(self):
+        """A position outside the graph (``-1`` is an account outside
+        any population) has no contacts and no connections."""
         graph = ContactGraph()
-        assert graph.contacts_of("ghost") == []
-        graph.add_user("ghost")
-        graph.add_user("ghost")
-        assert len(graph) == 1
-        assert graph.contacts_of("ghost") == []
+        assert graph.contacts_of(0) == [] and graph.contacts_of(-1) == []
+        assert graph.add_user() == 0 and graph.add_user() == 1
+        assert len(graph) == 2
+        assert graph.contacts_of(1) == [] and graph.contacts_of(2) == []
+        assert not graph.are_connected(-1, 0)
+        assert graph.neighborhood({-1, 5}) == set()
 
 
 class TestSmallWorld:
     def test_degree_near_target(self, rng):
-        users = [f"user-{i:06d}" for i in range(200)]
-        graph = build_small_world(users, rng, mean_degree=8)
-        degrees = [len(graph.contacts_of(user)) for user in users]
+        graph = build_small_world(200, rng, mean_degree=8)
+        degrees = [len(graph.contacts_of(p)) for p in range(200)]
         average = sum(degrees) / len(degrees)
         assert 6.0 < average < 9.0
 
     def test_everyone_present(self, rng):
-        users = [f"user-{i:06d}" for i in range(50)]
-        graph = build_small_world(users, rng)
+        graph = build_small_world(50, rng)
         assert len(graph) == 50
 
     def test_no_self_loops(self, rng):
-        users = [f"user-{i:06d}" for i in range(80)]
-        graph = build_small_world(users, rng)
-        for user in users:
-            assert user not in graph.contacts_of(user)
+        graph = build_small_world(80, rng)
+        for position in range(80):
+            assert position not in graph.contacts_of(position)
 
     def test_odd_degree_rejected(self, rng):
         with pytest.raises(ValueError):
-            build_small_world(["a", "b"], rng, mean_degree=3)
+            build_small_world(2, rng, mean_degree=3)
 
     def test_bad_rewire_probability_rejected(self, rng):
         with pytest.raises(ValueError):
-            build_small_world(["a", "b"], rng, rewire_probability=1.5)
+            build_small_world(2, rng, rewire_probability=1.5)
 
     def test_tiny_population(self, rng):
-        graph = build_small_world(["only"], rng)
-        assert graph.contacts_of("only") == []
+        graph = build_small_world(1, rng)
+        assert len(graph) == 1 and graph.contacts_of(0) == []
 
     def test_clustering_exists(self, rng):
         """Ring-lattice base means neighbors of neighbors are often
         neighbors — the property that makes scam chains community-local."""
-        users = [f"user-{i:06d}" for i in range(300)]
-        graph = build_small_world(users, rng, mean_degree=8,
+        graph = build_small_world(300, rng, mean_degree=8,
                                   rewire_probability=0.05)
         closed = total = 0
-        for user in users[:60]:
-            contacts = graph.contacts_of(user)
+        for position in range(60):
+            contacts = graph.contacts_of(position)
             for i in range(len(contacts)):
                 for j in range(i + 1, len(contacts)):
                     total += 1
@@ -162,40 +158,70 @@ class TestFlatBuildOracle:
     @pytest.mark.parametrize("rewire_probability", [0.1, 0.5, 1.0])
     def test_same_graph_and_rng_state(self, n, mean_degree,
                                       rewire_probability):
-        users = [f"user-{i:06d}" for i in range(n)]
         for seed in range(4):
             flat_rng, reference_rng = random.Random(seed), random.Random(seed)
-            graph = build_small_world(users, flat_rng, mean_degree,
+            graph = build_small_world(n, flat_rng, mean_degree,
                                       rewire_probability)
             adjacency = reference_adjacency(n, reference_rng, mean_degree,
                                             rewire_probability)
             assert flat_rng.getstate() == reference_rng.getstate()
             assert (graph._offsets, graph._neighbors) == csr_of(adjacency)
-            for index, user in enumerate(users):
-                assert graph.contacts_of(user) == sorted(
-                    users[neighbor] for neighbor in adjacency[index])
+            for position in range(n):
+                assert graph.contacts_of(position) == sorted(
+                    adjacency[position])
+
+
+class TestRenumbered:
+    """A graph built over user-id order and renumbered to positions."""
+
+    def test_contacts_follow_the_given_order(self, rng):
+        n = 30
+        order = random.Random(5).sample(range(n), n)  # node i -> order[i]
+        graph = build_small_world(n, rng, mean_degree=4,
+                                  rewire_probability=0.5)
+        before = [graph.contacts_of(node) for node in range(n)]
+        graph.renumber(order)
+        assert len(graph) == n
+        for node, position in enumerate(order):
+            assert graph.contacts_of(position) == [
+                order[neighbor] for neighbor in before[node]]
+            for neighbor in before[node]:
+                assert graph.are_connected(position, order[neighbor])
+        assert graph.neighborhood({order[0]}) == {
+            order[neighbor] for neighbor in before[0]}
+        assert graph.in_user_order(sorted(order)) == order
 
 
 class TestAddUserAfterFlatBuild:
     """Decoys join a built graph mid-run through :meth:`add_user`."""
 
     def test_new_user_is_isolated_and_others_unchanged(self, rng):
-        users = [f"user-{i:06d}" for i in range(40)]
-        graph = build_small_world(users, rng, mean_degree=4,
+        self.check_add_user(build_small_world(40, rng, mean_degree=4,
+                                              rewire_probability=0.5))
+
+    def test_renumbered_graph_adds_users_the_same_way(self, rng):
+        graph = build_small_world(40, rng, mean_degree=4,
                                   rewire_probability=0.5)
-        before = {user: graph.contacts_of(user) for user in users}
-        neighborhoods = {user: graph.neighborhood({user}) for user in users}
-        graph.add_user("user-999999")
+        graph.renumber(list(range(39, -1, -1)))
+        self.check_add_user(graph)
+
+    @staticmethod
+    def check_add_user(graph):
+        positions = range(40)
+        before = {p: graph.contacts_of(p) for p in positions}
+        neighborhoods = {p: graph.neighborhood({p}) for p in positions}
+        assert graph.add_user() == 40
         assert len(graph) == 41
-        assert graph.contacts_of("user-999999") == []
-        assert graph.neighborhood({"user-999999"}) == set()
-        for user in users:
-            assert not graph.are_connected(user, "user-999999")
-            assert not graph.are_connected("user-999999", user)
-            assert graph.contacts_of(user) == before[user]
-            assert graph.neighborhood({user}) == neighborhoods[user]
-        assert graph.neighborhood(users) == set()
-        graph.add_user("user-999998")
-        assert graph.contacts_of("user-999998") == []
-        assert not graph.are_connected("user-999999", "user-999998")
-        assert graph.contacts_of(users[0]) == before[users[0]]
+        assert graph.contacts_of(40) == []
+        assert graph.neighborhood({40}) == set()
+        for position in positions:
+            assert not graph.are_connected(position, 40)
+            assert not graph.are_connected(40, position)
+            assert graph.contacts_of(position) == before[position]
+            assert graph.neighborhood({position}) == neighborhoods[position]
+        assert graph.neighborhood(positions) == set()
+        assert graph.add_user() == 41
+        assert graph.contacts_of(41) == []
+        assert not graph.are_connected(40, 41)
+        assert graph.contacts_of(0) == before[0]
+        assert graph.in_user_order([41, 40]) == [40, 41]

@@ -16,7 +16,9 @@ import random
 import pytest
 
 from repro import obs
+from repro.analysis.report import full_report
 from repro.core.config import SimulationConfig
+from repro.core.scenarios import smoke_scenario
 from repro.core.simulation import Simulation
 from repro.logs.store import LogStore
 from repro.mail.reports import UserReportModel
@@ -36,12 +38,14 @@ from tests.world.equivalence import (
     materialize_histories,
     population_fingerprint,
 )
+from repro.world.accounts import RecoveryOptions
 from repro.world.mailbox import MailFilter
 from repro.world.messages import EmailMessage, Folder, MessageKind
 from repro.world.population import (
     ExternalVictimPool,
     build_population,
 )
+from repro.world.users import User
 
 
 def pending_history_count(population) -> int:
@@ -301,6 +305,23 @@ class TestLazyEagerEquivalence:
         assert pending_history_count(clone) == len(population) > 0
         assert population_fingerprint(clone) \
             == population_fingerprint(build(seed=53, lazy=False))
+
+
+class TestOwnersStayLazy:
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_run_and_report_build_few_owners(self, seed):
+        """A smoke run and its full report read the owner or recovery
+        options of a few dozen accounts (60 and 23 owners of about 1,210,
+        decoys included): no reader walks the population through
+        ``account.owner``."""
+        result = Simulation(smoke_scenario(seed=seed)).run()
+        full_report(result)
+        accounts = result.population.by_position
+        owners = sum(isinstance(a._owner, User) for a in accounts)
+        recoveries = sum(isinstance(a._recovery, RecoveryOptions)
+                         for a in accounts)
+        assert 0 < owners < 0.1 * len(accounts)
+        assert 0 < recoveries < 0.1 * len(accounts)
 
 
 class TestExternalVictimPool:

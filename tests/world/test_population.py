@@ -7,12 +7,14 @@ import pytest
 
 from repro import obs
 from repro.core.config import SimulationConfig
+from repro.net import domains
 from repro.net.domains import PRIMARY_PROVIDER
 from repro.net.email_addr import EmailAddress
 from repro.net.phones import PhoneNumberPlan
 from repro.util.compat import SLOT_KWARGS
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
+from repro.world.accounts import Account, RecoveryOptions
 from repro.world.mailbox import Mailbox
 from repro.world.messages import MessageKind
 from repro.world.population import (
@@ -20,7 +22,9 @@ from repro.world.population import (
     build_population,
     generate_password,
 )
+from repro.world.users import ActivityLevel, User, language_of_country
 from tests.world.equivalence import history_pending, population_fingerprint
+from tests.world.test_contacts import reference_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +60,13 @@ class TestBuildPopulation:
         assert population.lookup_address(
             account.address.with_domain("mailhost.ca")) is None
 
-    def test_account_of_user(self, population):
-        account = next(iter(population.accounts.values()))
-        assert population.account_of_user(account.owner.user_id) is account
+    def test_account_at_its_position(self, population):
+        """Positions are creation order; the user id derives from it."""
+        for position, account in enumerate(population.accounts.values()):
+            assert account.position == position
+            assert population.by_position[position] is account
+        account = population.by_position[42]
+        assert account.owner.user_id == "user-000042"
 
     def test_contacts_resolve_to_accounts(self, population):
         account = next(iter(population.accounts.values()))
@@ -195,12 +203,14 @@ class TestGarbageCollection:
 
 class TestBuildMemory:
     def test_peak_stays_near_the_finished_world(self):
-        """The contact graph is built into one flat row array and then
-        its final two int arrays, and the username set is freed before
-        the graph and lookup dicts are built, so the traced peak stays
-        within 10% of what the finished world holds (1.072-1.075 on
-        CPython 3.10-3.13).  A per-user adjacency set built first and
-        then copied puts it at 1.27x."""
+        """The contact graph is built first, from ``n`` alone, while its
+        transient row array is small against the world, and the taken
+        usernames are the keys of the population's username dict rather
+        than a set of their own, so the traced peak stays within 10% of
+        what the finished world holds (1.085-1.095 on CPython 3.10-3.13;
+        most of the rest is the phone plan's set of issued numbers, which
+        this test drops with the plan).  With a username set and the graph
+        built after the users it read 1.13-1.17."""
         gc.collect()
         tracemalloc.start()
         try:
@@ -214,36 +224,46 @@ class TestBuildMemory:
 
 class TestUntouchedFootprint:
     """An account no one touches holds its identity only: no mailbox,
-    just the seeder every account shares, no name string, the shared
-    empty notes, and one of 16 shared trait records.  Its first mailbox
-    read builds a pending mailbox with no message dict and the shared
-    empty filters."""
+    just the seeder every account shares, no user and no recovery
+    options, just the population's profile columns, and the shared empty
+    notes.  Its first mailbox read builds a pending mailbox with no
+    message dict and the shared empty filters; its first owner read
+    builds the user, with the address as its name source."""
 
-    #: Traced live bytes per account of this 3,000-user build are 890 to
-    #: 973 on CPython 3.10-3.13; with a mailbox object, a name string and
-    #: a users-dict entry per account they were 1,190 to 1,292, and with
-    #: a seeder, message dict, filter list and note list per account
-    #: 1,572 to 1,932.
-    MAX_BYTES_PER_ACCOUNT = 1_050
+    #: Traced live bytes per account of this 3,000-user build are 517 to
+    #: 573 on CPython 3.10-3.13; with a user, recovery options, phone,
+    #: secondary address, user-id string and id-index entries per
+    #: account they were 890 to 973, and with a mailbox object, a name
+    #: string and a users-dict entry as well 1,190 to 1,292.
+    MAX_BYTES_PER_ACCOUNT = 620
 
     def test_untouched_accounts_share_their_empty_parts(self):
         population = _build(3_000)
         accounts = list(population.accounts.values())
+        profiles = population.profiles
         empty = ()
         seeders = {id(a._mailbox) for a in accounts}
         assert len(seeders) == 1
         for account in accounts:
             assert not isinstance(account._mailbox, Mailbox)
-            assert account.owner._name is account.address
+            assert account._owner is profiles
+            assert account._recovery is profiles
             assert account.history is empty
-        assert len({id(a.owner.traits) for a in accounts}) <= 16
         for account in accounts[:50]:
             mailbox = account.mailbox
             assert account._mailbox is mailbox and account.mailbox is mailbox
             assert id(mailbox._seeder) in seeders
             assert history_pending(mailbox) and mailbox._messages is None
             assert mailbox.filters is empty
+            assert account.owner._name is account.address
+            assert account._owner is account.owner
+            assert account._recovery is profiles
         assert all(not isinstance(a._mailbox, Mailbox) for a in accounts[50:])
+        assert len({id(a.owner.traits) for a in accounts[:50]}) <= 16
+        # Only the 50 owner reads above built a user; nothing built
+        # recovery options.
+        assert sum(a._owner is not profiles for a in accounts) == 50
+        assert all(a._recovery is profiles for a in accounts)
 
     @pytest.mark.skipif(not SLOT_KWARGS, reason="dataclass slots need 3.10+")
     def test_traced_bytes_per_account(self):
@@ -274,6 +294,173 @@ class TestSaturatedWorldIdentity:
         assert population_fingerprint(population, range(35)) == (
             "f7b1a099c65991ff472eb642f8e118be"
             "7c26f23b8a6981a3a2829e3c382ed7e8")
+
+
+def _saturated(seed=17):
+    """3,200 users: past the 2,860 bare usernames, with phones, owner
+    two-factor adopters and recycled secondary addresses."""
+    rngs = RngRegistry(seed)
+    return build_population(
+        SimulationConfig(n_users=3_200, n_external_edu=10, n_external_other=5,
+                         mean_contacts=6, mean_history_messages=2.0,
+                         owner_two_factor_adoption=0.3),
+        rngs, IdMinter(), PhoneNumberPlan(rngs.stream("phones")),
+    )
+
+
+def _read_profiles(accounts):
+    for account in accounts:
+        account.owner
+        account.recovery
+
+
+class TestOwnerProfiles:
+    """Owners and recovery options are built from the profile columns on
+    first read, equal to what the builder used to make up front."""
+
+    def test_read_order_leaves_the_world_unchanged(self):
+        fingerprints = {}
+        for order in ("build", "reverse", "shuffled", "none"):
+            population = _saturated()
+            accounts = list(population.by_position)
+            if order == "reverse":
+                accounts.reverse()
+            elif order == "shuffled":
+                random.Random(4).shuffle(accounts)
+            if order != "none":
+                _read_profiles(accounts)
+            fingerprints[order] = population_fingerprint(population)
+        assert len(set(fingerprints.values())) == 1, fingerprints
+        accounts = population.by_position
+        assert sum(a.recovery.phone is not None for a in accounts) > 1_000
+        assert sum(a.two_factor_phone is not None for a in accounts) > 300
+        assert sum(a.recovery.secondary_email_recycled for a in accounts) > 50
+        assert any(a.address.username[-1].isdigit()
+                   and "." in a.address.username for a in accounts)
+
+    def test_built_objects_match_their_rows(self):
+        population = _saturated(seed=5)
+        for position, account in enumerate(population.by_position):
+            user, recovery = account.owner, account.recovery
+            assert isinstance(user, User)
+            assert isinstance(recovery, RecoveryOptions)
+            assert account.owner is user and account.recovery is recovery
+            assert user.user_id == f"user-{position:06d}"
+            assert user._name is account.address
+            assert user.language == language_of_country(user.country)
+            assert user.has_secret_question and recovery.has_secret_question
+            assert not (user.behind_weak_spam_filter
+                        or recovery.changed_by_hijacker)
+            assert user.has_phone_on_file == (recovery.phone is not None)
+            assert user.has_secondary_email == (
+                recovery.secondary_email is not None)
+            assert user.secondary_email_recycled \
+                == recovery.secondary_email_recycled
+            if recovery.secondary_email is not None:
+                assert (recovery.secondary_email.domain
+                        in domains.OTHER_PROVIDERS)
+            else:
+                assert not recovery.secondary_email_recycled
+            if account.two_factor_phone is not None:
+                assert account.two_factor_phone == recovery.phone
+                assert account.history == (
+                    "t=0: two-factor enabled (hijacker=False)",)
+            assert population.profiles.gullibility[position] \
+                == user.gullibility
+
+    def test_recovery_changes_stay_on_the_built_object(self):
+        population = _build(50)
+        account = population.by_position[7]
+        account.recovery.changed_by_hijacker = True
+        assert account.recovery.changed_by_hijacker
+        assert account.clear_hijacker_settings(now=5) == 1
+        assert not account.recovery.changed_by_hijacker
+        assert population.by_position[8]._recovery is population.profiles
+
+
+class TestUserIdOrder:
+    """The graph is built over user ids in string order; past the
+    minter's width that is not creation order, and contacts still come
+    out as the list-per-node build over sorted ids made them."""
+
+    @pytest.mark.parametrize("first", [0, 95])
+    def test_contacts_past_the_minter_width(self, first):
+        minter = IdMinter(width=2)
+        for _ in range(first):
+            minter.mint("user")
+        rngs = RngRegistry(8)
+        population = build_population(
+            SimulationConfig(n_users=150, n_external_edu=5,
+                             n_external_other=5, mean_contacts=4),
+            rngs, minter, PhoneNumberPlan(rngs.stream("phones")),
+        )
+        accounts = population.by_position
+        user_ids = [account.owner.user_id for account in accounts]
+        assert user_ids[0] == f"user-{first:02d}"
+        assert user_ids[-1] == f"user-{first + 149}"
+        assert minter.mint("user") == f"user-{first + 150}"
+        assert population.contact_graph._rank is not None
+        sorted_ids = sorted(user_ids)
+        account_of = dict(zip(user_ids, accounts))
+        adjacency = reference_adjacency(
+            150, RngRegistry(8).stream("population.graph"), 4, 0.1)
+        for node, user_id in enumerate(sorted_ids):
+            contacts = population.contacts_of_account(account_of[user_id])
+            assert [contact.owner.user_id for contact in contacts] == sorted(
+                sorted_ids[neighbor] for neighbor in adjacency[node])
+
+    def test_ids_within_the_width_keep_position_order(self):
+        assert _build(120).contact_graph._rank is None
+
+
+class TestAddAccount:
+    """Decoys join a built population through :meth:`add_account`."""
+
+    @staticmethod
+    def decoy(username="decoy.000000", domain=PRIMARY_PROVIDER):
+        address = EmailAddress(username, domain)
+        return Account(
+            account_id="acct-999999",
+            owner=User(user_id="user-999999", name="Decoy Holder",
+                       country="US", language="en",
+                       activity=ActivityLevel.OCCASIONAL, gullibility=0.0),
+            address=address, password="decoy-pass",
+            recovery=RecoveryOptions(has_secret_question=False),
+            mailbox=Mailbox(address),
+        )
+
+    def test_decoy_joins_isolated_at_the_next_position(self):
+        population = _build(200)
+        contacts_before = [
+            [contact.position for contact
+             in population.contacts_of_account(account)]
+            for account in population.by_position]
+        decoy = self.decoy()
+        assert decoy.position == -1
+        population.add_account(decoy)
+        assert decoy.position == 200 and len(population) == 201
+        assert population.by_position[200] is decoy
+        assert population.accounts["acct-999999"] is decoy
+        assert population.lookup_address(
+            EmailAddress("decoy.000000", PRIMARY_PROVIDER)) is decoy
+        assert population.contacts_of_account(decoy) == []
+        graph = population.contact_graph
+        for position in range(200):
+            assert not graph.are_connected(position, 200)
+            assert [contact.position for contact in population.
+                    contacts_of_account(population.by_position[position])] \
+                == contacts_before[position]
+        assert decoy.owner.name == "Decoy Holder"
+        assert not decoy.recovery.has_secret_question
+
+    def test_taken_or_foreign_addresses_are_refused(self):
+        population = _build(20)
+        taken = population.by_position[3].address.username
+        for decoy in (self.decoy(username=taken),
+                      self.decoy(domain="othermail.example")):
+            with pytest.raises(ValueError):
+                population.add_account(decoy)
+        assert len(population) == len(population.contact_graph) == 20
 
 
 class TestConfigValidation:

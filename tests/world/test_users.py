@@ -2,14 +2,17 @@ import pytest
 
 from repro.net.email_addr import EmailAddress
 from repro.world.users import (
+    ACTIVITY_LEVELS,
+    HOME_COUNTRIES,
+    TRAITS,
     ActivityLevel,
     MailboxTraits,
     User,
     language_of_country,
-    sample_activity,
+    sample_activity_code,
     sample_gullibility,
-    sample_home_country,
-    sample_traits,
+    sample_home_country_code,
+    sample_traits_code,
 )
 
 
@@ -78,7 +81,8 @@ class TestUser:
 
 class TestSampling:
     def test_activity_mix(self, rng):
-        levels = [sample_activity(rng) for _ in range(2000)]
+        levels = [ACTIVITY_LEVELS[sample_activity_code(rng)]
+                  for _ in range(2000)]
         daily = sum(1 for l in levels if l is ActivityLevel.DAILY) / 2000
         assert 0.45 < daily < 0.65
 
@@ -89,11 +93,11 @@ class TestSampling:
 
     def test_home_countries_valid(self, rng):
         for _ in range(200):
-            country = sample_home_country(rng)
+            country = HOME_COUNTRIES[sample_home_country_code(rng)]
             assert language_of_country(country)
 
     def test_traits_sampling_plausible(self, rng):
-        sampled = [sample_traits(rng) for _ in range(2000)]
+        sampled = [TRAITS[sample_traits_code(rng)] for _ in range(2000)]
         financial = sum(1 for t in sampled if t.has_financial_threads) / 2000
         assert 0.35 < financial < 0.55
 
