@@ -630,7 +630,7 @@ def _cohorts(data: Datasets, seed_window_days: int,
         population.accounts[a].position for a in early_victims)
     by_position = population.by_position
     contact_accounts = [by_position[position]
-                        for position in graph.in_user_order(contacts)]
+                        for position in sorted(contacts)]
     rng = _rng(result, 9)
     size = REQUESTED[9]
     if len(contact_accounts) > size:

@@ -13,11 +13,12 @@ request probes it once per day, and a repeated window (a repeat victim)
 costs those few set probes and nothing else.
 
 Owner sends are most of a run's mail, so their draws are written out:
-the send time, recipient count, recipients and subject come from
-``random()`` and ``getrandbits`` rejection loops that consume exactly
-what ``triangular``, ``randrange``, ``sample`` and ``choice`` did
-(``tests/property/test_draw_equivalence.py`` keeps that loop as the
+the send time, recipient count, one-recipient pick and subject come
+from ``random()`` and ``getrandbits`` rejection loops that consume
+exactly what ``triangular``, ``randrange``, ``sample`` and ``choice``
+did (``tests/property/test_draw_equivalence.py`` keeps that loop as the
 oracle), so every record and the stream state after it are unchanged.
+A send to two or three recipients calls ``rng.sample``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.mail.search import MailSearchService, random_owner_query
 from repro.mail.service import MailService
 from repro.net.ip import IpAddress, IpAllocator
 from repro.util.clock import DAY, HOUR
-from repro.util.rng import child_seed, sample
+from repro.util.rng import child_seed
 from repro.world.accounts import Account, AccountState
 from repro.world.messages import MessageKind
 from repro.world.population import Population
@@ -143,9 +144,10 @@ class OrganicActivityModel:
         # narrow daily fan-out is the baseline the hijacker's blast gets
         # compared against (+630% distinct recipients, §5.3).
         favorites = contacts[:6]
-        # The draws below are ``random()``, ``choice`` and ``sample``
-        # with each ``randbelow(n)`` inlined as CPython makes it:
-        # ``getrandbits(n.bit_length())`` until the value is below ``n``.
+        # The draws below are ``random()``, ``randrange``, one-pick
+        # ``sample`` and ``choice`` with each ``randbelow(n)`` inlined as
+        # CPython makes it: ``getrandbits(n.bit_length())`` until the
+        # value is below ``n``.
         random_ = rng.random
         getrandbits = rng.getrandbits
         send = self.mail.send
@@ -172,7 +174,7 @@ class OrganicActivityModel:
                     pick = getrandbits(bits)
                 recipients = (pool[pick],)
             else:
-                recipients = tuple(sample(rng, pool, min(n_recipients, size)))
+                recipients = tuple(rng.sample(pool, min(n_recipients, size)))
             subject = getrandbits(3)
             while subject >= 5:
                 subject = getrandbits(3)

@@ -71,7 +71,7 @@ from repro.recovery.remission import RemissionService
 from repro.scams.generator import ScamGenerator
 from repro.util.clock import DAY, SimClock
 from repro.util.ids import IdMinter
-from repro.util.rng import RngRegistry, sample, weighted_choice
+from repro.util.rng import RngRegistry, weighted_choice
 from repro.world.accounts import Account, AccountState, Credential
 from repro.world.population import (
     PROVIDER_FILTER_STRENGTH,
@@ -473,8 +473,7 @@ class Simulation:
                       is_outlier: bool) -> Iterator[LureTarget]:
         """Batch-sample a campaign's targets from the frozen pools.
 
-        Both samples are drawn here, by :func:`repro.util.rng.sample`
-        (``rng.sample``'s draws, inlined).  The targets are
+        Both samples are drawn here, by ``rng.sample``.  The targets are
         :data:`~repro.phishing.campaign.LureTarget` tuples that ``zip``
         builds as the campaign reads them, with no Python frame per
         target.  A campaign-sized
@@ -486,7 +485,7 @@ class Simulation:
         n_provider = int(count * self.config.provider_target_fraction)
         n_external = count - n_provider
         pool = self._provider_pool
-        positions = sample(rng, pool, min(n_provider, len(pool)))
+        positions = rng.sample(pool, min(n_provider, len(pool)))
         accounts = list(map(self.population.by_position.__getitem__,
                             positions))
         # Sample indices, not the lazy pool: sampling copies a Sequence
@@ -494,7 +493,7 @@ class Simulation:
         # against it.  Same RNG draws, same picks.
         externals = self.population.external_victims
         victims = externals.victims_at(
-            sample(rng, range(len(externals)), min(n_external, len(externals))))
+            rng.sample(range(len(externals)), min(n_external, len(externals))))
         return chain(
             zip(map(_ADDRESS, accounts), repeat(PROVIDER_FILTER_STRENGTH),
                 map(self.population.profiles.gullibility.__getitem__,

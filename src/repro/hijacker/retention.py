@@ -28,7 +28,7 @@ from repro.hijacker.doppelganger import Doppelganger, make_doppelganger
 from repro.hijacker.groups import Era, HijackingCrew
 from repro.logs.events import Actor, SettingsChangeEvent
 from repro.logs.store import LogStore
-from repro.net.phones import PhoneNumberPlan
+from repro.net.phones import PhoneNumber, PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import weighted_choice
 from repro.world.accounts import Account
@@ -159,7 +159,8 @@ class RetentionPlaybook:
             cursor += self.rng.randrange(0, 2)
             countries = tuple(c for c, _ in crew.phone_country_mix)
             weights = tuple(w for _, w in crew.phone_country_mix)
-            phone = self.phone_plan.mint(weighted_choice(self.rng, countries, weights))
+            phone = PhoneNumber(self.phone_plan.mint(
+                weighted_choice(self.rng, countries, weights)))
             account.enable_two_factor(phone, by_hijacker=True, now=cursor)
             self.store.append(SettingsChangeEvent(
                 timestamp=cursor,

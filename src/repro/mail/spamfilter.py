@@ -14,10 +14,8 @@ truth ``MessageKind``.  Its two behaviors that shape the study:
 from __future__ import annotations
 
 import enum
-import functools
 import random
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.world.messages import EmailMessage
 
@@ -32,23 +30,6 @@ _SCAM_MARKERS = frozenset((
     "western union", "moneygram", "urgent", "loan", "stranded", "mugged",
     "hospital", "transfer", "help me",
 ))
-
-
-# Owner mail repeats five subjects and hijackers a handful of scam and
-# lure texts (23 distinct texts on ``exploitation`` world 21), so 1024
-# entries hold every one of them.
-@functools.lru_cache(maxsize=1024)
-def marker_hits(subject: str, keywords: Tuple[str, ...]) -> Tuple[int, int]:
-    """``(bait, scam)`` marker hits in a message's visible text.
-
-    Memoized on that text alone, like the reviewer's ``judge_text``:
-    the key is the subject and keywords, never a message's kind, so
-    every copy of the same text shares one scan.
-    """
-    haystack = " ".join((subject.lower(),) + tuple(k.lower() for k in keywords))
-    bait_hits = sum(1 for marker in _BAIT_MARKERS if marker in haystack)
-    scam_hits = sum(1 for marker in _SCAM_MARKERS if marker in haystack)
-    return bait_hits, scam_hits
 
 
 class SpamVerdict(enum.Enum):
@@ -74,7 +55,11 @@ class SpamFilter:
     def score(self, message: EmailMessage, sender_is_contact: bool) -> float:
         """A 0–1 spamminess score from observable features only."""
         score = 0.0
-        bait_hits, scam_hits = marker_hits(message.subject, message.keywords)
+        haystack = " ".join(
+            (message.subject.lower(),) + tuple(k.lower() for k in message.keywords)
+        )
+        bait_hits = sum(1 for marker in _BAIT_MARKERS if marker in haystack)
+        scam_hits = sum(1 for marker in _SCAM_MARKERS if marker in haystack)
         score += min(0.5, 0.18 * bait_hits)
         score += min(0.45, 0.15 * scam_hits)
         if message.contains_url and bait_hits:

@@ -101,17 +101,18 @@ def country_of_calling_code(code: str) -> Optional[str]:
 class PhoneNumberPlan:
     """Mints valid, distinct phone numbers per country.
 
-    Distinctness is checked on the E.164 string: ``_issued`` holds the
-    strings minted so far, and a :class:`PhoneNumber` is built once per
-    :meth:`mint`, for the accepted number.
+    A minted number is its E.164 string: ``_issued`` holds the strings
+    minted so far and :meth:`mint` returns one.  A caller that keeps a
+    number as a :class:`PhoneNumber` wraps it.
     """
 
     def __init__(self, rng: random.Random):
         self._rng = rng
         self._issued: Set[str] = set()
 
-    def mint(self, country: str) -> PhoneNumber:
-        """Mint a fresh number in ``country``; raises KeyError if unknown.
+    def mint(self, country: str) -> str:
+        """Mint a fresh E.164 number in ``country``; raises KeyError if
+        unknown.
 
         The leading national digit is ``randrange(1, 10)`` and the rest
         ``randrange(10)`` each; both draw ``getrandbits(4)`` until the
@@ -133,5 +134,5 @@ class PhoneNumberPlan:
             e164 = prefix + "".join(digits)
             if e164 not in self._issued:
                 self._issued.add(e164)
-                return PhoneNumber(e164)
+                return e164
         raise RuntimeError(f"phone number space for {country!r} exhausted")

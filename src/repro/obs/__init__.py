@@ -2,7 +2,7 @@
 
 The paper measures a hijacking lifecycle phase by phase; this package
 gives the *simulator itself* the same lens: named spans over run phases
-(``trace("simulation.day", day=3)``), counters/gauges/histograms over
+(``trace("simulation.day", day=3)``), counters/histograms over
 hot internals (log-store index builds, mailbox-search candidate sets,
 per-world wall time), and exporters for humans (:func:`format_summary`),
 dashboards (:func:`metrics_snapshot`), and Perfetto
@@ -49,7 +49,7 @@ from repro.obs.recorder import Histogram, ObsRecorder, SpanAggregate, SpanRecord
 __all__ = [
     "Histogram", "ObsRecorder", "SpanAggregate", "SpanRecord",
     "chrome_trace", "count", "current", "disable", "enable", "enabled",
-    "format_summary", "gauge", "metrics_snapshot", "observe", "recording",
+    "format_summary", "metrics_snapshot", "observe", "recording",
     "timed", "trace", "write_chrome_trace",
 ]
 
@@ -132,13 +132,6 @@ def count(name: str, value: float = 1) -> None:
     recorder = _recorder
     if recorder is not None:
         recorder.count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set gauge ``name`` to its latest ``value`` (no-op when disabled)."""
-    recorder = _recorder
-    if recorder is not None:
-        recorder.gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:

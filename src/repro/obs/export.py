@@ -5,7 +5,7 @@ Three formats, one source of truth:
 * :func:`format_summary` — the human-readable per-phase rollup the CLI
   prints to stderr under ``--metrics``.
 * :func:`metrics_snapshot` — a plain-dict JSON snapshot of every
-  counter, gauge and histogram, for dashboards and tools.
+  counter and histogram, for dashboards and tools.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — Chrome trace-event
   JSON (the ``{"traceEvents": [...]}`` object form) loadable in Perfetto
   or ``chrome://tracing``.
@@ -29,8 +29,6 @@ def metrics_snapshot(recorder: ObsRecorder) -> Dict[str, Any]:
     return {
         "counters": {name: recorder.counters[name]
                      for name in sorted(recorder.counters)},
-        "gauges": {name: _round(recorder.gauges[name])
-                   for name in sorted(recorder.gauges)},
         "histograms": {
             name: {
                 "count": histogram.count,
@@ -73,11 +71,6 @@ def format_summary(recorder: ObsRecorder) -> str:
             value = recorder.counters[name]
             rendered = f"{value:g}" if value != int(value) else f"{int(value)}"
             lines.append(f"  {name:<40} {rendered:>12}")
-
-    if recorder.gauges:
-        lines.append("gauges:")
-        for name in sorted(recorder.gauges):
-            lines.append(f"  {name:<40} {recorder.gauges[name]:>12.4f}")
 
     if recorder.histograms:
         lines.append("histograms:")

@@ -121,14 +121,13 @@ class SpanAggregate:
 
 
 class ObsRecorder:
-    """One run's worth of telemetry: finished spans plus three metric
-    families (counters, gauges, histograms), keyed by dotted names."""
+    """One run's worth of telemetry: finished spans plus two metric
+    families (counters, histograms), keyed by dotted names."""
 
     def __init__(self) -> None:
         self.origin = time.perf_counter()
         self.spans: List[SpanRecord] = []
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self._depth = 0
 
@@ -144,9 +143,6 @@ class ObsRecorder:
 
     def count(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         histogram = self.histograms.get(name)

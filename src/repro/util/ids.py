@@ -8,7 +8,7 @@ failures reproducible by id.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 
 class IdMinter:
@@ -74,33 +74,3 @@ def format_id(prefix: str, number: int, width: int = 6) -> str:
     'user-000042'
     """
     return f"{prefix}-{number:0{width}d}"
-
-
-def string_order(first: int, count: int, width: int) -> Optional[List[int]]:
-    """The offsets ``0..count-1`` of the ids numbered ``first`` to
-    ``first + count - 1`` (one prefix, zero-padded to ``width``), in the
-    order the id strings sort; ``None`` when that is numeric order, which
-    holds while every number has the same digit count.
-
-    The sort key of each id is one int, not its string: a digit string
-    sorts as its number padded on the right with zeros to the longest
-    length, then shorter first.
-
-    >>> string_order(8, 4, width=1)  # '10' < '11' < '8' < '9'
-    [2, 3, 0, 1]
-    >>> string_order(0, 1000, width=3) is None
-    True
-    """
-    if count <= 1:
-        return None
-    shortest = max(width, len(str(first)))
-    longest = max(width, len(str(first + count - 1)))
-    if shortest == longest:
-        return None
-
-    def key(offset: int) -> int:
-        number = first + offset
-        digits = max(width, len(str(number)))
-        return number * 10 ** (longest - digits) * (longest + 1) + digits
-
-    return sorted(range(count), key=key)

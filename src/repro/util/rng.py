@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from math import ceil, log
-from typing import Dict, List, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -95,48 +94,3 @@ def shuffled(rng: random.Random, items: Sequence[T]) -> list:
     copy = list(items)
     rng.shuffle(copy)
     return copy
-
-
-def sample(rng: random.Random, population: Sequence[T], k: int) -> List[T]:
-    """``rng.sample(population, k)``, draw for draw, without a Python frame
-    per draw.
-
-    A replica of CPython's ``Random.sample`` (the same in 3.9–3.12):
-    when an ``n``-long list is smaller than a ``k``-long set
-    (``n <= setsize``) it copies the population and draws
-    ``randbelow(n - i)`` for pick ``i``; otherwise it draws
-    ``randbelow(n)`` until the index is new.  Each ``randbelow(m)`` is
-    ``getrandbits(m.bit_length())`` until the value is below ``m``,
-    inlined here, so the picks and the stream state after them are
-    unchanged (``tests/property/test_draw_equivalence.py``).  Sample an
-    index ``range`` to keep a lazy population from being copied.
-    """
-    n = len(population)
-    if not 0 <= k <= n:
-        raise ValueError("Sample larger than population or is negative")
-    getrandbits = rng.getrandbits
-    result = [None] * k
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** ceil(log(k * 3, 4))
-    if n <= setsize:
-        pool = list(population)
-        for i in range(k):
-            size = n - i
-            bits = size.bit_length()
-            j = getrandbits(bits)
-            while j >= size:
-                j = getrandbits(bits)
-            result[i] = pool[j]
-            pool[j] = pool[size - 1]
-    else:
-        bits = n.bit_length()
-        selected = set()
-        selected_add = selected.add
-        for i in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in selected:
-                j = getrandbits(bits)
-            selected_add(j)
-            result[i] = population[j]
-    return result  # type: ignore[return-value]

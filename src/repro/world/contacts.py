@@ -15,11 +15,10 @@ per-node list or int object.  A 60,000-user ``mean_degree=8`` graph
 traces 2.2 MB; keyed by user id through a dict and an id list it traced
 6.3 MB, and with a list per node 14.6 MB.
 
-Contact lists come out in user-id order, the order the graph was built
-in.  That is position order while every minted user id has the same
-number of digits; past that (a 6-digit minter beyond 10⁶ users) the
-graph keeps the user-id rank of each position (``_rank``) and sorts by
-it.  :meth:`ContactGraph.contacts_of` sorts a node's ~``mean_degree``
+Contact lists come out in position order, the order the graph was
+built in; below 10⁶ users, where every minted user id has the same
+number of digits, that is also user-id order.
+:meth:`ContactGraph.contacts_of` sorts a node's ~``mean_degree``
 neighbours on each call; a run makes a few hundred of those calls, too
 few for a cache to pay.
 """
@@ -29,25 +28,22 @@ from __future__ import annotations
 import random
 from array import array
 from itertools import accumulate
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Set
 
 
 class ContactGraph:
     """Undirected contact relationships between account positions.
 
     Internally two int arrays (``_offsets``, ``_neighbors``, see the
-    module notes), plus ``_rank`` when user-id order is not position
-    order.  A position outside ``range(len(graph))`` (an account built
-    outside any population holds ``-1``) has no contacts.
+    module notes).  A position outside ``range(len(graph))`` (an
+    account built outside any population holds ``-1``) has no contacts.
     """
 
-    __slots__ = ("_offsets", "_neighbors", "_rank")
+    __slots__ = ("_offsets", "_neighbors")
 
     def __init__(self) -> None:
         self._offsets = array("i", [0])
         self._neighbors = array("i")
-        #: Position -> user-id rank, or ``None`` when they are equal.
-        self._rank: Optional[array] = None
 
     @classmethod
     def _from_csr(cls, offsets: array, neighbors: array) -> "ContactGraph":
@@ -58,30 +54,11 @@ class ContactGraph:
         graph._neighbors = neighbors
         return graph
 
-    def renumber(self, order: Sequence[int]) -> None:
-        """Renumber node ``i`` as position ``order[i]``: the graph was
-        built over user-id order, and ``order`` lists the positions in
-        that order."""
-        rank = array("i", [0]) * len(order)
-        for node, position in enumerate(order):
-            rank[position] = node
-        offsets, neighbors = self._offsets, self._neighbors
-        moved_offsets = array("i", accumulate(
-            (offsets[node + 1] - offsets[node] for node in rank), initial=0))
-        moved = array("i", [0]) * len(neighbors)
-        for position, node in enumerate(rank):
-            moved[moved_offsets[position]:moved_offsets[position + 1]] = array(
-                "i", [order[neighbor] for neighbor
-                      in neighbors[offsets[node]:offsets[node + 1]]])
-        self._offsets, self._neighbors, self._rank = moved_offsets, moved, rank
-
     def add_user(self) -> int:
         """Append a node with no contacts (an empty slice at the end of
         the neighbour array) and return its position."""
         position = len(self._offsets) - 1
         self._offsets.append(len(self._neighbors))
-        if self._rank is not None:
-            self._rank.append(position)
         return position
 
     def _neighbors_of(self, position: int) -> array:
@@ -90,16 +67,9 @@ class ContactGraph:
             return array("i")
         return self._neighbors[offsets[position]:offsets[position + 1]]
 
-    def in_user_order(self, positions: Iterable[int]) -> List[int]:
-        """``positions`` sorted by their users' ids."""
-        rank = self._rank
-        if rank is None:
-            return sorted(positions)
-        return sorted(positions, key=rank.__getitem__)
-
     def contacts_of(self, position: int) -> List[int]:
-        """Contact positions in user-id order (sorted for determinism)."""
-        return self.in_user_order(self._neighbors_of(position))
+        """Contact positions in ascending order (sorted for determinism)."""
+        return sorted(self._neighbors_of(position))
 
     def are_connected(self, a: int, b: int) -> bool:
         """O(degree): a scan of ``a``'s slice of the neighbour array."""

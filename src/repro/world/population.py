@@ -72,7 +72,7 @@ from repro.net.email_addr import EmailAddress, generate_address, generate_userna
 from repro.net.phones import PhoneNumber, PhoneNumberPlan
 from repro.util.clock import DAY
 from repro.util.compat import SLOT_KWARGS
-from repro.util.ids import IdMinter, format_id, string_order
+from repro.util.ids import IdMinter, format_id
 from repro.util.rng import RngRegistry, child_seed
 from repro.world.accounts import Account, RecoveryOptions
 from repro.world.contacts import ContactGraph, build_small_world
@@ -358,7 +358,7 @@ class Population:
         return self.account_by_username.get(address.username)
 
     def contacts_of_account(self, account: Account) -> List[Account]:
-        """The account's contacts, in user-id order."""
+        """The account's contacts, in position order."""
         by_position = self.by_position
         return [by_position[position] for position
                 in self.contact_graph.contacts_of(account.position)]
@@ -444,13 +444,6 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
             contact_graph = build_small_world(
                 n_users, graph_rng, mean_degree=config.mean_contacts,
             )
-            # It is built in user-id order; past the minter's width that
-            # is not position order.
-            order = string_order(profiles.first_user, n_users,
-                                 profiles.user_width)
-            if order is not None:
-                contact_graph.renumber(order)
-            del order
 
         with obs.trace("population.build.users"):
             for position in range(n_users):
@@ -470,7 +463,7 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
                 flags(row_flags)
                 phone = (phone_plan.mint(HOME_COUNTRIES[country_code])
                          if has_phone else None)
-                phones(None if phone is None else phone.e164)
+                phones(phone)
                 if row_flags & _HAS_SECONDARY:
                     domain = user_rng.choice(domains.OTHER_PROVIDERS)
                     # With nothing taken, the first (bare) username wins.
@@ -489,7 +482,8 @@ def _build_population(config: SimulationConfig, rngs: RngRegistry,
                     position=position,
                 )
                 if phone is not None and draw() < two_factor_rate:
-                    account.enable_two_factor(phone, by_hijacker=False, now=0)
+                    account.enable_two_factor(PhoneNumber(phone),
+                                              by_hijacker=False, now=0)
                 by_position.append(account)
                 accounts[account.account_id] = account
                 account_by_username[address.username] = account

@@ -22,7 +22,6 @@ def recorder():
                 obs.count("logstore.appends", 120)
                 obs.observe("logstore.query.window_events", 14)
                 obs.observe("logstore.query.window_events", 6)
-                obs.gauge("export_test.sample_gauge", 0.5)
     return active
 
 
@@ -31,7 +30,6 @@ class TestMetricsSnapshot:
         snapshot = obs.metrics_snapshot(recorder)
         round_tripped = json.loads(json.dumps(snapshot))
         assert round_tripped["counters"]["logstore.appends"] == 120
-        assert round_tripped["gauges"]["export_test.sample_gauge"] == 0.5
         histogram = round_tripped["histograms"]["logstore.query.window_events"]
         assert histogram == {"count": 2, "total": 20.0, "min": 6.0,
                              "max": 14.0, "mean": 10.0}
@@ -39,8 +37,7 @@ class TestMetricsSnapshot:
 
     def test_empty_recorder_snapshots_cleanly(self):
         snapshot = obs.metrics_snapshot(obs.ObsRecorder())
-        assert snapshot == {"counters": {}, "gauges": {},
-                            "histograms": {}, "spans": {}}
+        assert snapshot == {"counters": {}, "histograms": {}, "spans": {}}
 
 
 class TestFormatSummary:
@@ -49,7 +46,6 @@ class TestFormatSummary:
         assert "simulation.run" in text
         assert "logstore.appends" in text
         assert "logstore.query.window_events" in text
-        assert "export_test.sample_gauge" in text
 
     def test_empty_recorder_renders_placeholder(self):
         assert "no telemetry" in obs.format_summary(obs.ObsRecorder())

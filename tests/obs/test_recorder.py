@@ -33,7 +33,6 @@ class TestDisabledPath:
 
     def test_metric_calls_are_noops(self):
         obs.count("c")
-        obs.gauge("g", 1.0)
         obs.observe("h", 2.0)
         assert obs.current() is None
 
@@ -109,12 +108,6 @@ class TestMetrics:
             obs.count("hits")
             obs.count("hits", 4)
         assert recorder.counters["hits"] == 5
-
-    def test_gauge_keeps_last_value(self):
-        with obs.recording() as recorder:
-            obs.gauge("utilization", 0.25)
-            obs.gauge("utilization", 0.75)
-        assert recorder.gauges["utilization"] == 0.75
 
     def test_histogram_aggregates_moments(self):
         with obs.recording() as recorder:

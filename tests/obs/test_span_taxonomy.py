@@ -4,7 +4,7 @@ Both blocks list one name per line (first word; the span block nests by
 indentation, the metric block writes ``<name>`` for a dynamic suffix).
 A traced smoke world with every optional phase switched on, plus its
 full report, must emit the same set of ``simulation.*`` spans, and
-every counter, histogram and gauge it emits must match a listed metric:
+every counter and histogram it emits must match a listed metric:
 a span or metric added, renamed or dropped in code without the
 document fails here.
 """
@@ -55,8 +55,7 @@ def test_simulation_spans_match_design(recorder):
 def test_metric_names_match_design(recorder):
     patterns = [re.compile(".+".join(map(re.escape, name.split("<name>"))))
                 for name in documented_names(METRICS)]
-    emitted = set(recorder.counters) | set(recorder.histograms) \
-        | set(recorder.gauges)
+    emitted = set(recorder.counters) | set(recorder.histograms)
     assert emitted
     undocumented = sorted(name for name in emitted
                           if not any(p.fullmatch(name) for p in patterns))

@@ -207,14 +207,16 @@ class TestBuildMemory:
         transient row array is small against the world, and the taken
         usernames are the keys of the population's username dict rather
         than a set of their own, so the traced peak stays within 10% of
-        what the finished world holds (1.085-1.095 on CPython 3.10-3.13;
-        most of the rest is the phone plan's set of issued numbers, which
-        this test drops with the plan).  With a username set and the graph
-        built after the users it read 1.13-1.17."""
+        what the finished world holds (1.006-1.008 on CPython 3.10-3.13).
+        The phone plan is held across the measurement: its set of issued
+        numbers belongs to the world, and dropping it with the plan read
+        1.085-1.095.  With a username set and the graph built after the
+        users it read 1.13-1.17."""
         gc.collect()
         tracemalloc.start()
         try:
-            population = _build(3_000)
+            phone_plan = PhoneNumberPlan(RngRegistry(3).stream("phones"))
+            population = _build(3_000, phone_plan=phone_plan)
             live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -379,9 +381,9 @@ class TestOwnerProfiles:
 
 
 class TestUserIdOrder:
-    """The graph is built over user ids in string order; past the
-    minter's width that is not creation order, and contacts still come
-    out as the list-per-node build over sorted ids made them."""
+    """Contacts come out in position (mint) order at every size.  Below
+    10⁶ users that is user-id order too; past a minter's width the id
+    strings sort otherwise, and contacts still follow position order."""
 
     @pytest.mark.parametrize("first", [0, 95])
     def test_contacts_past_the_minter_width(self, first):
@@ -399,18 +401,25 @@ class TestUserIdOrder:
         assert user_ids[0] == f"user-{first:02d}"
         assert user_ids[-1] == f"user-{first + 149}"
         assert minter.mint("user") == f"user-{first + 150}"
-        assert population.contact_graph._rank is not None
-        sorted_ids = sorted(user_ids)
-        account_of = dict(zip(user_ids, accounts))
         adjacency = reference_adjacency(
             150, RngRegistry(8).stream("population.graph"), 4, 0.1)
-        for node, user_id in enumerate(sorted_ids):
-            contacts = population.contacts_of_account(account_of[user_id])
-            assert [contact.owner.user_id for contact in contacts] == sorted(
-                sorted_ids[neighbor] for neighbor in adjacency[node])
+        out_of_id_order = 0
+        for position, account in enumerate(accounts):
+            contacts = population.contacts_of_account(account)
+            assert [contact.position for contact in contacts] == sorted(
+                adjacency[position])
+            ids = [contact.owner.user_id for contact in contacts]
+            out_of_id_order += ids != sorted(ids)
+        assert out_of_id_order > 0
 
     def test_ids_within_the_width_keep_position_order(self):
-        assert _build(120).contact_graph._rank is None
+        population = _build(120)
+        for account in population.by_position:
+            contacts = population.contacts_of_account(account)
+            positions = [contact.position for contact in contacts]
+            assert positions == sorted(positions)
+            ids = [contact.owner.user_id for contact in contacts]
+            assert ids == sorted(ids)
 
 
 class TestAddAccount:
